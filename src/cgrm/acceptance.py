@@ -155,10 +155,7 @@ def criterion_6(seed=DEFAULT_SEED):
     for n in (5, 7, 9):
         r = closed_form.cg_closed_form(2, n)
         vs = dunkl.elements_v(n)
-        vectors = [_op_vector(op) for op in (r,) + vs]
-        keys = sorted({k for vec in vectors for k in vec})
-        rows = [[vec.get(k, Fraction(0)) for k in keys] for vec in vectors]
-        ok = ok and rank(rows) == 5
+        ok = ok and rank([_op_vector(op) for op in (r,) + vs]) == 5
     for n in (5, 7):
         vs = dunkl.elements_v(n)
         for _ in range(10):

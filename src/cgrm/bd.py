@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .linalg import solve_affine
 from .tensorops import WedgeElement
 
 ZERO = Fraction(0)
@@ -210,62 +211,59 @@ class CartanVector:
         return cls(n, tuple(diag))
 
 
-def _simple_root_functional(n, s):
-    """a_s as a functional on diagonal matrices: diag -> diag_s - diag_{s+1}."""
-    def f(d):
-        return d[s - 1] - d[s]
-    return f
+def _beta_system(t: BDTriple):
+    """The beta-variety equations as sparse rows over the unknowns e_jj ^ e_ll (j < l).
 
-
-def _diag_coefficient_matrix(b: WedgeElement):
-    """Antisymmetric coefficient matrix C with b = (1/2) sum C_{jl} e_jj (x) e_ll.
-
-    Raises when b has non-diagonal wedge legs.
-    """
-    n = b.n
-    c = [[ZERO] * n for _ in range(n)]
-    for ((a, bb), (cc, d)), v in b.terms.items():
-        if a != bb or cc != d:
-            raise ValueError("element does not lie in the diagonal wedge square")
-        c[a - 1][cc - 1] += v
-        c[cc - 1][a - 1] -= v
-    return c
-
-
-def _check_in_hwedgeh(c):
-    for row in c:
-        if sum(row, ZERO) != 0:
-            raise ValueError("element does not lie in h ^ h (nonzero trace leg)")
-
-
-def _beta_equation(t: BDTriple, c, s):
-    """Left and right sides of the defining equation of the beta variety for a_s in S0.
-
-    The contraction (1 (x) f) applied to sum c_{jl}/2 e_jj (x) e_ll gives the
-    diagonal vector with entries sum_l c_{jl} f(e_ll) / 2; the right side is
-    half the sum of the trace-form duals of a_s and its image.
+    Returns (index, rows, rhs), index mapping each pair (j, l) to its column in
+    the order of the unknowns.  The first n rows say that every row sum of the
+    antisymmetric coefficient matrix C vanishes (h ^ h membership).  Then, for
+    each a_s in S0, the contraction (1 (x) f) of sum C_{jl}/2 e_jj (x) e_ll, with
+    f = a_{zeta(s)} - a_s, must equal half the sum of the trace-form duals of a_s
+    and its image, one row per diagonal entry.
     """
     n = t.n
-    z = t.zeta[s]
-    fvals = [ZERO] * n
-    fvals[z - 1] += 1
-    fvals[z] -= 1
-    fvals[s - 1] -= 1
-    fvals[s] += 1
-    left = [sum((c[j][l] * fvals[l] for l in range(n)), ZERO) / 2 for j in range(n)]
-    h_image = CartanVector.from_simple(n, z)
-    h_source = CartanVector.from_simple(n, s)
-    right = [(a + b) / 2 for a, b in zip(h_image.diagonal, h_source.diagonal)]
-    return left, right
+    pairs = [(j, l) for j in range(1, n + 1) for l in range(j + 1, n + 1)]
+    index = {p: k for k, p in enumerate(pairs)}
+    rows, rhs = [], []
+    for j in range(1, n + 1):
+        row = {index[(j, l)]: Fraction(1) for l in range(j + 1, n + 1)}
+        row.update((index[(l, j)], Fraction(-1)) for l in range(1, j))
+        rows.append(row)
+        rhs.append(ZERO)
+    for s in sorted(t.s0):
+        z = t.zeta[s]
+        fvals = [ZERO] * n
+        fvals[z - 1] += 1
+        fvals[z] -= 1
+        fvals[s - 1] -= 1
+        fvals[s] += 1
+        h_image = CartanVector.from_simple(n, z)
+        h_source = CartanVector.from_simple(n, s)
+        for d in range(1, n + 1):
+            row = {}
+            for l in range(d + 1, n + 1):
+                if fvals[l - 1]:
+                    row[index[(d, l)]] = fvals[l - 1] / 2
+            for j in range(1, d):
+                if fvals[j - 1]:
+                    row[index[(j, d)]] = -fvals[j - 1] / 2
+            rows.append(row)
+            rhs.append((h_image.diagonal[d - 1] + h_source.diagonal[d - 1]) / 2)
+    return index, rows, rhs
 
 
 def verify_beta_variety(t: BDTriple, b: WedgeElement) -> bool:
-    """Check the defining linear equations of the beta variety for b in h ^ h."""
-    c = _diag_coefficient_matrix(b)
-    _check_in_hwedgeh(c)
-    for s in sorted(t.s0):
-        left, right = _beta_equation(t, c, s)
-        if left != right:
+    """Check b, which must lie in h ^ h, against the rows solve_beta_variety solves."""
+    index, rows, rhs = _beta_system(t)
+    x = {}
+    for ((a, bb), (c, d)), v in b.terms.items():
+        if a != bb or c != d:
+            raise ValueError("element does not lie in the diagonal wedge square")
+        x[index[(a, c)]] = v
+    for k, (row, value) in enumerate(zip(rows, rhs)):
+        if sum((v * x.get(col, ZERO) for col, v in row.items()), ZERO) != value:
+            if k < t.n:
+                raise ValueError("element does not lie in h ^ h (nonzero trace leg)")
             return False
     return True
 
@@ -278,49 +276,11 @@ def solve_beta_variety(t: BDTriple):
     (solution WedgeElement, affine dimension of the solution set), or None if
     the system is inconsistent.
     """
-    n = t.n
-    pairs = [(j, l) for j in range(1, n + 1) for l in range(j + 1, n + 1)]
-    index = {p: k for k, p in enumerate(pairs)}
-    rows, rhs = [], []
-
-    # Row sums of the antisymmetric coefficient matrix must vanish (h ^ h membership).
-    for j in range(1, n + 1):
-        row = [ZERO] * len(pairs)
-        for l in range(1, n + 1):
-            if l > j:
-                row[index[(j, l)]] += 1
-            elif l < j:
-                row[index[(l, j)]] -= 1
-        rows.append(row)
-        rhs.append(ZERO)
-
-    for s in sorted(t.s0):
-        z = t.zeta[s]
-        fvals = [ZERO] * n
-        fvals[z - 1] += 1
-        fvals[z] -= 1
-        fvals[s - 1] -= 1
-        fvals[s] += 1
-        h_image = CartanVector.from_simple(n, z)
-        h_source = CartanVector.from_simple(n, s)
-        for d in range(1, n + 1):
-            row = [ZERO] * len(pairs)
-            for (j, l) in pairs:
-                coeff = ZERO
-                if j == d:
-                    coeff += fvals[l - 1]
-                if l == d:
-                    coeff -= fvals[j - 1]
-                if coeff:
-                    row[index[(j, l)]] = coeff / 2
-            rows.append(row)
-            rhs.append((h_image.diagonal[d - 1] + h_source.diagonal[d - 1]) / 2)
-
-    from .linalg import solve_affine
-    solved = solve_affine(rows, rhs)
+    index, rows, rhs = _beta_system(t)
+    solved = solve_affine(rows, rhs, len(index))
     if solved is None:
         return None
     particular, null_basis = solved
     sol = WedgeElement.from_terms(
-        n, (((j, j), (l, l), particular[index[(j, l)]]) for (j, l) in pairs))
+        t.n, (((j, j), (l, l), particular.get(k, ZERO)) for (j, l), k in index.items()))
     return sol, len(null_basis)

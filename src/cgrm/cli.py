@@ -8,6 +8,7 @@ by index tuple) so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,9 +320,25 @@ COMMANDS = {
 }
 
 
+RATIONAL_FLAGS = ("--kappa", "--c0", "--c1", "--u", "--t", "--lambda")
+
+
+def _join_negative_values(argv):
+    """Rewrite "--c0 -3/4" as "--c0=-3/4": argparse takes a separate "-3/4" for an
+    option name, since it only recognizes integers and decimals as negative numbers."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in RATIONAL_FLAGS and re.match(r"-[0-9./]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_negative_values(argv))
         config = _config_from_args(args)
         return COMMANDS[args.command](config)
     except CliError as exc:

@@ -6,28 +6,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import expand_in_rref, invert, rref
+from .linalg import expand_in_rref, invert, rref, solve_affine
 from .tensorops import MatrixN, SparseOp2, kron_pair, kron_sum2, wedge_to_op
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass
 class LieSubalgebra:
     """Subspace of gl_n with a reduced basis; bracket_closed records whether it
-    is actually a Lie subalgebra."""
+    is actually a Lie subalgebra.
+
+    The reduced rows are the basis matrices' entries, keyed by (i, j) position.
+    When the span is closed, the expansions of the brackets [x_i, x_j] (i < j)
+    found while checking closure are kept for structure_constants.
+    """
 
     n: int
     basis: list
     bracket_closed: bool = True
     _rows: list = field(default_factory=list, repr=False)
     _pivots: list = field(default_factory=list, repr=False)
+    _brackets: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_matrices(cls, n, mats):
-        rows, pivots = rref([m.to_vector() for m in mats if not m.is_zero()]) if mats else ([], [])
-        basis = [MatrixN.from_vector(n, row) for row in rows]
-        sub = cls(n=n, basis=basis, _rows=rows, _pivots=pivots)
+        rows, pivots = rref([m.entries for m in mats])
+        basis = [MatrixN(n, row) for row in rows]
+        sub = cls(n=n, basis=basis, _rows=[m.entries for m in basis], _pivots=pivots)
         sub.bracket_closed = sub._check_closure()
         return sub
 
@@ -36,45 +43,51 @@ class LieSubalgebra:
         return len(self.basis)
 
     def contains(self, mat: MatrixN) -> bool:
-        if not self.basis:
-            return mat.is_zero()
-        return expand_in_rref(self._rows, self._pivots, mat.to_vector()) is not None
+        return self.coordinates(mat) is not None
 
     def coordinates(self, mat: MatrixN):
         """Coefficients of mat in the reduced basis, or None when outside the span."""
-        if not self.basis:
-            return [] if mat.is_zero() else None
-        return expand_in_rref(self._rows, self._pivots, mat.to_vector())
+        return expand_in_rref(self._rows, self._pivots, mat.entries)
 
     def same_span(self, other) -> bool:
         return self.n == other.n and self._rows == other._rows
 
     def _check_closure(self) -> bool:
+        brackets = {}
         for i, a in enumerate(self.basis):
-            for b in self.basis[i + 1:]:
-                if not self.contains(a.bracket(b)):
+            for j in range(i + 1, len(self.basis)):
+                coords = self.coordinates(a.bracket(self.basis[j]))
+                if coords is None:
                     return False
+                sparse = [(s, c) for s, c in enumerate(coords) if c]
+                if sparse:
+                    brackets[(i, j)] = sparse
+        self._brackets = brackets
         return True
+
+
+def _first_leg_slices(r: SparseOp2):
+    """{(i, k): entries of the matrix sum_{j, l} r_{(i, j), (k, l)} e_{jl}}."""
+    slices = {}
+    for (i, j), (k, l), v in r.entries():
+        sl = slices.setdefault((i, k), {})
+        sl[(j, l)] = sl.get((j, l), ZERO) + v
+    return slices
 
 
 def carrier(r: SparseOp2) -> LieSubalgebra:
     """Span of the first-leg contractions of an antisymmetric operator.
 
-    Slices of a traceless wedge element are traceless; this is asserted.  The
-    result records whether the span closes under the bracket instead of
-    raising, so callers can report failures.
+    Slices of a traceless wedge element are traceless; a slice with nonzero
+    trace raises ValueError.  The result records whether the span closes under
+    the bracket instead of raising, so callers can report failures.
     """
     if not r.is_antisymmetric():
         raise ValueError("carrier is only defined for antisymmetric operators")
-    n = r.n
-    slices = {}
-    for (i, j), (k, l), v in r.entries():
-        sl = slices.setdefault((i, k), {})
-        sl[(j, l)] = sl.get((j, l), ZERO) + v
-    mats = [MatrixN(n, entries) for entries in slices.values()]
-    for m in mats:
-        assert m.trace() == 0, "carrier slice has nonzero trace"
-    return LieSubalgebra.from_matrices(n, mats)
+    mats = [MatrixN(r.n, entries) for entries in _first_leg_slices(r).values()]
+    if any(m.trace() != 0 for m in mats):
+        raise ValueError("carrier slice has nonzero trace")
+    return LieSubalgebra.from_matrices(r.n, mats)
 
 
 def parabolic(m: int, n: int) -> LieSubalgebra:
@@ -123,20 +136,16 @@ def r_check(r: SparseOp2, f: LieSubalgebra) -> FrobeniusData:
     """
     n = r.n
     k = f.dimension
-    slices = {}
-    for (i, j), (kk, l), v in r.entries():
-        sl = slices.setdefault((i, kk), {})
-        sl[(j, l)] = sl.get((j, l), ZERO) + v
+    slices = _first_leg_slices(r)
     columns = []
     for pivot in f._pivots:
-        a, b = pivot // n + 1, pivot % n + 1
-        image = MatrixN(n, slices.get((a, b), {}))
+        image = MatrixN(n, slices.get(pivot, {}))
         coords = f.coordinates(image)
         if coords is None:
             raise ValueError("contraction image leaves the carrier")
         columns.append(coords)
     matrix = [[columns[i][j] for i in range(k)] for j in range(k)]
-    inverse = invert(matrix) if k else []
+    inverse = invert(matrix)
     if inverse is None:
         return FrobeniusData(subalgebra=f, r_check_matrix=matrix)
     form = [[inverse[j][i] for j in range(k)] for i in range(k)]
@@ -145,18 +154,17 @@ def r_check(r: SparseOp2, f: LieSubalgebra) -> FrobeniusData:
 
 
 def structure_constants(f: LieSubalgebra):
-    """Sparse expansion coefficients of all pairwise brackets of basis elements."""
+    """Sparse expansion coefficients of all pairwise brackets of basis elements.
+
+    They are the expansions recorded by the closure check; (j, i) is (i, j)
+    negated, since [b, a] = -[a, b] exactly.
+    """
+    if not f.bracket_closed:
+        raise ValueError("subalgebra is not bracket closed")
     consts = {}
-    for i, a in enumerate(f.basis):
-        for j, b in enumerate(f.basis):
-            if i == j:
-                continue
-            coords = f.coordinates(a.bracket(b))
-            if coords is None:
-                raise ValueError("subalgebra is not bracket closed")
-            sparse = [(s, c) for s, c in enumerate(coords) if c != 0]
-            if sparse:
-                consts[(i, j)] = sparse
+    for (i, j), coeffs in f._brackets.items():
+        consts[(i, j)] = coeffs
+        consts[(j, i)] = [(s, -c) for s, c in coeffs]
     return consts
 
 
@@ -164,28 +172,34 @@ def cocycle_check(fd: FrobeniusData) -> bool:
     """The two-form built from the inverse contraction satisfies the cocycle
     identity on every basis triple.
 
-    Repeated indices and permutations follow formally from skewness, so the
-    loop runs over strictly increasing triples after checking skewness.
+    Repeated indices and permutations follow formally from skewness, so only
+    strictly increasing triples i < j < l are checked, after skewness.  With
+    w_ab = F([x_a, x_b], .) for a < b, the identity there reads
+    w_ij(l) - w_il(j) + w_jl(i) = 0, so each nonzero w_ab(c) is added, negated
+    when a < c < b, to the sum of its triple, and all other sums are zero.
     """
     if not fd.invertible or not fd.skew:
         return False
-    f = fd.subalgebra
-    form = fd.form
-    consts = structure_constants(f)
-    k = f.dimension
-
-    def f_of_bracket(i, j, l):
-        return sum((c * form[s][l] for s, c in consts.get((i, j), ())), ZERO)
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            for l in range(j + 1, k):
-                total = (f_of_bracket(i, j, l)
-                         + f_of_bracket(l, i, j)
-                         + f_of_bracket(j, l, i))
-                if total != 0:
-                    return False
-    return True
+    form_rows = [{l: v for l, v in enumerate(row) if v} for row in fd.form]
+    totals = {}
+    for (a, b), coeffs in structure_constants(fd.subalgebra).items():
+        if a > b:
+            continue
+        w = {}
+        for s, c in coeffs:
+            for l, v in form_rows[s].items():
+                w[l] = w.get(l, ZERO) + c * v
+        for l, v in w.items():
+            if l == a or l == b:
+                continue
+            if l < a:
+                key = (l, a, b)
+            elif l < b:
+                key, v = (a, l, b), -v
+            else:
+                key = (a, b, l)
+            totals[key] = totals.get(key, ZERO) + v
+    return not any(totals.values())
 
 
 def eval_functional(eta, mat: MatrixN):
@@ -197,18 +211,24 @@ def frobenius_functional_check(fd: FrobeniusData, eta) -> bool:
     """eta([X, Y]) must reproduce the inverse-contraction form F(X, Y) =
     <r_check^{-1} X, Y> on all basis pairs, and the induced two-form must be
     nondegenerate.  (The two orders of the pairing differ by the skew sign;
-    this orientation is the one the computed map satisfies.)"""
+    this orientation is the one the computed map satisfies.)
+
+    eta([X, X]) = 0 and eta([Y, X]) = -eta([X, Y]) exactly, so the brackets are
+    evaluated for i < j only, against a zero diagonal and the skew entry; the
+    form then equals the Gram matrix of eta([., .]), whose inverse is tested.
+    """
     if not fd.invertible:
         return False
-    f = fd.subalgebra
-    k = f.dimension
-    gram = [[ZERO] * k for _ in range(k)]
-    for i, x in enumerate(f.basis):
-        for j, y in enumerate(f.basis):
-            gram[i][j] = eval_functional(eta, x.bracket(y))
-            if gram[i][j] != fd.form[i][j]:
+    basis = fd.subalgebra.basis
+    form = fd.form
+    for i, x in enumerate(basis):
+        if form[i][i] != 0:
+            return False
+        for j in range(i + 1, len(basis)):
+            value = eval_functional(eta, x.bracket(basis[j]))
+            if value != form[i][j] or -value != form[j][i]:
                 return False
-    return invert(gram) is not None
+    return invert(form) is not None
 
 
 def cg_boundary_functional(n: int, u, t):
@@ -242,19 +262,15 @@ def dual_functional(f: LieSubalgebra, basis_list, index):
     """Elementary-dual coordinates of the functional dual to basis_list[index],
     where basis_list spans f; off-diagonal duals are coordinate functionals and
     the diagonal block is solved exactly."""
-    from .linalg import solve_affine
     n = f.n
-    rows = []
-    rhs = []
-    positions = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    for k, mat in enumerate(basis_list):
-        rows.append([mat.entries.get(pos, ZERO) for pos in positions])
-        rhs.append(Fraction(1) if k == index else ZERO)
-    solved = solve_affine(rows, rhs)
+    rows = [{(a - 1) * n + b - 1: v for (a, b), v in mat.entries.items()}
+            for mat in basis_list]
+    rhs = [ONE if k == index else ZERO for k in range(len(basis_list))]
+    solved = solve_affine(rows, rhs, n * n)
     if solved is None:
         raise ValueError("dual functional system is inconsistent")
     particular, _ = solved
-    return {pos: v for pos, v in zip(positions, particular) if v != 0}
+    return {(c // n + 1, c % n + 1): v for c, v in sorted(particular.items())}
 
 
 def apply_r_check(r: SparseOp2, eta) -> MatrixN:

@@ -1,45 +1,55 @@
-"""Dense exact linear algebra over the rationals: row reduction, affine solves, inversion."""
+"""Sparse exact linear algebra over the rationals: row reduction, span queries,
+affine solves, inversion.
+
+A row or vector is a dict {column: value} that stores no zeros.  Columns are
+any mutually comparable keys (integers, or the (i, j) positions of a matrix);
+pivots are taken in increasing column order, so the reduced rows are those of
+the dense matrix with its columns sorted the same way.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rref(rows):
-    """Reduced row echelon form of a list of rows (copied, exact).
+def _subtract(target, c, row):
+    """target -= c * row in place, dropping entries that cancel."""
+    for col, v in row.items():
+        x = target.get(col, ZERO) - c * v
+        if x:
+            target[col] = x
+        else:
+            del target[col]
 
-    Returns (reduced_rows, pivot_columns); zero rows are dropped.
+
+def rref(rows):
+    """Reduced row echelon form of a list of sparse rows (inputs are not modified).
+
+    Returns (reduced_rows, pivot_columns) ordered by pivot; zero rows are dropped.
+    Each row is reduced against the pivots found so far, and a new pivot is then
+    cleared from the earlier rows, so the rows stay fully reduced throughout.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    piv_r = 0
-    for col in range(ncols):
-        src = None
-        for r in range(piv_r, len(rows)):
-            if rows[r][col] != 0:
-                src = r
-                break
-        if src is None:
+    basis = {}
+    for row in rows:
+        row = {col: v for col, v in row.items() if v}
+        for p in [col for col in row if col in basis]:
+            _subtract(row, row[p], basis[p])
+        if not row:
             continue
-        rows[piv_r], rows[src] = rows[src], rows[piv_r]
-        inv = ONE / rows[piv_r][col]
-        rows[piv_r] = [v * inv for v in rows[piv_r]]
-        for r in range(len(rows)):
-            if r != piv_r and rows[r][col] != 0:
-                f = rows[r][col]
-                piv_row = rows[piv_r]
-                rows[r] = [a - f * b for a, b in zip(rows[r], piv_row)]
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == len(rows):
-            break
-    return rows[:piv_r], pivots
+        p = min(row)
+        inv = ONE / row[p]
+        row = {col: v * inv for col, v in row.items()}
+        for other in basis.values():
+            f = other.get(p)
+            if f:
+                _subtract(other, f, row)
+        basis[p] = row
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
 
 
 def rank(rows) -> int:
@@ -47,49 +57,52 @@ def rank(rows) -> int:
 
 
 def expand_in_rref(reduced, pivots, vec):
-    """Coefficients of vec in the span of an RREF basis, or None if not in the span."""
-    coeffs = [vec[p] for p in pivots]
-    residual = list(vec)
-    for c, row in zip(coeffs, reduced):
-        if c != 0:
-            residual = [a - c * b for a, b in zip(residual, row)]
-    if any(v != 0 for v in residual):
+    """Coefficients of the sparse vector vec in the span of an RREF basis, or
+    None if it lies outside the span.
+
+    The coefficients are vec's entries at the pivots, found by bisecting the
+    sorted pivots; only the rows with a nonzero coefficient are subtracted, and
+    the residual is checked on their support together with vec's.
+    """
+    coeffs = [ZERO] * len(pivots)
+    residual = dict(vec)
+    for col, c in vec.items():
+        i = bisect_left(pivots, col)
+        if i < len(pivots) and pivots[i] == col:
+            coeffs[i] = c
+            for col2, v in reduced[i].items():
+                residual[col2] = residual.get(col2, ZERO) - c * v
+    if any(residual.values()):
         return None
     return coeffs
 
 
-def solve_affine(a_rows, b_col):
-    """Solve A x = b exactly.
+def solve_affine(a_rows, b_col, ncols):
+    """Solve A x = b exactly for sparse rows of A over the columns 0..ncols-1.
 
-    Returns (particular_solution, nullspace_basis) or None when inconsistent.
+    Returns (particular_solution, nullspace_basis) as sparse vectors, or None
+    when inconsistent.
     """
-    if not a_rows:
-        return [], []
-    ncols = len(a_rows[0])
-    aug = [list(r) + [b] for r, b in zip(a_rows, b_col)]
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
+    reduced, pivots = rref([{**row, ncols: b} for row, b in zip(a_rows, b_col)])
+    if pivots and pivots[-1] == ncols:
         return None
-    particular = [ZERO] * ncols
-    for row, p in zip(reduced, pivots):
-        particular[p] = row[-1]
-    free = [c for c in range(ncols) if c not in pivots]
+    particular = {p: row[ncols] for row, p in zip(reduced, pivots) if ncols in row}
+    pivot_set = set(pivots)
     null_basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        null_basis.append(v)
+    for f in range(ncols):
+        if f not in pivot_set:
+            v = {f: ONE}
+            for row, p in zip(reduced, pivots):
+                if f in row:
+                    v[p] = -row[f]
+            null_basis.append(v)
     return particular, null_basis
 
 
 def invert(a_rows):
-    """Exact inverse of a square matrix, or None when singular."""
+    """Exact inverse of a square matrix given as dense rows, or None when singular."""
     n = len(a_rows)
-    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(a_rows)]
-    reduced, pivots = rref(aug)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    reduced, pivots = rref([{**dict(enumerate(r)), n + i: ONE} for i, r in enumerate(a_rows)])
+    if pivots != list(range(n)):
         return None
-    return [row[n:] for row in reduced[:n]]
-
+    return [[row.get(n + j, ZERO) for j in range(n)] for row in reduced]

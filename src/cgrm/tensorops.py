@@ -88,22 +88,6 @@ class MatrixN:
     def trace(self):
         return sum((v for (i, j), v in self.entries.items() if i == j), ZERO)
 
-    def to_vector(self):
-        """Flatten to a dense coordinate row, (i, j) ordered lexicographically."""
-        n = self.n
-        return [self.entries.get((i, j), ZERO) for i in range(1, n + 1) for j in range(1, n + 1)]
-
-    @classmethod
-    def from_vector(cls, n, vec):
-        entries = {}
-        idx = 0
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if vec[idx] != 0:
-                    entries[(i, j)] = vec[idx]
-                idx += 1
-        return cls(n, entries)
-
     def is_nilpotent(self):
         power = self
         for _ in range(self.n):
@@ -511,12 +495,8 @@ def op_to_wedge(op: SparseOp2) -> WedgeElement:
 
 def span_basis(vectors):
     """Exact row-reduced basis of the span of a list of MatrixN."""
-    mats = [m for m in vectors if not m.is_zero()]
-    if not mats:
-        return []
-    n = mats[0].n
-    reduced, _ = rref([m.to_vector() for m in mats])
-    return [MatrixN.from_vector(n, row) for row in reduced]
+    reduced, _ = rref([m.entries for m in vectors])
+    return [MatrixN(vectors[0].n, row) for row in reduced]
 
 
 def permutation_op(n) -> SparseOp2:

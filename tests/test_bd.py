@@ -118,6 +118,24 @@ def test_verify_beta_variety_rejects_non_diagonal():
         bd.verify_beta_variety(t, WedgeElement.single(3, 1, 2, 2, 1))
 
 
+def test_verify_beta_variety_rejects_outside_hwedgeh():
+    t = bd.cg_triple(1, 3)
+    with pytest.raises(ValueError, match="h \\^ h"):
+        bd.verify_beta_variety(t, WedgeElement.single(3, 1, 1, 2, 2))
+
+
+def test_verify_beta_variety_rejects_other_points_of_hwedgeh():
+    """The variety is the single solved point, so a shift inside h ^ h leaves it."""
+    for (m, n) in ((1, 4), (3, 5), (2, 7)):
+        t = bd.cg_triple(m, n)
+        e = {(a, c): WedgeElement.single(n, a, a, c, c) for a in (1, 2) for c in (3, 4)}
+        # (e_11 - e_22) ^ (e_33 - e_44): both legs diagonal and traceless
+        shift = e[(1, 3)] - e[(1, 4)] - e[(2, 3)] + e[(2, 4)]
+        solution, _ = bd.solve_beta_variety(t)
+        assert bd.verify_beta_variety(t, solution)
+        assert not bd.verify_beta_variety(t, solution + shift)
+
+
 def test_beta_variety_is_singleton():
     for (m, n) in coprime_pairs(8):
         t = bd.cg_triple(m, n)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cgrm.cli import main
 
 
@@ -147,3 +149,30 @@ def test_bd_full_matches_gen(capsys):
     _, bd_out = run_cli(capsys, "bd", "--m", "3", "--n", "4")
     _, gen_out = run_cli(capsys, "gen", "--m", "1", "--n", "4", "--construction", "closed")
     assert json.loads(bd_out)["op"] == json.loads(gen_out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--m", "2", "--n", "5", "--construction", "dunkl",
+     "--kappa", "-2/3", "--c0", "-3/4", "--c1", "-5"),
+    ("dunkl", "--m", "2", "--n", "5", "--kappa", "-1", "--c0", "-1/2", "--c1", "-7/3"),
+    ("boundary", "--n", "5", "--u", "-1/2", "--t", "-3"),
+])
+def test_negative_rational_spellings_agree(capsys, argv):
+    """"--c0 -3/4" reads the same as "--c0=-3/4" for every rational flag."""
+    joined = []
+    for arg in argv:
+        if arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    code, separate = run_cli(capsys, *argv)
+    assert code == 0 and "error" not in json.loads(separate)
+    assert run_cli(capsys, *joined) == (code, separate)
+
+
+def test_negative_lambda_spellings_agree(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    run_cli(capsys, "gen", "--m", "2", "--n", "5", "--out", str(path))
+    code, separate = run_cli(capsys, "verify", "--in", str(path), "--lambda", "-1/4")
+    assert code == 1 and json.loads(separate)["lambda"] == "-1/4"
+    assert run_cli(capsys, "verify", "--in", str(path), "--lambda=-1/4") == (code, separate)

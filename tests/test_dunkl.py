@@ -236,14 +236,7 @@ def test_module_rank_five():
     n = 5
     r = closed_form.cg_closed_form(2, n)
     vs = dunkl.elements_v(n)
-    vectors = []
-    keys = set()
-    for op in (r,) + vs:
-        vec = {(inp, out): v for out, inp, v in op.entries()}
-        vectors.append(vec)
-        keys |= set(vec)
-    keys = sorted(keys)
-    rows = [[vec.get(k, Fraction(0)) for k in keys] for vec in vectors]
+    rows = [{(inp, out): v for out, inp, v in op.entries()} for op in (r,) + vs]
     assert rank(rows) == 5
 
 

@@ -1,0 +1,243 @@
+"""Sparse exact elimination against a dense Gauss-Jordan oracle, and the
+span queries built on it (structure constants, the Frobenius functional check,
+the carrier's trace check)."""
+
+import copy
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cgrm import dunkl, frobenius
+from cgrm.linalg import expand_in_rref, invert, rank, rref, solve_affine
+from cgrm.tensorops import MatrixN, WedgeElement, wedge_to_op
+
+ZERO = Fraction(0)
+
+# Half of the drawn entries are zero, so singular and rank-deficient inputs are common.
+entries = st.one_of(st.just(ZERO),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+def matrices(min_rows=0, max_rows=6, min_cols=1, max_cols=6):
+    """Dense rational matrices: tall, wide, square, with no rows, or all zero."""
+    shape = st.tuples(st.integers(min_rows, max_rows), st.integers(min_cols, max_cols))
+    return shape.flatmap(lambda rc: st.one_of(
+        st.lists(st.lists(entries, min_size=rc[1], max_size=rc[1]),
+                 min_size=rc[0], max_size=rc[0]),
+        st.just([[ZERO] * rc[1] for _ in range(rc[0])])))
+
+
+def oracle_rref(rows, ncols):
+    """Textbook dense Gauss-Jordan elimination; returns (nonzero reduced rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    top = 0
+    for col in range(ncols):
+        src = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if src is None:
+            continue
+        rows[top], rows[src] = rows[src], rows[top]
+        inv = 1 / rows[top][col]
+        rows[top] = [v * inv for v in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+        top += 1
+    return rows[:top], pivots
+
+
+def sparse(row):
+    return {j: v for j, v in enumerate(row) if v}
+
+
+def dense(vec, ncols):
+    return [vec.get(j, ZERO) for j in range(ncols)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_and_rank_match_oracle(a):
+    ncols = len(a[0]) if a else 1
+    reduced, pivots = rref([sparse(r) for r in a])
+    expected_rows, expected_pivots = oracle_rref(a, ncols)
+    assert pivots == expected_pivots
+    assert [dense(r, ncols) for r in reduced] == expected_rows
+    assert all(v != 0 for r in reduced for v in r.values())
+    assert rank([sparse(r) for r in a]) == len(expected_pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_expand_in_rref_matches_oracle(a, data):
+    ncols = len(a[0]) if a else 1
+    reduced, pivots = rref([sparse(r) for r in a])
+    combo = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    inside = [sum((c * r[j] for c, r in zip(combo, a)), ZERO) for j in range(ncols)]
+    anywhere = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    for vec in (inside, anywhere):
+        in_span = len(oracle_rref(a + [vec], ncols)[1]) == len(pivots)
+        coeffs = expand_in_rref(reduced, pivots, sparse(vec))
+        if not in_span:
+            assert coeffs is None
+            continue
+        assert coeffs == [vec[p] for p in pivots]
+        rebuilt = [sum((c * r.get(j, ZERO) for c, r in zip(coeffs, reduced)), ZERO)
+                   for j in range(ncols)]
+        assert rebuilt == vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_affine_matches_oracle(a, data):
+    ncols = len(a[0]) if a else 1
+    b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    solved = solve_affine([sparse(r) for r in a], b, ncols)
+    expected_rows, expected_pivots = oracle_rref([r + [v] for r, v in zip(a, b)], ncols + 1)
+    if ncols in expected_pivots:
+        assert solved is None
+        return
+    particular, null_basis = solved
+    x = dense(particular, ncols)
+    assert x == [next((r[-1] for r, p in zip(expected_rows, expected_pivots) if p == j), ZERO)
+                 for j in range(ncols)]
+    assert [sum((r[j] * x[j] for j in range(ncols)), ZERO) for r in a] == b
+    free = [j for j in range(ncols) if j not in expected_pivots]
+    assert len(null_basis) == len(free)
+    for f, v in zip(free, null_basis):
+        y = dense(v, ncols)
+        assert y[f] == 1 and all(y[g] == 0 for g in free if g != f)
+        assert all(sum((r[j] * y[j] for j in range(ncols)), ZERO) == 0 for r in a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_invert_matches_oracle(a):
+    n = len(a)
+    inverse = invert(a)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, pivots = oracle_rref([r + e for r, e in zip(a, identity)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        assert inverse is None
+        return
+    assert inverse == [r[n:] for r in reduced]
+    product = [[sum((a[i][k] * inverse[k][j] for k in range(n)), ZERO) for j in range(n)]
+               for i in range(n)]
+    assert product == identity
+
+
+def test_rref_leaves_inputs_alone():
+    rows = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 1: Fraction(2)}]
+    before = copy.deepcopy(rows)
+    assert rref(rows) == ([{0: 1, 1: 2}], [0])
+    assert rows == before
+
+
+def _direct_structure_constants(f):
+    consts = {}
+    for i, a in enumerate(f.basis):
+        for j, b in enumerate(f.basis):
+            if i != j:
+                coeffs = [(s, c) for s, c in enumerate(f.coordinates(a.bracket(b))) if c]
+                if coeffs:
+                    consts[(i, j)] = coeffs
+    return consts
+
+
+@pytest.mark.parametrize("make", [
+    lambda: frobenius.parabolic(2, 5),
+    lambda: frobenius.carrier(dunkl.b_cg(5, 2, 3)),
+], ids=["parabolic_2_5", "boundary_carrier_5"])
+def test_structure_constants_match_direct_expansion(make):
+    f = make()
+    assert f.bracket_closed
+    consts = frobenius.structure_constants(f)
+    assert consts == _direct_structure_constants(f)
+
+
+def test_structure_constants_require_closed_span():
+    f = frobenius.LieSubalgebra.from_matrices(2, [MatrixN.unit(2, 1, 2), MatrixN.unit(2, 2, 1)])
+    assert not f.bracket_closed  # [e_12, e_21] = e_11 - e_22
+    with pytest.raises(ValueError, match="closed"):
+        frobenius.structure_constants(f)
+
+
+def _boundary_frobenius_data():
+    n, u, t = 5, Fraction(2), Fraction(-1, 3)
+    b = dunkl.b_cg(n, u, t)
+    fd = frobenius.r_check(b, frobenius.carrier(b))
+    return fd, frobenius.cg_boundary_functional(n, u, t)
+
+
+def test_functional_check_rejects_nonzero_diagonal():
+    fd, eta = _boundary_frobenius_data()
+    assert frobenius.frobenius_functional_check(fd, eta)
+    fd.form = copy.deepcopy(fd.form)
+    fd.form[2][2] = Fraction(1)
+    assert not frobenius.frobenius_functional_check(fd, eta)
+
+
+def test_functional_check_rejects_non_skew_form():
+    fd, eta = _boundary_frobenius_data()
+    i, j = next((i, j) for i in range(len(fd.form)) for j in range(i + 1, len(fd.form))
+                if fd.form[i][j] != 0)
+    fd.form = copy.deepcopy(fd.form)
+    fd.form[j][i] = -2 * fd.form[j][i]  # the upper entry still matches eta
+    assert not frobenius.frobenius_functional_check(fd, eta)
+
+
+def test_carrier_rejects_slice_with_nonzero_trace():
+    # e_11 ^ e_12 = e_11 (x) e_12 - e_12 (x) e_11; the first-leg slice at (1, 2) is -e_11.
+    r = wedge_to_op(WedgeElement.single(3, 1, 1, 1, 2))
+    assert r.is_antisymmetric()
+    with pytest.raises(ValueError, match="trace"):
+        frobenius.carrier(r)
+
+
+def _cocycle_bruteforce(fd):
+    """The cocycle identity on every increasing triple, from direct bracket expansions."""
+    consts = _direct_structure_constants(fd.subalgebra)
+    form = fd.form
+    k = len(form)
+
+    def f(i, j, l):
+        return sum((c * form[s][l] for s, c in consts.get((i, j), ())), ZERO)
+
+    return all(f(i, j, l) + f(l, i, j) + f(j, l, i) == 0
+               for i in range(k) for j in range(i + 1, k) for l in range(j + 1, k))
+
+
+PARABOLIC_1_3 = frobenius.parabolic(1, 3)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), small, max_size=4),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), small), max_size=3))
+def test_cocycle_check_matches_bruteforce(eta, perturbations):
+    """Coboundaries eta([x, y]) are cocycles; skew perturbations of them mostly are not."""
+    f = PARABOLIC_1_3
+    k = f.dimension
+    form = [[frobenius.eval_functional(eta, x.bracket(y)) for y in f.basis] for x in f.basis]
+    for i, j, v in perturbations:
+        if i != j:
+            form[i][j] += v
+            form[j][i] -= v
+    fd = frobenius.FrobeniusData(subalgebra=f, r_check_matrix=None,
+                                 r_check_inverse=[[ZERO] * k] * k, form=form)
+    assert frobenius.cocycle_check(fd) == _cocycle_bruteforce(fd)
+    if not perturbations:
+        assert frobenius.cocycle_check(fd)
+
+
+def test_cocycle_check_of_boundary_form_matches_bruteforce():
+    fd, _ = _boundary_frobenius_data()
+    assert frobenius.cocycle_check(fd) and _cocycle_bruteforce(fd)
+    fd.form = copy.deepcopy(fd.form)
+    fd.form[0][1] += 1
+    fd.form[1][0] -= 1
+    assert not frobenius.cocycle_check(fd) and not _cocycle_bruteforce(fd)
