@@ -18,7 +18,7 @@ from .frobenius import (FrobeniusData, LieSubalgebra, carrier,
                         nilpotent_exp_action, parabolic, r_check)
 from .polyops import (ExactDivisionError, LaurentPoly, PolyOp, TruncWindow,
                       WindowStabilityError, window_matrix)
-from .tensorops import (MatrixN, SparseOp2, SparseOp3, WedgeElement,
+from .tensorops import (MatrixN, SparseOp, SparseOp2, SparseOp3, WedgeElement,
                         op_add, op_commutator, op_compose, op_scale,
                         op_to_wedge, span_basis, swap_conjugate, wedge_to_op)
 from .wheels import (WheelData, euclid_sequence, func_a, func_b, func_c,

@@ -14,7 +14,6 @@ from math import gcd
 
 from . import bd, closed_form, cyb, dunkl, frobenius, wheels
 from .linalg import rank
-from .parallel import pmap
 from .scalars import format_scalar, random_rational
 from .tensorops import wedge_to_op
 
@@ -42,7 +41,7 @@ def _cross_pair(pair):
 def criterion_1(seed=DEFAULT_SEED):
     """Cross-construction equality of the root-data and closed-form routes."""
     pairs = coprime_pairs(12)
-    oks = pmap(_cross_pair, pairs)
+    oks = [_cross_pair(pair) for pair in pairs]
     big = wedge_to_op(bd.bd_r_matrix(19, 31))
     sampled = [(j, l) for j in (1, 2, 10, 15, 16, 17, 30, 31) for l in (1, 2, 10, 17, 22, 31)]
     big_ok = all(big.column(j, l) == closed_form.cg_column(12, 31, j, l) for j, l in sampled)
@@ -70,7 +69,7 @@ PAPER_STRINGS_12_31 = [
 def criterion_2(seed=DEFAULT_SEED):
     """Closed-form index sets agree with the partial-order brute force."""
     pairs = coprime_pairs(20) + [(12, 31)]
-    oks = pmap(_wheels_pair, pairs)
+    oks = [_wheels_pair(pair) for pair in pairs]
     w = wheels.wheel(12, 31)
     frozen = (
         wheels.sbar_closed(w, 15, 22) == {16, 17, 19, 22}
@@ -92,7 +91,7 @@ def _lambda_pair(pair):
 def criterion_3(seed=DEFAULT_SEED):
     """Every closed-form solution certifies as quasitriangular; lambda = 1/4 at m = 2."""
     pairs = coprime_pairs(9, n_min=3)
-    reports = pmap(_lambda_pair, pairs)
+    reports = [_lambda_pair(pair) for pair in pairs]
     passed = True
     lambdas = set()
     for m, n, report in reports:

@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import acceptance, bd, closed_form, cyb, dunkl, frobenius, wheels
 from .scalars import format_scalar, parse_scalar
-from .tensorops import SparseOp2, canonical_json, wedge_to_op
+from .tensorops import SparseOp, canonical_json, wedge_to_op
 
 
 class CliError(Exception):
@@ -25,67 +24,55 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    """Validated flags for one invocation."""
-
-    command: str
-    m: int = 0
-    n: int = 0
-    construction: str = "closed"
-    kappa: Fraction = Fraction(1)
-    c0: Fraction = Fraction(1)
-    c1: Fraction = Fraction(0)
-    u: Fraction = Fraction(1)
-    t: Fraction = Fraction(1)
-    lam: Fraction = None
-    pair: tuple = None
-    part: str = "r"
-    infile: str = None
-    infile_b: str = None
-    out: str = None
-    seed: int = acceptance.DEFAULT_SEED
-
-    def require_coprime(self):
-        if not 1 <= self.m < self.n:
-            raise CliError("need 1 <= m < n")
-        if gcd(self.m, self.n) != 1:
-            raise CliError("m and n must be coprime")
+def _require_coprime(m, n):
+    if not 1 <= m < n:
+        raise CliError("need 1 <= m < n")
+    if gcd(m, n) != 1:
+        raise CliError("m and n must be coprime")
 
 
-def _emit(config, obj):
+def _emit(args, obj):
     text = canonical_json(obj)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError("cannot write output file %r: %s" % (args.out, exc))
     else:
         sys.stdout.write(text)
 
 
 def _load_op2(path):
+    """Read a two-leg operator file; any malformed content is a CliError."""
     import json
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        return SparseOp2.from_json_obj(obj)
-    except (OSError, ValueError, KeyError, IndexError) as exc:
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
+        for out, inp, _ in obj["entries"]:
+            if len(out) != 2 or len(inp) != 2:
+                raise ValueError("expected two-leg index tuples")
+        return SparseOp.from_json_obj(obj)
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliError("cannot read operator file %r: %s" % (path, exc))
 
 
-def cmd_gen(config: RunConfig) -> int:
-    config.require_coprime()
-    m, n = config.m, config.n
-    if config.construction == "closed":
+def cmd_gen(args) -> int:
+    m, n = args.m, args.n
+    _require_coprime(m, n)
+    if args.construction == "closed":
         op = closed_form.cg_closed_form(m, n)
-    elif config.construction == "bd":
+    elif args.construction == "bd":
         op = wedge_to_op(bd.bd_r_matrix(n - m, n))
-    elif config.construction == "dunkl":
+    elif args.construction == "dunkl":
         if m == 1:
             op = dunkl.r_via_dunkl_m1(n)
         elif m == 2:
-            if config.c0 == 0:
+            if args.c0 == 0:
                 raise CliError("c0 must be nonzero for the m = 2 construction")
-            params = dunkl.CherednikParams(config.kappa, config.c0, config.c1, m=2)
+            params = dunkl.CherednikParams(args.kappa, args.c0, args.c1, m=2)
             try:
                 op = dunkl.r_via_dunkl_m2(n, params)
             except ValueError as exc:
@@ -93,83 +80,85 @@ def cmd_gen(config: RunConfig) -> int:
         else:
             raise CliError("the dunkl construction requires m in {1, 2}")
     else:
-        raise CliError("unknown construction %r" % config.construction)
-    _emit(config, op.to_json_obj())
+        raise CliError("unknown construction %r" % args.construction)
+    _emit(args, op.to_json_obj())
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    op = _load_op2(config.infile)
-    if config.lam is not None:
-        residual = cyb.cyb_lambda(op, config.lam)
+def cmd_verify(args) -> int:
+    op = _load_op2(args.infile)
+    if args.lam is not None:
+        residual = cyb.cyb_lambda(op, args.lam)
         ok = residual.is_zero()
-        _emit(config, {"cyb_lambda_zero": ok, "lambda": format_scalar(config.lam),
-                       "residual_nonzero_count": residual.count_nonzero()})
+        _emit(args, {"cyb_lambda_zero": ok, "lambda": format_scalar(args.lam),
+                     "residual_nonzero_count": residual.count_nonzero()})
         return 0 if ok else 1
     report = cyb.find_lambda(op)
-    _emit(config, report.to_json_obj())
+    _emit(args, report.to_json_obj())
     return 0 if report.classification != cyb.NOT_R_MATRIX else 1
 
 
-def cmd_compare(config: RunConfig) -> int:
-    a = _load_op2(config.infile)
-    b = _load_op2(config.infile_b)
+def cmd_compare(args) -> int:
+    a = _load_op2(args.file_a)
+    b = _load_op2(args.file_b)
     if a.n != b.n:
-        _emit(config, {"equal": False, "reason": "dimension mismatch"})
+        _emit(args, {"equal": False, "reason": "dimension mismatch"})
         return 1
     diff = a - b
     entries = sorted(((out, inp, v) for out, inp, v in diff.entries()),
                      key=lambda x: (x[0], x[1]))
-    _emit(config, {"equal": diff.is_zero(),
-                   "differences": [[list(o), list(i), format_scalar(v)]
-                                   for o, i, v in entries]})
+    _emit(args, {"equal": diff.is_zero(),
+                 "differences": [[list(o), list(i), format_scalar(v)]
+                                 for o, i, v in entries]})
     return 0 if diff.is_zero() else 1
 
 
-def cmd_wheels(config: RunConfig) -> int:
-    config.require_coprime()
-    w = wheels.wheel(config.m, config.n)
+def cmd_wheels(args) -> int:
+    _require_coprime(args.m, args.n)
+    w = wheels.wheel(args.m, args.n)
     obj = {"m": w.m, "n": w.n, "seq": w.seq, "strings": w.strings,
            "minimal_elements": w.minimal_elements}
-    if config.pair is not None:
-        jp, lp = config.pair
+    if args.pair is not None:
+        jp, lp = args.pair
         if not (1 <= jp <= w.n and 1 <= lp <= w.n):
             raise CliError("pair indices must lie in 1..n")
         obj["pair"] = [jp, lp]
         obj["sbar"] = sorted(wheels.sbar_closed(w, jp, lp))
-    _emit(config, obj)
+    _emit(args, obj)
     return 0
 
 
-def cmd_dunkl(config: RunConfig) -> int:
+def cmd_dunkl(args) -> int:
     from .polyops import Mono, window_matrix
-    if config.m == 1:
-        params = dunkl.CherednikParams(config.kappa, config.c0, m=1)
+    if args.m == 1:
+        if args.n < 1:
+            raise CliError("n must be >= 1")
+        params = dunkl.CherednikParams(args.kappa, args.c0, m=1)
         y1, y2 = dunkl.dunkl_y(params, 1), dunkl.dunkl_y(params, 2)
-        op = Fraction(-1, config.n) * (Mono(1, 0) * y1 - Mono(0, 1) * y2)
-        matrix = window_matrix(op, config.n)
-    elif config.m == 2:
-        if config.c0 == 0:
+        op = Fraction(-1, args.n) * (Mono(1, 0) * y1 - Mono(0, 1) * y2)
+        matrix = window_matrix(op, args.n)
+    elif args.m == 2:
+        if args.c0 == 0:
             raise CliError("c0 must be nonzero when m = 2")
-        if config.n % 2 == 0:
+        if args.n % 2 == 0:
             raise CliError("n must be odd when m = 2")
-        params = dunkl.CherednikParams(config.kappa, config.c0, config.c1, m=2)
-        matrix = dunkl.r_via_dunkl_m2(config.n, params)
+        params = dunkl.CherednikParams(args.kappa, args.c0, args.c1, m=2)
+        matrix = dunkl.r_via_dunkl_m2(args.n, params)
     else:
         raise CliError("m must be 1 or 2")
-    _emit(config, matrix.to_json_obj())
+    _emit(args, matrix.to_json_obj())
     return 0
 
 
-def cmd_boundary(config: RunConfig) -> int:
-    if config.n % 2 == 0 or config.n < 3:
+def cmd_boundary(args) -> int:
+    if args.n % 2 == 0 or args.n < 3:
         raise CliError("n must be odd and >= 3")
-    _emit(config, dunkl.b_cg(config.n, config.u, config.t).to_json_obj())
+    _emit(args, dunkl.b_cg(args.n, args.u, args.t).to_json_obj())
     return 0
 
 
-def cmd_carrier(config: RunConfig) -> int:
-    op = _load_op2(config.infile)
+def cmd_carrier(args) -> int:
+    op = _load_op2(args.infile)
     if not op.is_antisymmetric():
         raise CliError("operator is not antisymmetric", code=1)
     car = frobenius.carrier(op)
@@ -182,35 +171,35 @@ def cmd_carrier(config: RunConfig) -> int:
         functional_ok = fd.invertible and fd.skew and frobenius.cocycle_check(fd)
         obj["frobenius"] = {"invertible": fd.invertible, "skew": fd.skew,
                             "functional_check": functional_ok}
-    _emit(config, obj)
+    _emit(args, obj)
     return 0
 
 
-def cmd_bd(config: RunConfig) -> int:
-    config.require_coprime()
-    m, n = config.m, config.n
+def cmd_bd(args) -> int:
+    m, n = args.m, args.n
+    _require_coprime(m, n)
     t = bd.cg_triple(m, n)
     obj = {"m": m, "n": n, "s0": sorted(t.s0), "s1": sorted(t.s1),
            "zeta": {str(k): t.zeta[k] for k in sorted(t.zeta)}}
     parts = {"alpha": bd.alpha_part, "beta": bd.beta_part,
              "gamma": lambda m_, n_: bd.gamma_part(n_), "r": bd.bd_r_matrix}
-    if config.part not in parts:
-        raise CliError("unknown part %r" % config.part)
-    obj["part"] = config.part
-    obj["op"] = wedge_to_op(parts[config.part](m, n)).to_json_obj()
-    _emit(config, obj)
+    if args.part not in parts:
+        raise CliError("unknown part %r" % args.part)
+    obj["part"] = args.part
+    obj["op"] = wedge_to_op(parts[args.part](m, n)).to_json_obj()
+    _emit(args, obj)
     return 0
 
 
-def cmd_acceptance(config: RunConfig) -> int:
-    results = acceptance.run_all(seed=config.seed)
+def cmd_acceptance(args) -> int:
+    results = acceptance.run_all(seed=args.seed)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print("%s  criterion %d: %s  [%s]" % (status, res.cid, res.name, res.detail))
         if not res.passed:
             failed += 1
-    print("%d/%d criteria passed (seed %d)" % (len(results) - failed, len(results), config.seed))
+    print("%d/%d criteria passed (seed %d)" % (len(results) - failed, len(results), args.seed))
     return 0 if failed == 0 else 1
 
 
@@ -279,34 +268,6 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in ("m", "n", "seed"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    for name in ("kappa", "c0", "c1", "u", "t"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            try:
-                setattr(config, name, parse_scalar(getattr(args, name)))
-            except ValueError:
-                raise CliError("invalid rational for --%s: %r" % (name, getattr(args, name)))
-    if getattr(args, "lam", None) is not None:
-        try:
-            config.lam = parse_scalar(args.lam)
-        except ValueError:
-            raise CliError("invalid rational for --lambda: %r" % args.lam)
-    if getattr(args, "pair", None) is not None:
-        config.pair = tuple(args.pair)
-    config.part = getattr(args, "part", "r")
-    config.infile = getattr(args, "infile", None)
-    if hasattr(args, "file_a"):
-        config.infile = args.file_a
-        config.infile_b = args.file_b
-    config.out = getattr(args, "out", None)
-    config.construction = getattr(args, "construction", "closed")
-    return config
-
-
 COMMANDS = {
     "gen": cmd_gen,
     "verify": cmd_verify,
@@ -320,7 +281,19 @@ COMMANDS = {
 }
 
 
-RATIONAL_FLAGS = ("--kappa", "--c0", "--c1", "--u", "--t", "--lambda")
+RATIONAL_FLAGS = {"kappa": "--kappa", "c0": "--c0", "c1": "--c1", "u": "--u", "t": "--t",
+                  "lam": "--lambda"}
+
+
+def _parse_rationals(args):
+    """Replace the text of each rational flag in args by its Fraction."""
+    for dest, flag in RATIONAL_FLAGS.items():
+        text = getattr(args, dest, None)
+        if text is not None:
+            try:
+                setattr(args, dest, parse_scalar(text))
+            except ValueError:
+                raise CliError("invalid rational for %s: %r" % (flag, text))
 
 
 def _join_negative_values(argv):
@@ -328,7 +301,7 @@ def _join_negative_values(argv):
     option name, since it only recognizes integers and decimals as negative numbers."""
     out = []
     for arg in argv:
-        if out and out[-1] in RATIONAL_FLAGS and re.match(r"-[0-9./]", arg):
+        if out and out[-1] in RATIONAL_FLAGS.values() and re.match(r"-[0-9./]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -339,8 +312,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_join_negative_values(argv))
-        config = _config_from_args(args)
-        return COMMANDS[args.command](config)
+        _parse_rationals(args)
+        return COMMANDS[args.command](args)
     except CliError as exc:
         sys.stdout.write(canonical_json({"error": str(exc)}))
         return exc.code

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import gcd
 
 from .scalars import sgn
-from .tensorops import MatrixN, SparseOp2, WedgeElement
+from .tensorops import MatrixN, SparseOp, WedgeElement
 from .wheels import func_j, wheel
 
 ZERO = Fraction(0)
@@ -47,10 +47,13 @@ class PsiTable:
     def build(cls, m, n):
         CGParams(m, n)
         values = tuple(psi(m, n, j) for j in range(1, n + 1))
-        assert sorted(values) == list(range(1, n + 1)), "psi must be a permutation"
-        assert values[-1] == n
+        if sorted(values) != list(range(1, n + 1)):
+            raise ValueError("psi must be a permutation")
+        if values[-1] != n:
+            raise ValueError("psi must fix n")
         for j, pj in enumerate(values, start=1):
-            assert (m * pj - j) % n == 0
+            if (m * pj - j) % n:
+                raise ValueError("m * psi_%d must equal %d modulo n" % (j, j))
         return cls(n=n, m=m, values=values)
 
 
@@ -64,15 +67,16 @@ def cg_column(m: int, n: int, j: int, l: int):
     """Image of e_j (x) e_l under the (m, n) closed form, as a sparse column.
 
     The double sums run over the alternating-Euclid levels; inner sums with a
-    nonpositive bound are empty, and every produced subscript is asserted to
-    stay in range rather than clamped.
+    nonpositive bound are empty, and a produced subscript out of range raises
+    ValueError rather than being clamped.
     """
     CGParams(m, n)
     w = wheel(m, n)
     col = {}
 
     def add(i, k, v):
-        assert 1 <= i <= n and 1 <= k <= n, "closed form produced an out-of-range index"
+        if not (1 <= i <= n and 1 <= k <= n):
+            raise ValueError("closed form produced an out-of-range index")
         key = (i, k)
         col[key] = col.get(key, ZERO) + v
         if col[key] == 0:
@@ -94,7 +98,7 @@ def cg_column(m: int, n: int, j: int, l: int):
     return dict(col)
 
 
-def cg_closed_form(m: int, n: int) -> SparseOp2:
+def cg_closed_form(m: int, n: int) -> SparseOp:
     """The full operator; note the construction pair (m, n) yields the solution
     attached to the mirrored pair (n - m, n)."""
     cols = {}
@@ -103,10 +107,10 @@ def cg_closed_form(m: int, n: int) -> SparseOp2:
             col = cg_column(m, n, j, l)
             if col:
                 cols[(j, l)] = dict(col)
-    return SparseOp2(n, cols)
+    return SparseOp(n, cols)
 
 
-def cg_m1_display(n: int) -> SparseOp2:
+def cg_m1_display(n: int) -> SparseOp:
     """Direct implementation of the m = 1 specialization."""
     if n < 2:
         raise ValueError("need n >= 2")
@@ -122,10 +126,10 @@ def cg_m1_display(n: int) -> SparseOp2:
                     col[(mid, j + l - mid)] = col.get((mid, j + l - mid), ZERO) + s
             if col:
                 cols[(j, l)] = {k: v for k, v in col.items() if v != 0}
-    return SparseOp2(n, cols)
+    return SparseOp(n, cols)
 
 
-def cg_m2_display(n: int) -> SparseOp2:
+def cg_m2_display(n: int) -> SparseOp:
     """Direct implementation of the m = 2 specialization (n odd)."""
     if n < 3 or n % 2 == 0:
         raise ValueError("need odd n >= 3")
@@ -152,7 +156,7 @@ def cg_m2_display(n: int) -> SparseOp2:
             col = {k: v for k, v in col.items() if v != 0}
             if col:
                 cols[(j, l)] = col
-    return SparseOp2(n, cols)
+    return SparseOp(n, cols)
 
 
 def phi_twist(x):
@@ -167,7 +171,7 @@ def phi_twist(x):
             n,
             (((n + 1 - b, n + 1 - a), (n + 1 - d, n + 1 - c), v)
              for ((a, b), (c, d)), v in x.terms.items()))
-    if isinstance(x, SparseOp2):
+    if isinstance(x, SparseOp):
         n = x.n
         cols = {}
         for (i, j), (k, l), v in x.entries():
@@ -175,5 +179,5 @@ def phi_twist(x):
             inp = (n + 1 - i, n + 1 - j)
             col = cols.setdefault(inp, {})
             col[out] = col.get(out, ZERO) + v
-        return SparseOp2(n, cols)
+        return SparseOp(n, cols)
     raise TypeError("unsupported type for phi_twist: %r" % type(x))

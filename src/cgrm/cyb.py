@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import format_scalar
-from .tensorops import SparseOp2, SparseOp3
+from .tensorops import SparseOp
 
 ZERO = Fraction(0)
 
@@ -17,7 +17,7 @@ QUASITRIANGULAR = "quasitriangular"
 NOT_R_MATRIX = "not_r_matrix"
 
 
-def embed(r: SparseOp2, legs: int) -> SparseOp3:
+def embed(r: SparseOp, legs: int) -> SparseOp:
     """Act with r on the named pair of tensor legs (12, 13 or 23), identity elsewhere."""
     n = r.n
     cols3 = {}
@@ -36,10 +36,10 @@ def embed(r: SparseOp2, legs: int) -> SparseOp3:
                 cols3[(k, b, l)] = {(i, b, j): v for (i, j), v in col.items()}
     else:
         raise ValueError("legs must be one of 12, 13, 23")
-    return SparseOp3(n, cols3)
+    return SparseOp(n, cols3)
 
 
-def z_op(n: int) -> SparseOp3:
+def z_op(n: int) -> SparseOp:
     """u (x) v (x) w -> w (x) u (x) v - v (x) w (x) u."""
     cols = {}
     rng = range(1, n + 1)
@@ -52,10 +52,10 @@ def z_op(n: int) -> SparseOp3:
                 col = {k: v for k, v in col.items() if v != 0}
                 if col:
                     cols[(a, b, c)] = col
-    return SparseOp3(n, cols)
+    return SparseOp(n, cols)
 
 
-def double_bracket(a: SparseOp2, b: SparseOp2) -> SparseOp3:
+def double_bracket(a: SparseOp, b: SparseOp) -> SparseOp:
     """[a12, b13] + [a12, b23] + [a13, b23]."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
@@ -64,7 +64,7 @@ def double_bracket(a: SparseOp2, b: SparseOp2) -> SparseOp3:
     return a12.bracket(b13) + a12.bracket(b23) + a13.bracket(b23)
 
 
-def cyb_lambda(r: SparseOp2, lam) -> SparseOp3:
+def cyb_lambda(r: SparseOp, lam) -> SparseOp:
     """[r12, r13] + [r12, r23] + [r13, r23] - lambda Z."""
     return double_bracket(r, r) - Fraction(lam) * z_op(r.n)
 
@@ -83,22 +83,19 @@ class CybReport:
         }
 
 
-def find_lambda(r: SparseOp2) -> CybReport:
+def find_lambda(r: SparseOp) -> CybReport:
     """Classify r: solve lambda from the first nonzero entry of Z against the
-    double bracket, then verify proportionality globally."""
+    double bracket, then verify proportionality globally.
+
+    For n >= 2 the first column of Z in sorted order is (1, 1, 2), and its
+    smallest nonzero entry is -1 at (1, 2, 1); for n = 1 the double bracket
+    is always zero.
+    """
     bb = double_bracket(r, r)
     if bb.is_zero():
         return CybReport(Fraction(0), 0, TRIANGULAR)
-    z = z_op(r.n)
-    lam = None
-    for inp in sorted(z.cols):
-        col = z.cols[inp]
-        out = min(k for k, v in col.items() if v != 0)
-        lam = bb.cols.get(inp, {}).get(out, ZERO) / col[out]
-        break
-    if lam is None:
-        return CybReport(None, bb.count_nonzero(), NOT_R_MATRIX)
-    residual = bb - lam * z
+    lam = -bb.cols.get((1, 1, 2), {}).get((1, 2, 1), ZERO)
+    residual = bb - lam * z_op(r.n)
     count = residual.count_nonzero()
     if count == 0 and lam != 0:
         return CybReport(lam, 0, QUASITRIANGULAR)

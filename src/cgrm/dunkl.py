@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .polyops import (Const, DivDiff, DivSum, ExponentSign, LaurentPoly, Mono,
                       Partial, PolyOp, Sigma, Xi, window_matrix)
-from .tensorops import (MatrixN, SparseOp2, WedgeElement, ad_action,
+from .tensorops import (MatrixN, SparseOp, WedgeElement, ad_action,
                         wedge_of_matrices, wedge_to_op)
 
 ZERO = Fraction(0)
@@ -171,7 +171,7 @@ def divided_difference() -> PolyOp:
     return (Mono(1, 0) + Mono(0, 1)) * DivDiff() * _one_minus(Sigma())
 
 
-def r_via_dunkl_m1(n: int) -> SparseOp2:
+def r_via_dunkl_m1(n: int) -> SparseOp:
     """Window restriction of -(1/n)(x1 y1 - x2 y2) at kappa = 1, c0 = n/2, m = 1."""
     params = CherednikParams(kappa=1, c0=Fraction(n, 2), m=1)
     y1, y2 = dunkl_y(params, 1), dunkl_y(params, 2)
@@ -234,7 +234,7 @@ def dunkl_m2_combo(n: int, params: CherednikParams) -> PolyOp:
     return g1 * xy + g2 * euler + skew_mono * g3 + g4
 
 
-def r_via_dunkl_m2(n: int, params: CherednikParams) -> SparseOp2:
+def r_via_dunkl_m2(n: int, params: CherednikParams) -> SparseOp:
     """Window restriction of the m = 2 combination; independent of the
     parameters as long as c0 is nonzero."""
     if n % 2 == 0:
@@ -390,7 +390,7 @@ def v_wedge(k: int, n: int) -> WedgeElement:
     raise ValueError("k must be 1..4")
 
 
-def v_matrix_from_monomials(k: int, n: int) -> SparseOp2:
+def v_matrix_from_monomials(k: int, n: int) -> SparseOp:
     win_cols = {}
     for j in range(1, n + 1):
         for l in range(1, n + 1):
@@ -402,7 +402,7 @@ def v_matrix_from_monomials(k: int, n: int) -> SparseOp2:
                 col[(a + 1, b + 1)] = v
             if col:
                 win_cols[(j, l)] = col
-    return SparseOp2(n, win_cols)
+    return SparseOp(n, win_cols)
 
 
 def elements_v(n: int):
@@ -421,7 +421,7 @@ def elements_v(n: int):
     return tuple(out)
 
 
-def b_cg(n: int, u, t) -> SparseOp2:
+def b_cg(n: int, u, t) -> SparseOp:
     """u v1 + t v2 + t u v3 + (1/2) t^2 u v4 on the window."""
     u, t = Fraction(u), Fraction(t)
     v1, v2, v3, v4 = elements_v(n)

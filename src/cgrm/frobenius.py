@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import expand_in_rref, invert, rref, solve_affine
-from .tensorops import MatrixN, SparseOp2, kron_pair, kron_sum2, wedge_to_op
+from .tensorops import MatrixN, SparseOp, kron, kron_sum2, wedge_to_op
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,7 +66,7 @@ class LieSubalgebra:
         return True
 
 
-def _first_leg_slices(r: SparseOp2):
+def _first_leg_slices(r: SparseOp):
     """{(i, k): entries of the matrix sum_{j, l} r_{(i, j), (k, l)} e_{jl}}."""
     slices = {}
     for (i, j), (k, l), v in r.entries():
@@ -75,7 +75,7 @@ def _first_leg_slices(r: SparseOp2):
     return slices
 
 
-def carrier(r: SparseOp2) -> LieSubalgebra:
+def carrier(r: SparseOp) -> LieSubalgebra:
     """Span of the first-leg contractions of an antisymmetric operator.
 
     Slices of a traceless wedge element are traceless; a slice with nonzero
@@ -127,7 +127,7 @@ class FrobeniusData:
         return all(self.form[i][j] == -self.form[j][i] for i in range(k) for j in range(k))
 
 
-def r_check(r: SparseOp2, f: LieSubalgebra) -> FrobeniusData:
+def r_check(r: SparseOp, f: LieSubalgebra) -> FrobeniusData:
     """Matrix of xi -> (xi (x) 1) r on the dual of the reduced carrier basis.
 
     Because the basis is row reduced, the dual basis extends to coordinate
@@ -216,16 +216,19 @@ def frobenius_functional_check(fd: FrobeniusData, eta) -> bool:
     eta([X, X]) = 0 and eta([Y, X]) = -eta([X, Y]) exactly, so the brackets are
     evaluated for i < j only, against a zero diagonal and the skew entry; the
     form then equals the Gram matrix of eta([., .]), whose inverse is tested.
+    eta([x_i, x_j]) is sum_s c_s eta(x_s) over the bracket expansions kept by
+    the closure check, so a span that is not bracket closed fails.
     """
-    if not fd.invertible:
+    f = fd.subalgebra
+    if not fd.invertible or not f.bracket_closed:
         return False
-    basis = fd.subalgebra.basis
+    values = [eval_functional(eta, x) for x in f.basis]
     form = fd.form
-    for i, x in enumerate(basis):
+    for i in range(len(values)):
         if form[i][i] != 0:
             return False
-        for j in range(i + 1, len(basis)):
-            value = eval_functional(eta, x.bracket(basis[j]))
+        for j in range(i + 1, len(values)):
+            value = sum((c * values[s] for s, c in f._brackets.get((i, j), ())), ZERO)
             if value != form[i][j] or -value != form[j][i]:
                 return False
     return invert(form) is not None
@@ -273,7 +276,7 @@ def dual_functional(f: LieSubalgebra, basis_list, index):
     return {(c // n + 1, c % n + 1): v for c, v in sorted(particular.items())}
 
 
-def apply_r_check(r: SparseOp2, eta) -> MatrixN:
+def apply_r_check(r: SparseOp, eta) -> MatrixN:
     """(eta (x) 1) r for a functional in elementary-dual coordinates."""
     n = r.n
     out = {}
@@ -285,14 +288,14 @@ def apply_r_check(r: SparseOp2, eta) -> MatrixN:
     return MatrixN(n, out)
 
 
-def nilpotent_exp_action(x: MatrixN, s, r: SparseOp2) -> SparseOp2:
+def nilpotent_exp_action(x: MatrixN, s, r: SparseOp) -> SparseOp:
     """Conjugate r by exp(sX) (x) exp(sX); X must be nilpotent."""
     if not x.is_nilpotent():
         raise ValueError("X must be nilpotent")
     g = x.exp_nilpotent(s)
     ginv = x.exp_nilpotent(-Fraction(s))
-    big = kron_pair(g, g)
-    big_inv = kron_pair(ginv, ginv)
+    big = kron(g, g)
+    big_inv = kron(ginv, ginv)
     return big @ r @ big_inv
 
 
@@ -301,7 +304,7 @@ def jordanian_x(n: int) -> MatrixN:
     return MatrixN(n, {(k, k + 1): Fraction(n - k, 2) for k in range(1, n)})
 
 
-def jordanian(n: int) -> SparseOp2:
+def jordanian(n: int) -> SparseOp:
     """Leg-wise bracket of the weighted super-diagonal against the (1, n) solution."""
     from .bd import bd_r_matrix
     r = wedge_to_op(bd_r_matrix(1, n))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .tensorops import SparseOp2
+from .tensorops import SparseOp
 
 ZERO = Fraction(0)
 
@@ -335,7 +335,7 @@ class TruncWindow:
         return 0 <= exps[0] < self.n and 0 <= exps[1] < self.n
 
 
-def window_matrix(op: PolyOp, n: int) -> SparseOp2:
+def window_matrix(op: PolyOp, n: int) -> SparseOp:
     """Restrict a two-variable operator to the truncated window; raises
     WindowStabilityError if any image leaves the window."""
     win = TruncWindow(n)
@@ -351,7 +351,7 @@ def window_matrix(op: PolyOp, n: int) -> SparseOp2:
                 col[win.basis_pair(exps)] = v
             if col:
                 cols[(j, l)] = col
-    return SparseOp2(n, cols)
+    return SparseOp(n, cols)
 
 
 class _LegCache:

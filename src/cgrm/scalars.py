@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_P_OR_P_OVER_Q = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse "p" or "p/q" into a reduced Fraction."""
-    return Fraction(text.strip())
+    """Parse "p" or "p/q" (decimal digits, q nonzero) into a reduced Fraction.
+
+    Anything else, such as "0.5", "1e3" or "1/0", raises ValueError; a value
+    that is not a string raises TypeError.
+    """
+    if not isinstance(text, str):
+        raise TypeError("expected a rational as a string, got %r" % (text,))
+    text = text.strip()
+    if not _P_OR_P_OVER_Q.fullmatch(text):
+        raise ValueError("Invalid literal for Fraction: %r" % text)
+    return Fraction(text)
 
 
 def format_scalar(x: Fraction) -> str:

@@ -116,11 +116,12 @@ class MatrixN:
         return "MatrixN(%d, %r)" % (self.n, self.entries)
 
 
-class SparseOp2:
-    """Linear operator on V (x) V, stored column-sparse.
+class SparseOp:
+    """Linear operator on a tensor power of V, stored column-sparse.
 
-    cols maps an input basis pair (k, l) to the sparse image column
-    {(i, j): coefficient of e_i (x) e_j}.
+    cols maps an input basis tuple (k, l, ...) to the sparse image column
+    {(i, j, ...): coefficient of e_i (x) e_j (x) ...}; the number of tensor
+    legs is the length of those tuples.
     """
 
     __slots__ = ("n", "cols")
@@ -139,14 +140,20 @@ class SparseOp2:
 
     @classmethod
     def identity(cls, n):
+        """The identity of V (x) V."""
         return cls(n, {(k, l): {(k, l): Fraction(1)}
                        for k in range(1, n + 1) for l in range(1, n + 1)})
 
     @classmethod
     def from_entries(cls, n, entries):
-        """entries: iterable of ((i, j), (k, l), coefficient)."""
+        """entries: iterable of (out, inp, coefficient); every index tuple has one length."""
         cols = {}
+        legs = None
         for out, inp, v in entries:
+            if legs is None:
+                legs = len(out)
+            if len(out) != legs or len(inp) != legs:
+                raise ValueError("index tuples of different lengths: %r" % ((out, inp),))
             for idx in (*out, *inp):
                 if not 1 <= idx <= n:
                     raise ValueError("index out of range: %r" % ((out, inp),))
@@ -159,11 +166,14 @@ class SparseOp2:
             for out, v in col.items():
                 yield out, inp, v
 
-    def column(self, k, l):
-        return dict(self.cols.get((k, l), {}))
+    def column(self, *inp):
+        return dict(self.cols.get(inp, {}))
+
+    def count_nonzero(self):
+        return sum(len(c) for c in self.cols.values())
 
     def __eq__(self, other):
-        return isinstance(other, SparseOp2) and self.n == other.n and self.cols == other.cols
+        return isinstance(other, SparseOp) and self.n == other.n and self.cols == other.cols
 
     def is_zero(self):
         return not self.cols
@@ -175,10 +185,10 @@ class SparseOp2:
             dst = cols.setdefault(key, {})
             for out, v in col.items():
                 dst[out] = dst.get(out, ZERO) + v
-        return SparseOp2(self.n, cols)
+        return SparseOp(self.n, cols)
 
     def __neg__(self):
-        return SparseOp2(self.n, {k: {o: -v for o, v in c.items()} for k, c in self.cols.items()})
+        return SparseOp(self.n, {k: {o: -v for o, v in c.items()} for k, c in self.cols.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -186,8 +196,8 @@ class SparseOp2:
     def __rmul__(self, scalar):
         s = Fraction(scalar)
         if s == 0:
-            return SparseOp2.zero(self.n)
-        return SparseOp2(self.n, {k: {o: s * v for o, v in c.items()} for k, c in self.cols.items()})
+            return SparseOp.zero(self.n)
+        return SparseOp(self.n, {k: {o: s * v for o, v in c.items()} for k, c in self.cols.items()})
 
     def __matmul__(self, other):
         """Composition self after other."""
@@ -205,23 +215,23 @@ class SparseOp2:
             acc = _clean(acc)
             if acc:
                 cols[inp] = acc
-        return SparseOp2(self.n, cols)
+        return SparseOp(self.n, cols)
 
     def bracket(self, other):
         return self @ other - other @ self
 
     def swap_conjugate(self):
-        """P o self o P with P(u (x) v) = v (x) u."""
+        """P o self o P with P(u (x) v) = v (x) u, on two legs."""
         cols = {}
         for (k, l), col in self.cols.items():
             cols[(l, k)] = {(j, i): v for (i, j), v in col.items()}
-        return SparseOp2(self.n, cols)
+        return SparseOp(self.n, cols)
 
     def is_antisymmetric(self):
         return self.swap_conjugate() == -self
 
     def transpose_tensor(self):
-        """Tensor coefficients T_{abcd} with self = sum T e_{ab} (x) e_{cd}."""
+        """Tensor coefficients T_{abcd} with self = sum T e_{ab} (x) e_{cd}, on two legs."""
         out = {}
         for (i, j), (k, l), v in self.entries():
             out[(i, k, j, l)] = v
@@ -235,11 +245,8 @@ class SparseOp2:
 
     @classmethod
     def from_json_obj(cls, obj):
-        entries = []
-        for o, i, s in obj["entries"]:
-            if len(o) != 2 or len(i) != 2:
-                raise ValueError("expected two-leg index tuples")
-            entries.append(((int(o[0]), int(o[1])), (int(i[0]), int(i[1])), parse_scalar(s)))
+        entries = [(tuple(map(int, o)), tuple(map(int, i)), parse_scalar(s))
+                   for o, i, s in obj["entries"]]
         return cls.from_entries(int(obj["n"]), entries)
 
     def _check(self, other):
@@ -247,109 +254,14 @@ class SparseOp2:
             raise ValueError("dimension mismatch: %d vs %d" % (self.n, other.n))
 
     def __repr__(self):
-        return "SparseOp2(n=%d, nnz=%d)" % (self.n, sum(len(c) for c in self.cols.values()))
+        return "SparseOp(n=%d, nnz=%d)" % (self.n, self.count_nonzero())
 
 
-class SparseOp3:
-    """Linear operator on V (x) V (x) V, column-sparse like SparseOp2."""
-
-    __slots__ = ("n", "cols")
-
-    def __init__(self, n, cols=None):
-        self.n = n
-        self.cols = {}
-        for key, col in (cols or {}).items():
-            col = _clean(col)
-            if col:
-                self.cols[key] = col
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    def entries(self):
-        for inp, col in self.cols.items():
-            for out, v in col.items():
-                yield out, inp, v
-
-    def count_nonzero(self):
-        return sum(len(c) for c in self.cols.values())
-
-    def __eq__(self, other):
-        return isinstance(other, SparseOp3) and self.n == other.n and self.cols == other.cols
-
-    def is_zero(self):
-        return not self.cols
-
-    def __add__(self, other):
-        self._check(other)
-        cols = {k: dict(c) for k, c in self.cols.items()}
-        for key, col in other.cols.items():
-            dst = cols.setdefault(key, {})
-            for out, v in col.items():
-                dst[out] = dst.get(out, ZERO) + v
-        return SparseOp3(self.n, cols)
-
-    def __neg__(self):
-        return SparseOp3(self.n, {k: {o: -v for o, v in c.items()} for k, c in self.cols.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        s = Fraction(scalar)
-        if s == 0:
-            return SparseOp3.zero(self.n)
-        return SparseOp3(self.n, {k: {o: s * v for o, v in c.items()} for k, c in self.cols.items()})
-
-    def __matmul__(self, other):
-        self._check(other)
-        cols = {}
-        mine = self.cols
-        for inp, col in other.cols.items():
-            acc = {}
-            for mid, v in col.items():
-                upper = mine.get(mid)
-                if upper is None:
-                    continue
-                for out, w in upper.items():
-                    acc[out] = acc.get(out, ZERO) + v * w
-            acc = _clean(acc)
-            if acc:
-                cols[inp] = acc
-        return SparseOp3(self.n, cols)
-
-    def bracket(self, other):
-        return self @ other - other @ self
-
-    def to_json_obj(self):
-        items = sorted(((out, inp, v) for out, inp, v in self.entries()),
-                       key=lambda t: (t[0], t[1]))
-        return {"n": self.n,
-                "entries": [[list(out), list(inp), format_scalar(v)] for out, inp, v in items]}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        n = int(obj["n"])
-        cols = {}
-        for o, i, s in obj["entries"]:
-            if len(o) != 3 or len(i) != 3:
-                raise ValueError("expected three-leg index tuples")
-            inp = (int(i[0]), int(i[1]), int(i[2]))
-            out = (int(o[0]), int(o[1]), int(o[2]))
-            col = cols.setdefault(inp, {})
-            col[out] = col.get(out, ZERO) + parse_scalar(s)
-        return cls(n, cols)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch: %d vs %d" % (self.n, other.n))
-
-    def __repr__(self):
-        return "SparseOp3(n=%d, nnz=%d)" % (self.n, self.count_nonzero())
+# Former per-arity names; callers and bench/tracer.py still look methods up under them.
+SparseOp2 = SparseOp3 = SparseOp
 
 
-# Module-level aliases matching the operation contract; all work for both arities.
+# Module-level aliases matching the operation contract; all work for any number of legs.
 
 def op_compose(a, b):
     return a @ b
@@ -367,7 +279,7 @@ def op_commutator(a, b):
     return a.bracket(b)
 
 
-def swap_conjugate(r: SparseOp2) -> SparseOp2:
+def swap_conjugate(r: SparseOp) -> SparseOp:
     return r.swap_conjugate()
 
 
@@ -462,7 +374,7 @@ def wedge_of_matrices(a: MatrixN, b: MatrixN) -> WedgeElement:
     return out
 
 
-def wedge_to_op(w: WedgeElement) -> SparseOp2:
+def wedge_to_op(w: WedgeElement) -> SparseOp:
     """Interpret a wedge element as the operator sum of (a (x) b - b (x) a)/2 terms."""
     cols = {}
 
@@ -473,10 +385,10 @@ def wedge_to_op(w: WedgeElement) -> SparseOp2:
     for ((a, b), (c, d)), v in w.terms.items():
         add((b, d), (a, c), v * HALF)
         add((d, b), (c, a), -v * HALF)
-    return SparseOp2(w.n, cols)
+    return SparseOp(w.n, cols)
 
 
-def op_to_wedge(op: SparseOp2) -> WedgeElement:
+def op_to_wedge(op: SparseOp) -> WedgeElement:
     """Inverse of wedge_to_op on antisymmetric operators; raises on anything else."""
     tensor = op.transpose_tensor()
     for (a, b, c, d), v in tensor.items():
@@ -499,58 +411,31 @@ def span_basis(vectors):
     return [MatrixN(vectors[0].n, row) for row in reduced]
 
 
-def permutation_op(n) -> SparseOp2:
+def permutation_op(n) -> SparseOp:
     """P(u (x) v) = v (x) u."""
-    return SparseOp2(n, {(k, l): {(l, k): Fraction(1)}
-                         for k in range(1, n + 1) for l in range(1, n + 1)})
+    return SparseOp(n, {(k, l): {(l, k): Fraction(1)}
+                        for k in range(1, n + 1) for l in range(1, n + 1)})
 
 
-def kron_pair(g: MatrixN, h: MatrixN) -> SparseOp2:
-    """g (x) h as an operator on V (x) V."""
-    cols = {}
-    g_bycol = {}
-    for (i, k), v in g.entries.items():
-        g_bycol.setdefault(k, []).append((i, v))
-    h_bycol = {}
-    for (j, l), v in h.entries.items():
-        h_bycol.setdefault(l, []).append((j, v))
-    for k in range(1, g.n + 1):
-        for l in range(1, g.n + 1):
-            col = {}
-            for i, x in g_bycol.get(k, ()):
-                for j, y in h_bycol.get(l, ()):
-                    col[(i, j)] = x * y
-            if col:
-                cols[(k, l)] = col
-    return SparseOp2(g.n, cols)
+def kron(*factors: MatrixN) -> SparseOp:
+    """factors[0] (x) factors[1] (x) ... as an operator on the matching tensor power of V."""
+    cols = {(): {(): Fraction(1)}}
+    for g in factors:
+        bycol = {}
+        for (i, k), v in g.entries.items():
+            bycol.setdefault(k, []).append((i, v))
+        cols = {inp + (k,): {out + (i,): x * y for out, x in col.items() for i, y in images}
+                for inp, col in cols.items() for k, images in sorted(bycol.items())}
+    return SparseOp(factors[0].n, cols)
 
 
-def kron_sum2(x: MatrixN) -> SparseOp2:
+def kron_sum2(x: MatrixN) -> SparseOp:
     """X (x) 1 + 1 (x) X (the two-fold diagonal action)."""
-    return kron_pair(x, MatrixN.identity(x.n)) + kron_pair(MatrixN.identity(x.n), x)
+    ident = MatrixN.identity(x.n)
+    return kron(x, ident) + kron(ident, x)
 
 
-def kron3(g: MatrixN) -> SparseOp3:
-    """g (x) g (x) g as an operator on V (x) V (x) V."""
-    bycol = {}
-    for (i, k), v in g.entries.items():
-        bycol.setdefault(k, []).append((i, v))
-    cols = {}
-    rng = range(1, g.n + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                col = {}
-                for i, x in bycol.get(a, ()):
-                    for j, y in bycol.get(b, ()):
-                        for k, z in bycol.get(c, ()):
-                            col[(i, j, k)] = x * y * z
-                if col:
-                    cols[(a, b, c)] = col
-    return SparseOp3(g.n, cols)
-
-
-def ad_action(x: MatrixN, op: SparseOp2) -> SparseOp2:
+def ad_action(x: MatrixN, op: SparseOp) -> SparseOp:
     """Adjoint action of X on an operator coming from gl_n (x) gl_n."""
     d = kron_sum2(x)
     return d @ op - op @ d

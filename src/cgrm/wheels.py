@@ -20,7 +20,6 @@ def euclid_sequence(m: int, n: int):
     seq = [n, m]
     while seq[-1] != 1:
         seq.append((-seq[-2]) % seq[-1])
-    assert seq[-1] == 1
     return seq
 
 
@@ -68,13 +67,16 @@ class WheelData:
 
     def _validate(self):
         flat = sorted(x for chain in self.strings for x in chain)
-        assert flat == list(range(1, self.n + 1)), "strings must partition 1..n"
+        if flat != list(range(1, self.n + 1)):
+            raise ValueError("strings must partition 1..n")
         for t in range(len(self.seq) - 1):
-            assert gcd(self.seq[t], self.seq[t + 1]) == 1
+            if gcd(self.seq[t], self.seq[t + 1]) != 1:
+                raise ValueError("consecutive sequence terms must be coprime")
         if self.m > 1:
             step = (-self.n) % self.m
             for a, b in zip(self.minimal_elements, self.minimal_elements[1:]):
-                assert (b - a) % self.m == step, "minimal elements must step by -n mod m"
+                if (b - a) % self.m != step:
+                    raise ValueError("minimal elements must step by -n mod m")
 
 
 @lru_cache(maxsize=None)
@@ -136,10 +138,12 @@ def sbar_closed(w: WheelData, jp: int, lp: int):
         step = w.seq[t + 1]
         for big_n in range((jt - 1) // step + 1):
             s = jp + jt - big_n * step
-            assert 1 <= s <= n, "closed form produced an out-of-range subscript"
+            if not 1 <= s <= n:
+                raise ValueError("closed form produced an out-of-range subscript")
             out.add(s)
             count += 1
-    assert count == len(out), "closed form produced a repeated subscript"
+    if count != len(out):
+        raise ValueError("closed form produced a repeated subscript")
     return out
 
 

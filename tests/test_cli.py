@@ -176,3 +176,39 @@ def test_negative_lambda_spellings_agree(tmp_path, capsys):
     code, separate = run_cli(capsys, "verify", "--in", str(path), "--lambda", "-1/4")
     assert code == 1 and json.loads(separate)["lambda"] == "-1/4"
     assert run_cli(capsys, "verify", "--in", str(path), "--lambda=-1/4") == (code, separate)
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "entries": [[[1, 2], [2, 1], "1/0"]]}',
+    '[[[1, 2], [2, 1], "1"]]',
+    '{"n": 2, "entries": [[[1, 2], [2, 1], 1]]}',
+    '{"n": null, "entries": []}',
+])
+def test_malformed_operator_file_is_json_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (("verify", "--in", str(path)), ("carrier", "--in", str(path)),
+                 ("compare", str(path), str(path))):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"].startswith("cannot read operator file")
+
+
+def test_unwritable_out_is_json_error(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "r.json"
+    code, out = run_cli(capsys, "gen", "--m", "1", "--n", "3", "--out", str(path))
+    assert code == 2
+    assert json.loads(out)["error"].startswith("cannot write output file")
+
+
+def test_dunkl_rejects_zero_n(capsys):
+    code, out = run_cli(capsys, "dunkl", "--m", "1", "--n", "0")
+    assert code == 2
+    assert json.loads(out) == {"error": "n must be >= 1"}
+
+
+@pytest.mark.parametrize("value", ["0.5", "1e3", "1/0"])
+def test_rational_flags_take_only_p_over_q(capsys, value):
+    code, out = run_cli(capsys, "boundary", "--n", "5", "--u", value, "--t", "1")
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid rational for --u: %r" % value}

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from cgrm import bd, closed_form, cyb
 from cgrm.frobenius import jordanian, jordanian_x, nilpotent_exp_action
 from cgrm.scalars import random_rational
-from cgrm.tensorops import (MatrixN, SparseOp2, WedgeElement, kron3,
+from cgrm.tensorops import (MatrixN, SparseOp2, WedgeElement, kron,
                             permutation_op, wedge_to_op)
 
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -68,33 +69,9 @@ def test_z_is_invariant_under_diagonal_action():
         ident = MatrixN.identity(n)
         d3 = None
         for legs in ((x, ident, ident), (ident, x, ident), (ident, ident, x)):
-            term = _kron3_of(*legs)
+            term = kron(*legs)
             d3 = term if d3 is None else d3 + term
         assert (d3 @ z - z @ d3).is_zero()
-
-
-def _kron3_of(a, b, c):
-    from cgrm.tensorops import SparseOp3
-    n = a.n
-    cols = {}
-    bycol = [dict(), dict(), dict()]
-    for idx, m in enumerate((a, b, c)):
-        for (i, k), v in m.entries.items():
-            bycol[idx].setdefault(k, []).append((i, v))
-    rng = range(1, n + 1)
-    for p in rng:
-        for q in rng:
-            for r in rng:
-                col = {}
-                for i, x in bycol[0].get(p, ()):
-                    for j, y in bycol[1].get(q, ()):
-                        for k, z in bycol[2].get(r, ()):
-                            key = (i, j, k)
-                            col[key] = col.get(key, Fraction(0)) + x * y * z
-                col = {k: v for k, v in col.items() if v != 0}
-                if col:
-                    cols[(p, q, r)] = col
-    return SparseOp3(n, cols)
 
 
 @settings(max_examples=25, deadline=None)
@@ -160,14 +137,54 @@ def test_find_lambda_rejects_random_wedge():
     assert hits >= 5  # generic wedges are not solutions
 
 
+def _find_lambda_by_search(r):
+    """The general rule: lambda from the first nonzero entry of Z in sorted order."""
+    bb = cyb.double_bracket(r, r)
+    if bb.is_zero():
+        return cyb.CybReport(Fraction(0), 0, cyb.TRIANGULAR)
+    z = cyb.z_op(r.n)
+    inp = min(z.cols)
+    out = min(z.cols[inp])
+    lam = bb.cols.get(inp, {}).get(out, Fraction(0)) / z.cols[inp][out]
+    count = (bb - lam * z).count_nonzero()
+    if count == 0 and lam != 0:
+        return cyb.CybReport(lam, 0, cyb.QUASITRIANGULAR)
+    return cyb.CybReport(None, count, cyb.NOT_R_MATRIX)
+
+
+def test_find_lambda_agrees_with_general_search():
+    for n in range(2, 16):
+        z = cyb.z_op(n)
+        assert min(z.cols) == (1, 1, 2)
+        assert min(z.cols[(1, 1, 2)]) == (1, 2, 1)
+        assert z.cols[(1, 1, 2)][(1, 2, 1)] == -1
+    ops = [closed_form.cg_closed_form(m, n)
+           for n in range(3, 8) for m in range(1, n) if gcd(m, n) == 1]
+    ops += [Fraction(1, 2) * closed_form.cg_closed_form(2, 5), jordanian(3),
+            SparseOp2.zero(1)]
+    rng = random.Random(5)
+    for _ in range(4):
+        ops.append(wedge_to_op(WedgeElement.from_terms(3, (
+            ((rng.randint(1, 3), rng.randint(1, 3)),
+             (rng.randint(1, 3), rng.randint(1, 3)),
+             random_rational(rng)) for _ in range(4)))))
+    kinds = set()
+    for r in ops:
+        report = cyb.find_lambda(r)
+        assert report.to_json_obj() == _find_lambda_by_search(r).to_json_obj()
+        kinds.add(report.classification)
+    assert kinds == {cyb.TRIANGULAR, cyb.QUASITRIANGULAR, cyb.NOT_R_MATRIX}
+
+
 def test_orbit_equivariance():
     n = 4
     r = closed_form.cg_closed_form(1, n)
     x = jordanian_x(n)
     t = Fraction(2, 3)
     moved = nilpotent_exp_action(x, t, r)
-    g3 = kron3(x.exp_nilpotent(t))
-    g3_inv = kron3(x.exp_nilpotent(-t))
+    g, g_inv = x.exp_nilpotent(t), x.exp_nilpotent(-t)
+    g3 = kron(g, g, g)
+    g3_inv = kron(g_inv, g_inv, g_inv)
     lhs = cyb.double_bracket(moved, moved)
     rhs = g3 @ cyb.double_bracket(r, r) @ g3_inv
     assert lhs == rhs

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cgrm import bd
 from cgrm.tensorops import (MatrixN, SparseOp2, WedgeElement, canonical_json,
-                            kron_sum2, op_commutator, op_compose, op_scale,
+                            kron, kron_sum2, op_commutator, op_compose, op_scale,
                             op_to_wedge, permutation_op, span_basis,
                             swap_conjugate, wedge_of_matrices, wedge_to_op)
 
@@ -157,6 +157,46 @@ def test_sparse_op3_json_round_trip():
     again = SparseOp3.from_json_obj(json.loads(text))
     assert again == z
     assert canonical_json(again.to_json_obj()) == text
+
+
+def matrices(n=2):
+    idx = st.integers(min_value=1, max_value=n)
+    return st.dictionaries(st.tuples(idx, idx), scalars, max_size=n * n).map(
+        lambda entries: MatrixN(n, entries))
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrices(), matrices(), matrices())
+def test_kron_entries_are_products(a, b, c):
+    rng = range(1, 3)
+    op = kron(a, b, c)
+    for p in rng:
+        for q in rng:
+            for r in rng:
+                col = op.column(p, q, r)
+                for i in rng:
+                    for j in rng:
+                        for k in rng:
+                            expected = (a.entries.get((i, p), 0) * b.entries.get((j, q), 0)
+                                        * c.entries.get((k, r), 0))
+                            assert col.get((i, j, k), 0) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrices(3), matrices(3), matrices(3), matrices(3))
+def test_kron_mixed_product(a, b, c, d):
+    assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
+    assert kron(a, MatrixN.identity(3)) + kron(MatrixN.identity(3), a) == kron_sum2(a)
+
+
+def test_one_operator_class_for_every_leg_count():
+    from cgrm.tensorops import SparseOp, SparseOp3
+    assert SparseOp2 is SparseOp and SparseOp3 is SparseOp
+    assert kron(MatrixN.identity(2), MatrixN.identity(2)) == SparseOp2.identity(2)
+    with pytest.raises(ValueError):
+        SparseOp.from_entries(2, [((1, 1), (1, 1), 1), ((1, 1, 1), (1, 1, 1), 1)])
+    with pytest.raises(ValueError):
+        SparseOp.from_json_obj({"n": 2, "entries": [[[1, 1], [1, 1, 2], "1"]]})
 
 
 def test_kron_sum_is_derivation_shape():

@@ -121,3 +121,11 @@ def test_strict_pair_count_matches_strict_sets():
                 sbar = wheels.sbar_closed(w, jp, lp)
                 total += len(sbar) - (1 if jp < lp else 0)
         assert total == bd.strict_pair_count(m, n)
+
+
+def test_wheel_invariants_raise_without_assert():
+    w = wheels.wheel(5, 12)
+    broken = wheels.WheelData(m=w.m, n=w.n, seq=w.seq, strings=w.strings[1:],
+                              minimal_elements=w.minimal_elements[1:])
+    with pytest.raises(ValueError, match="partition"):
+        broken._validate()
