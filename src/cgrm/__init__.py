@@ -16,7 +16,7 @@ from .dunkl import (CherednikParams, b_cg, divided_difference, dunkl_y,
 from .frobenius import (FrobeniusData, LieSubalgebra, carrier,
                         frobenius_functional_check, jordanian,
                         nilpotent_exp_action, parabolic, r_check)
-from .polyops import (ExactDivisionError, LaurentPoly, PolyOp, TruncWindow,
+from .polyops import (ExactDivisionError, LaurentPoly, PolyOp,
                       WindowStabilityError, window_matrix)
 from .tensorops import (MatrixN, SparseOp, SparseOp2, SparseOp3, WedgeElement,
                         op_add, op_commutator, op_compose, op_scale,

@@ -152,12 +152,8 @@ def all_pos_roots(n):
 def alpha_part(m: int, n: int) -> WedgeElement:
     """2 * sum of e_rho ^ e_{-mu} over all strictly ordered pairs rho < mu."""
     t = cg_triple(m, n)
-    w = WedgeElement(n)
-    for rho in all_pos_roots(n):
-        for mu in orbit(t, rho):
-            w._accumulate((rho.i, rho.j), (mu.j, mu.i), Fraction(2))
-    w.terms = {k: v for k, v in w.terms.items() if v != 0}
-    return w
+    return WedgeElement.from_terms(n, (((rho.i, rho.j), (mu.j, mu.i), 2)
+                                       for rho in all_pos_roots(n) for mu in orbit(t, rho)))
 
 
 def strict_pair_count(m: int, n: int) -> int:
@@ -170,13 +166,9 @@ def beta_part(m: int, n: int) -> WedgeElement:
     if gcd(m, n) != 1:
         raise ValueError("m and n must be coprime")
     m_inv = pow(m, -1, n)
-    w = WedgeElement(n)
-    for j in range(1, n + 1):
-        for l in range(j + 1, n + 1):
-            coeff = Fraction(-1) + Fraction(2, n) * (((j - l) * m_inv) % n)
-            w._accumulate((j, j), (l, l), coeff)
-    w.terms = {k: v for k, v in w.terms.items() if v != 0}
-    return w
+    return WedgeElement.from_terms(
+        n, (((j, j), (l, l), Fraction(-1) + Fraction(2, n) * (((j - l) * m_inv) % n))
+            for j in range(1, n + 1) for l in range(j + 1, n + 1)))
 
 
 def gamma_part(n: int) -> WedgeElement:

@@ -143,7 +143,10 @@ def cmd_dunkl(args) -> int:
         if args.n % 2 == 0:
             raise CliError("n must be odd when m = 2")
         params = dunkl.CherednikParams(args.kappa, args.c0, args.c1, m=2)
-        matrix = dunkl.r_via_dunkl_m2(args.n, params)
+        try:
+            matrix = dunkl.r_via_dunkl_m2(args.n, params)
+        except ValueError as exc:
+            raise CliError(str(exc))
     else:
         raise CliError("m must be 1 or 2")
     _emit(args, matrix.to_json_obj())

@@ -42,6 +42,13 @@ def _one_minus(op):
     return Const(1) - op
 
 
+# Building blocks shared by the m = 2 operators; operators are stateless.
+xi1, xi2 = Xi(0, -1), Xi(1, -1)
+g3 = Fraction(1, 4) * (_one_minus(xi1) * _one_minus(xi2))
+skew_mono = Mono(-1, 1) - Mono(1, -1)
+euler = Mono(1, 0) * Partial(0) - Mono(0, 1) * Partial(1)
+
+
 def dunkl_y(params: CherednikParams, i: int) -> PolyOp:
     """Dunkl operator y_i built from exact-division reflection kernels."""
     if i not in (1, 2):
@@ -53,7 +60,6 @@ def dunkl_y(params: CherednikParams, i: int) -> PolyOp:
         if i == 1:
             return kappa * Partial(0) - c0 * diff_kernel
         return kappa * Partial(1) + c0 * diff_kernel
-    xi1, xi2 = Xi(0, -1), Xi(1, -1)
     sum_kernel = DivSum() * _one_minus(xi1 * xi2 * sig)
     if i == 1:
         return (kappa * Partial(0) - c0 * diff_kernel - c0 * sum_kernel
@@ -184,7 +190,6 @@ def element_e(params: CherednikParams) -> PolyOp:
     if params.m != 2:
         raise ValueError("defined for m = 2")
     y1, y2 = dunkl_y(params, 1), dunkl_y(params, 2)
-    xi1, xi2 = Xi(0, -1), Xi(1, -1)
     return (Mono(1, 0) * y1 - Mono(0, 1) * y2
             + params.c0 * ((xi1 - xi2) * Sigma()))
 
@@ -222,33 +227,25 @@ def dunkl_m2_combo(n: int, params: CherednikParams) -> PolyOp:
         raise ValueError("c0 must be nonzero")
     kappa, c0, c1 = params.kappa, params.c0, params.c1
     sig = Sigma()
-    xi1, xi2 = Xi(0, -1), Xi(1, -1)
     y1, y2 = dunkl_y(params, 1), dunkl_y(params, 2)
     g1 = Fraction(-1, 1) / (4 * c0) * sig
     g2 = (kappa / (4 * c0)) * sig + Const(Fraction(-1, 2 * n))
-    g3 = Fraction(1, 4) * (_one_minus(xi1) * _one_minus(xi2))
     g4 = (-c1 / (4 * c0)) * ((xi1 - xi2) * sig)
-    euler = Mono(1, 0) * Partial(0) - Mono(0, 1) * Partial(1)
     xy = Mono(1, 0) * y1 - Mono(0, 1) * y2
-    skew_mono = Mono(-1, 1) - Mono(1, -1)
     return g1 * xy + g2 * euler + skew_mono * g3 + g4
 
 
 def r_via_dunkl_m2(n: int, params: CherednikParams) -> SparseOp:
     """Window restriction of the m = 2 combination; independent of the
     parameters as long as c0 is nonzero."""
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
+    if n % 2 == 0 or n < 3:
+        raise ValueError("n must be odd and >= 3")
     return window_matrix(dunkl_m2_combo(n, params), n)
 
 
 def lemma_expression(a1, a2) -> PolyOp:
     """Delta + xi1 Delta xi2 + a1 (x2/x1 - x1/x2) g3 + a2 (x1 d1 - x2 d2)."""
     delta = divided_difference()
-    xi1, xi2 = Xi(0, -1), Xi(1, -1)
-    g3 = Fraction(1, 4) * (_one_minus(xi1) * _one_minus(xi2))
-    skew_mono = Mono(-1, 1) - Mono(1, -1)
-    euler = Mono(1, 0) * Partial(0) - Mono(0, 1) * Partial(1)
     return (delta + xi1 * delta * xi2 + Fraction(a1) * (skew_mono * g3)
             + Fraction(a2) * euler)
 
@@ -262,7 +259,6 @@ def lemma_cyb4(a1, a2, bound: int = 5) -> bool:
 
 def elements_e1_e2():
     """The two raising/lowering operators generating the Heisenberg action (m = 2)."""
-    xi1, xi2 = Xi(0, -1), Xi(1, -1)
     e1 = (HALF * (Mono(-1, 0) * Partial(0) + Mono(0, -1) * Partial(1))
           - Fraction(1, 4) * (Mono(-2, 0) * _one_minus(xi1) + Mono(0, -2) * _one_minus(xi2)))
     e2 = HALF * (Mono(1, 0) + Mono(0, 1) - Mono(1, 0) * xi1 - Mono(0, 1) * xi2)
@@ -303,8 +299,6 @@ def h_matrix(j: int, n: int) -> MatrixN:
 
 def v_operator(k: int, n: int) -> PolyOp:
     """The four module generators as two-variable operators (m = 2 context)."""
-    sig = Sigma()
-    xi1, xi2 = Xi(0, -1), Xi(1, -1)
     delta = divided_difference()
     if k == 1:
         head = Fraction(1, 4) * (Mono(-1, -1)
@@ -370,16 +364,16 @@ def v_monomial_action(k: int, n: int, j: int, l: int) -> LaurentPoly:
 def v_wedge(k: int, n: int) -> WedgeElement:
     """Displayed wedge forms of the module generators."""
     if k == 1:
-        w = WedgeElement(n)
+        terms = []
         for l in range(1, n + 1):
             for j in range(l + 1, n + 1):
                 for big_n in range(1, (j - l - 1) // 2 + 1):
-                    w._accumulate((l + 2 * big_n - 2, j), (j - 2 * big_n, l), Fraction(2))
+                    terms.append(((l + 2 * big_n - 2, j), (j - 2 * big_n, l), 2))
                 if j % 2 == 1 and l % 2 == 0:
-                    w._accumulate((j - 1, j), (l - 1, l), Fraction(2))
+                    terms.append(((j - 1, j), (l - 1, l), 2))
+        w = WedgeElement.from_terms(n, terms)
         for j in range(1, n - 1):
             w = w + Fraction(2) * wedge_of_matrices(MatrixN.unit(n, j, j + 2), h_matrix(j, n))
-        w.terms = {key: v for key, v in w.terms.items() if v != 0}
         return w
     if k == 2:
         return Fraction(2) * wedge_of_matrices(eminus_matrix(n), h_matrix(n - 1, n))
@@ -437,10 +431,7 @@ def alpha_poly_op(n: int) -> PolyOp:
     """Operator realization of the ordered-pair part for the (n-2, n) solution."""
     msign = ExponentSign()
     sig = Sigma()
-    xi1, xi2 = Xi(0, -1), Xi(1, -1)
     delta = divided_difference()
-    g3 = Fraction(1, 4) * (_one_minus(xi1) * _one_minus(xi2))
-    skew_mono = Mono(-1, 1) - Mono(1, -1)
     return (Fraction(-1, 4) * (msign * (Const(1) + xi1 * xi2))
             - HALF * (sig * msign)
             + Fraction(1, 4) * delta
@@ -451,8 +442,6 @@ def alpha_poly_op(n: int) -> PolyOp:
 def beta_poly_op(n: int) -> PolyOp:
     """Operator realization of the diagonal part for the (n-2, n) solution."""
     msign = ExponentSign()
-    xi1, xi2 = Xi(0, -1), Xi(1, -1)
-    euler = Mono(1, 0) * Partial(0) - Mono(0, 1) * Partial(1)
     return (Fraction(1, 4) * (msign * (Const(1) + xi1 * xi2))
             - Fraction(1, 2 * n) * euler)
 
@@ -464,11 +453,7 @@ def gamma_poly_op() -> PolyOp:
 
 def r_m2_poly_op(n: int) -> PolyOp:
     """-(1/(2n))(x1 d1 - x2 d2) + (1/4)(Delta + xi1 Delta xi2 + 4 (x2/x1 - x1/x2) g3)."""
-    xi1, xi2 = Xi(0, -1), Xi(1, -1)
     delta = divided_difference()
-    g3 = Fraction(1, 4) * (_one_minus(xi1) * _one_minus(xi2))
-    skew_mono = Mono(-1, 1) - Mono(1, -1)
-    euler = Mono(1, 0) * Partial(0) - Mono(0, 1) * Partial(1)
     return (Fraction(-1, 2 * n) * euler
             + Fraction(1, 4) * (delta + xi1 * delta * xi2 + Fraction(4) * (skew_mono * g3)))
 

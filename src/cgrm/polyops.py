@@ -1,9 +1,8 @@
 """Laurent polynomials over Q and the compositional operators acting on them.
 
-Operators are two-leg gadgets: every atom acts on a chosen pair of variables of
-a polynomial in any number of variables, which is what lets the same operator
-be embedded on legs (1,2), (1,3), (2,3) of a three-variable polynomial for
-Yang-Baxter checks.
+Operators act on two-variable polynomials.  The polynomial Yang-Baxter check
+lifts an operator to legs (1,2), (1,3), (2,3) of three-variable monomials in
+one place, from a memo of its two-variable images.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from fractions import Fraction
 from .tensorops import SparseOp
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -82,42 +82,41 @@ class LaurentPoly:
         return "LaurentPoly(%d, %r)" % (self.nvars, self.terms)
 
 
-def _shift_key(key, var, delta):
-    out = list(key)
-    out[var] += delta
-    return tuple(out)
-
-
-def divide_linear(terms, vi, vj, sign):
-    """Exact division of a terms-dict by (x_vi + sign * x_vj); raises on remainder."""
+def divide_linear(terms, sign):
+    """Exact division of a two-variable terms-dict by (x + sign * y); raises on remainder."""
     if not terms:
         return {}
-    shift = min(k[vi] for k in terms)
-    work = {_shift_key(k, vi, -shift): v for k, v in terms.items()}
+    shift = min(p for p, _ in terms)
+    work = {(p - shift, q): v for (p, q), v in terms.items()}
     quotient = {}
     while work:
-        key = max(work, key=lambda k: (k[vi], k))
-        if key[vi] == 0:
+        # The leading keys strictly decrease, so each quotient key is set once.
+        key = max(work)
+        p, q = key
+        if p == 0:
             raise ExactDivisionError("nonzero remainder in linear division")
         coeff = work.pop(key)
-        qkey = _shift_key(key, vi, -1)
-        quotient[qkey] = quotient.get(qkey, ZERO) + coeff
-        tkey = _shift_key(qkey, vj, 1)
+        quotient[(p - 1 + shift, q)] = coeff
+        tkey = (p - 1, q + 1)
         nv = work.get(tkey, ZERO) - sign * coeff
         if nv == 0:
             work.pop(tkey, None)
         else:
             work[tkey] = nv
-    return {_shift_key(k, vi, shift): v for k, v in quotient.items() if v != 0}
+    return quotient
 
 
 class PolyOp:
-    """Base for two-leg operators; subclasses implement _apply(terms, legs)."""
+    """Base for operators on two-variable polynomials; subclasses implement
+    _apply(terms) on {(p, q): coefficient} dicts with no zero coefficients."""
 
-    def apply(self, poly: LaurentPoly, legs=(0, 1)) -> LaurentPoly:
-        return LaurentPoly(poly.nvars, self._apply(poly.terms, legs))
+    def apply(self, poly: LaurentPoly) -> LaurentPoly:
+        if poly.nvars != 2:
+            raise ValueError("operators act on two-variable polynomials, got %d variables"
+                             % poly.nvars)
+        return LaurentPoly(2, self._apply(poly.terms))
 
-    def _apply(self, terms, legs):
+    def _apply(self, terms):
         raise NotImplementedError
 
     def __add__(self, other):
@@ -142,102 +141,74 @@ class Const(PolyOp):
     def __init__(self, c=1):
         self.c = Fraction(c)
 
-    def _apply(self, terms, legs):
+    def _apply(self, terms):
         if self.c == 1:
             return dict(terms)
-        return {k: self.c * v for k, v in terms.items()}
+        return {k: self.c * v for k, v in terms.items()} if self.c else {}
 
 
 class Mono(PolyOp):
-    """Multiplication by x_a^p x_b^q on the two legs."""
+    """Multiplication by x^p y^q."""
 
     def __init__(self, p, q):
         self.p = p
         self.q = q
 
-    def _apply(self, terms, legs):
-        a, b = legs
-        out = {}
-        for k, v in terms.items():
-            kk = list(k)
-            kk[a] += self.p
-            kk[b] += self.q
-            out[tuple(kk)] = v
-        return out
+    def _apply(self, terms):
+        return {(a + self.p, b + self.q): v for (a, b), v in terms.items()}
 
 
 class Partial(PolyOp):
-    """d/dx on leg i (0 or 1)."""
+    """d/dx (i = 0) or d/dy (i = 1)."""
 
     def __init__(self, i):
         self.i = i
 
-    def _apply(self, terms, legs):
-        var = legs[self.i]
-        out = {}
-        for k, v in terms.items():
-            e = k[var]
-            if e == 0:
-                continue
-            key = _shift_key(k, var, -1)
-            out[key] = out.get(key, ZERO) + e * v
-        return {k: v for k, v in out.items() if v != 0}
+    def _apply(self, terms):
+        if self.i == 0:
+            return {(a - 1, b): a * v for (a, b), v in terms.items() if a}
+        return {(a, b - 1): b * v for (a, b), v in terms.items() if b}
 
 
 class Sigma(PolyOp):
-    """Swap the two legs."""
+    """Swap the two variables."""
 
-    def _apply(self, terms, legs):
-        a, b = legs
-        out = {}
-        for k, v in terms.items():
-            kk = list(k)
-            kk[a], kk[b] = kk[b], kk[a]
-            key = tuple(kk)
-            out[key] = out.get(key, ZERO) + v
-        return out
+    def _apply(self, terms):
+        return {(b, a): v for (a, b), v in terms.items()}
 
 
 class Xi(PolyOp):
-    """Scale x on leg i by omega (x -> omega x); omega is 1 or -1 here."""
+    """Scale variable i by omega (x -> omega x); omega is 1 or -1 here."""
 
     def __init__(self, i, omega):
         self.i = i
         self.omega = Fraction(omega)
 
-    def _apply(self, terms, legs):
-        var = legs[self.i]
+    def _apply(self, terms):
         if self.omega == 1:
             return dict(terms)
-        return {k: v if k[var] % 2 == 0 else -v for k, v in terms.items()}
+        return {k: -v if k[self.i] % 2 else v for k, v in terms.items()}
 
 
 class DivDiff(PolyOp):
-    """Exact division by (x_a - x_b)."""
+    """Exact division by (x - y)."""
 
-    def _apply(self, terms, legs):
-        return divide_linear(terms, legs[0], legs[1], -1)
+    def _apply(self, terms):
+        return divide_linear(terms, -1)
 
 
 class DivSum(PolyOp):
-    """Exact division by (x_a + x_b)."""
+    """Exact division by (x + y)."""
 
-    def _apply(self, terms, legs):
-        return divide_linear(terms, legs[0], legs[1], 1)
+    def _apply(self, terms):
+        return divide_linear(terms, 1)
 
 
 class ExponentSign(PolyOp):
     """Diagonal operator scaling a monomial by sgn(first exponent - second exponent)."""
 
-    def _apply(self, terms, legs):
-        a, b = legs
-        out = {}
-        for k, v in terms.items():
-            if k[a] > k[b]:
-                out[k] = v
-            elif k[a] < k[b]:
-                out[k] = -v
-        return out
+    def _apply(self, terms):
+        return {(a, b): v if a > b else -v for (a, b), v in terms.items() if a != b}
 
 
 class OpScale(PolyOp):
@@ -245,10 +216,10 @@ class OpScale(PolyOp):
         self.c = Fraction(c)
         self.op = op
 
-    def _apply(self, terms, legs):
+    def _apply(self, terms):
         if self.c == 0:
             return {}
-        return {k: self.c * v for k, v in self.op._apply(terms, legs).items()}
+        return {k: self.c * v for k, v in self.op._apply(terms).items()}
 
 
 class OpSum(PolyOp):
@@ -261,10 +232,10 @@ class OpSum(PolyOp):
                 flat.append(op)
         self.ops = flat
 
-    def _apply(self, terms, legs):
+    def _apply(self, terms):
         out = {}
         for op in self.ops:
-            for k, v in op._apply(terms, legs).items():
+            for k, v in op._apply(terms).items():
                 nv = out.get(k, ZERO) + v
                 if nv == 0:
                     out.pop(k, None)
@@ -280,11 +251,8 @@ class OpCompose(PolyOp):
         self.f = f
         self.g = g
 
-    def _apply(self, terms, legs):
-        return self.f._apply(self.g._apply(terms, legs), legs)
-
-
-IDENTITY = Const(1)
+    def _apply(self, terms):
+        return self.f._apply(self.g._apply(terms))
 
 
 def op_equal_on(op_a: PolyOp, op_b: PolyOp, monomials) -> bool:
@@ -319,117 +287,77 @@ def laurent_window(nvars, bound):
     return list(rec((), nvars))
 
 
-class TruncWindow:
-    """The correspondence x^(j-1) y^(l-1) <-> e_j (x) e_l for 1 <= j, l <= n."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def monomial_exps(self, j, l):
-        return (j - 1, l - 1)
-
-    def basis_pair(self, exps):
-        return (exps[0] + 1, exps[1] + 1)
-
-    def contains(self, exps):
-        return 0 <= exps[0] < self.n and 0 <= exps[1] < self.n
-
-
 def window_matrix(op: PolyOp, n: int) -> SparseOp:
-    """Restrict a two-variable operator to the truncated window; raises
-    WindowStabilityError if any image leaves the window."""
-    win = TruncWindow(n)
+    """Restrict a two-variable operator to the window x^(j-1) y^(l-1) <-> e_j (x) e_l,
+    1 <= j, l <= n; raises WindowStabilityError if any image leaves the window."""
     cols = {}
     for j in range(1, n + 1):
         for l in range(1, n + 1):
-            image = op.apply(LaurentPoly.monomial(win.monomial_exps(j, l)))
             col = {}
-            for exps, v in image.terms.items():
-                if not win.contains(exps):
+            for (p, q), v in op._apply({(j - 1, l - 1): ONE}).items():
+                if not (0 <= p < n and 0 <= q < n):
                     raise WindowStabilityError(
-                        "image of (%d, %d) leaves the window: exponents %r" % (j, l, exps))
-                col[win.basis_pair(exps)] = v
+                        "image of (%d, %d) leaves the window: exponents %r" % (j, l, (p, q)))
+                col[(p + 1, q + 1)] = v
             if col:
                 cols[(j, l)] = col
     return SparseOp(n, cols)
 
 
-class _LegCache:
-    """Memoized application of one operator to single monomials on fixed legs."""
+class _Images(dict):
+    """Memo of the two-variable images (p, q) -> op._apply({(p, q): 1})."""
 
-    def __init__(self, op, legs):
+    def __init__(self, op):
+        super().__init__()
         self.op = op
-        self.legs = legs
-        self.cache = {}
 
-    def apply_terms(self, terms):
-        out = {}
-        cache = self.cache
-        op = self.op
-        legs = self.legs
-        for key, coeff in terms.items():
-            hit = cache.get(key)
-            if hit is None:
-                hit = op._apply({key: Fraction(1)}, legs)
-                cache[key] = hit
-            for k, v in hit.items():
-                nv = out.get(k, ZERO) + coeff * v
-                if nv == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-        return out
+    def __missing__(self, pair):
+        image = self[pair] = self.op._apply({pair: ONE})
+        return image
 
 
-def z_poly_terms(exps):
-    """The cyclic-difference invariant on a three-variable monomial."""
-    a, b, c = exps
-    out = {}
-    out[(c, a, b)] = out.get((c, a, b), ZERO) + 1
-    key = (b, c, a)
-    nv = out.get(key, ZERO) - 1
-    if nv == 0:
-        out.pop(key, None)
-    else:
-        out[key] = nv
+def _lift(images, legs, terms, out):
+    """Add the action on legs (i, j) of three-variable terms into out, and return
+    out.  The third exponent is carried along, which is exact because every atom
+    touches only its two variables."""
+    i, j = legs
+    for key, coeff in terms.items():
+        r = key[3 - i - j]
+        for (p, q), v in images[(key[i], key[j])].items():
+            k = (p, q, r) if j == 1 else (p, r, q) if i == 0 else (r, p, q)
+            nv = out.get(k, ZERO) + coeff * v
+            if nv == 0:
+                out.pop(k, None)
+            else:
+                out[k] = nv
     return out
 
 
-LEG_PAIRS = ((0, 1), (0, 2), (1, 2))
+# [r12, r13] + [r12, r23] + [r13, r23], each bracket as its two leg pairs
+BRACKETS = (((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)))
 
 
 def poly_cyb_residual(op: PolyOp, lam, exps):
-    """CYB_lambda of a two-leg operator evaluated on one three-variable monomial."""
-    caches = {legs: _LegCache(op, legs) for legs in LEG_PAIRS}
-    return _poly_cyb_residual(caches, lam, exps)
+    """CYB_lambda of a two-variable operator evaluated on one three-variable monomial."""
+    return _poly_cyb_residual(_Images(op), lam, exps)
 
 
-def _poly_cyb_residual(caches, lam, exps):
+def _poly_cyb_residual(images, lam, exps):
     lam = Fraction(lam)
-    total = {}
-
-    def accumulate(terms, s):
-        for k, v in terms.items():
-            nv = total.get(k, ZERO) + s * v
-            if nv == 0:
-                total.pop(k, None)
-            else:
-                total[k] = nv
-
-    mono = {exps: Fraction(1)}
-    for ia, ib in ((0, 1), (0, 2), (1, 2)):
-        ca, cb = caches[LEG_PAIRS[ia]], caches[LEG_PAIRS[ib]]
-        accumulate(ca.apply_terms(cb.apply_terms(mono)), 1)
-        accumulate(cb.apply_terms(ca.apply_terms(mono)), -1)
-    if lam:
-        accumulate(z_poly_terms(exps), -lam)
+    a, b, c = exps
+    # -lambda Z, with Z x^a y^b z^c = x^c y^a z^b - x^b y^c z^a
+    total = {(c, a, b): -lam, (b, c, a): lam} if lam and not a == b == c else {}
+    plus, minus = {exps: ONE}, {exps: -ONE}
+    for la, lb in BRACKETS:
+        _lift(images, la, _lift(images, lb, plus, {}), total)
+        _lift(images, lb, _lift(images, la, minus, {}), total)
     return LaurentPoly(3, total)
 
 
 def check_poly_cyb(op: PolyOp, lam, monomials) -> bool:
     """CYB_lambda(op) = 0 on every listed three-variable monomial."""
-    caches = {legs: _LegCache(op, legs) for legs in LEG_PAIRS}
+    images = _Images(op)
     for exps in monomials:
-        if not _poly_cyb_residual(caches, lam, exps).is_zero():
+        if not _poly_cyb_residual(images, lam, exps).is_zero():
             return False
     return True

@@ -207,6 +207,15 @@ def test_dunkl_rejects_zero_n(capsys):
     assert json.loads(out) == {"error": "n must be >= 1"}
 
 
+@pytest.mark.parametrize("n, message", [("-1", "n must be odd and >= 3"),
+                                        ("1", "n must be odd and >= 3"),
+                                        ("4", "n must be odd when m = 2")])
+def test_dunkl_m2_rejects_small_or_even_n(capsys, n, message):
+    code, out = run_cli(capsys, "dunkl", "--m", "2", "--n", n)
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
 @pytest.mark.parametrize("value", ["0.5", "1e3", "1/0"])
 def test_rational_flags_take_only_p_over_q(capsys, value):
     code, out = run_cli(capsys, "boundary", "--n", "5", "--u", value, "--t", "1")

@@ -121,8 +121,9 @@ def test_r_via_dunkl_m2_and_parameter_independence():
 
 
 def test_r_via_dunkl_m2_rejects_bad_input():
-    with pytest.raises(ValueError):
-        dunkl.r_via_dunkl_m2(4, PARAMS_M2)
+    for n in (4, 1, -1):
+        with pytest.raises(ValueError, match="n must be odd and >= 3"):
+            dunkl.r_via_dunkl_m2(n, PARAMS_M2)
     with pytest.raises(ValueError):
         dunkl.dunkl_m2_combo(5, dunkl.CherednikParams(kappa=1, c0=0, m=2))
 
