@@ -2,7 +2,7 @@
 classical Yang-Baxter equation, by three independent routes, with full identity
 verification over the rationals."""
 
-from .bd import (BDTriple, CartanVector, PosRoot, alpha_part, bd_r_matrix,
+from .bd import (BDTriple, PosRoot, alpha_part, bd_r_matrix,
                  beta_part, cg_triple, gamma_part, precedes, solve_beta_variety,
                  verify_beta_variety, zeta_hat)
 from .closed_form import (CGParams, PsiTable, cg_closed_form, cg_column,
@@ -19,8 +19,7 @@ from .frobenius import (FrobeniusData, LieSubalgebra, carrier,
 from .polyops import (ExactDivisionError, LaurentPoly, PolyOp,
                       WindowStabilityError, window_matrix)
 from .tensorops import (MatrixN, SparseOp, SparseOp2, SparseOp3, WedgeElement,
-                        op_add, op_commutator, op_compose, op_scale,
-                        op_to_wedge, span_basis, swap_conjugate, wedge_to_op)
+                        op_to_wedge, span_basis, wedge_to_op)
 from .wheels import (WheelData, euclid_sequence, func_a, func_b, func_c,
                      func_d, func_j, sbar_bruteforce, sbar_closed, strings,
                      wheel)

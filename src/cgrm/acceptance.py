@@ -33,31 +33,17 @@ def coprime_pairs(n_max, n_min=2):
             for m in range(1, n) if gcd(m, n) == 1]
 
 
-def _cross_pair(pair):
-    m, n = pair
-    return wedge_to_op(bd.bd_r_matrix(n - m, n)) == closed_form.cg_closed_form(m, n)
-
-
 def criterion_1(seed=DEFAULT_SEED):
     """Cross-construction equality of the root-data and closed-form routes."""
     pairs = coprime_pairs(12)
-    oks = [_cross_pair(pair) for pair in pairs]
+    oks = [wedge_to_op(bd.bd_r_matrix(n - m, n)) == closed_form.cg_closed_form(m, n)
+           for m, n in pairs]
     big = wedge_to_op(bd.bd_r_matrix(19, 31))
     sampled = [(j, l) for j in (1, 2, 10, 15, 16, 17, 30, 31) for l in (1, 2, 10, 17, 22, 31)]
     big_ok = all(big.column(j, l) == closed_form.cg_column(12, 31, j, l) for j, l in sampled)
     passed = all(oks) and big_ok
     return CheckResult(1, "cross-construction equality (n <= 12, sampled n = 31)", passed,
                        "%d pairs, %d sampled columns at (12, 31)" % (len(pairs), len(sampled)))
-
-
-def _wheels_pair(pair):
-    m, n = pair
-    w = wheels.wheel(m, n)
-    for jp in range(1, n + 1):
-        for lp in range(1, n + 1):
-            if wheels.sbar_closed(w, jp, lp) != wheels.sbar_bruteforce(m, n, jp, lp):
-                return False
-    return True
 
 
 PAPER_STRINGS_12_31 = [
@@ -69,7 +55,11 @@ PAPER_STRINGS_12_31 = [
 def criterion_2(seed=DEFAULT_SEED):
     """Closed-form index sets agree with the partial-order brute force."""
     pairs = coprime_pairs(20) + [(12, 31)]
-    oks = [_wheels_pair(pair) for pair in pairs]
+    ok = True
+    for m, n in pairs:
+        w = wheels.wheel(m, n)
+        ok = ok and all(wheels.sbar_closed(w, jp, lp) == wheels.sbar_bruteforce(m, n, jp, lp)
+                        for jp in range(1, n + 1) for lp in range(1, n + 1))
     w = wheels.wheel(12, 31)
     frozen = (
         wheels.sbar_closed(w, 15, 22) == {16, 17, 19, 22}
@@ -79,22 +69,16 @@ def criterion_2(seed=DEFAULT_SEED):
         and w.seq == [31, 12, 5, 3, 1]
     )
     return CheckResult(2, "wheels oracle equivalence (n <= 20 and (12, 31))",
-                       all(oks) and frozen, "%d coprime pairs, all positions" % len(pairs))
-
-
-def _lambda_pair(pair):
-    m, n = pair
-    report = cyb.find_lambda(closed_form.cg_closed_form(m, n))
-    return m, n, report
+                       ok and frozen, "%d coprime pairs, all positions" % len(pairs))
 
 
 def criterion_3(seed=DEFAULT_SEED):
     """Every closed-form solution certifies as quasitriangular; lambda = 1/4 at m = 2."""
     pairs = coprime_pairs(9, n_min=3)
-    reports = [_lambda_pair(pair) for pair in pairs]
     passed = True
     lambdas = set()
-    for m, n, report in reports:
+    for m, n in pairs:
+        report = cyb.find_lambda(closed_form.cg_closed_form(m, n))
         if report.classification != cyb.QUASITRIANGULAR or report.residual_nonzero_count:
             passed = False
         if m == 2 and report.lambda_ != Fraction(1, 4):

@@ -184,25 +184,6 @@ def bd_r_matrix(m: int, n: int) -> WedgeElement:
     return alpha_part(m, n) + beta_part(m, n) + gamma_part(n)
 
 
-@dataclass(frozen=True)
-class CartanVector:
-    """Traceless diagonal matrix given by its diagonal."""
-
-    n: int
-    diagonal: tuple
-
-    def __post_init__(self):
-        if sum(self.diagonal, ZERO) != 0:
-            raise ValueError("diagonal must sum to zero")
-
-    @classmethod
-    def from_simple(cls, n, s):
-        diag = [ZERO] * n
-        diag[s - 1] = Fraction(1)
-        diag[s] = Fraction(-1)
-        return cls(n, tuple(diag))
-
-
 def _beta_system(t: BDTriple):
     """The beta-variety equations as sparse rows over the unknowns e_jj ^ e_ll (j < l).
 
@@ -211,7 +192,8 @@ def _beta_system(t: BDTriple):
     antisymmetric coefficient matrix C vanishes (h ^ h membership).  Then, for
     each a_s in S0, the contraction (1 (x) f) of sum C_{jl}/2 e_jj (x) e_ll, with
     f = a_{zeta(s)} - a_s, must equal half the sum of the trace-form duals of a_s
-    and its image, one row per diagonal entry.
+    and its image, one row per diagonal entry.  The dual of a_s is the diagonal
+    matrix e_ss - e_{s+1,s+1}, so f and the right-hand side share its +-1 pattern.
     """
     n = t.n
     pairs = [(j, l) for j in range(1, n + 1) for l in range(j + 1, n + 1)]
@@ -224,13 +206,10 @@ def _beta_system(t: BDTriple):
         rhs.append(ZERO)
     for s in sorted(t.s0):
         z = t.zeta[s]
-        fvals = [ZERO] * n
-        fvals[z - 1] += 1
-        fvals[z] -= 1
-        fvals[s - 1] -= 1
-        fvals[s] += 1
-        h_image = CartanVector.from_simple(n, z)
-        h_source = CartanVector.from_simple(n, s)
+        h_image, h_source = [ZERO] * n, [ZERO] * n
+        h_image[z - 1], h_image[z] = Fraction(1), Fraction(-1)
+        h_source[s - 1], h_source[s] = Fraction(1), Fraction(-1)
+        fvals = [a - b for a, b in zip(h_image, h_source)]
         for d in range(1, n + 1):
             row = {}
             for l in range(d + 1, n + 1):
@@ -240,7 +219,7 @@ def _beta_system(t: BDTriple):
                 if fvals[j - 1]:
                     row[index[(j, d)]] = -fvals[j - 1] / 2
             rows.append(row)
-            rhs.append((h_image.diagonal[d - 1] + h_source.diagonal[d - 1]) / 2)
+            rhs.append((h_image[d - 1] + h_source[d - 1]) / 2)
     return index, rows, rhs
 
 

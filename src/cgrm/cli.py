@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 from math import gcd
 
 from . import acceptance, bd, closed_form, cyb, dunkl, frobenius, wheels
@@ -129,14 +128,12 @@ def cmd_wheels(args) -> int:
 
 
 def cmd_dunkl(args) -> int:
-    from .polyops import Mono, window_matrix
+    from .polyops import window_matrix
     if args.m == 1:
         if args.n < 1:
             raise CliError("n must be >= 1")
         params = dunkl.CherednikParams(args.kappa, args.c0, m=1)
-        y1, y2 = dunkl.dunkl_y(params, 1), dunkl.dunkl_y(params, 2)
-        op = Fraction(-1, args.n) * (Mono(1, 0) * y1 - Mono(0, 1) * y2)
-        matrix = window_matrix(op, args.n)
+        matrix = window_matrix(dunkl.dunkl_m1_combo(args.n, params), args.n)
     elif args.m == 2:
         if args.c0 == 0:
             raise CliError("c0 must be nonzero when m = 2")
@@ -164,7 +161,10 @@ def cmd_carrier(args) -> int:
     op = _load_op2(args.infile)
     if not op.is_antisymmetric():
         raise CliError("operator is not antisymmetric", code=1)
-    car = frobenius.carrier(op)
+    try:
+        car = frobenius.carrier(op)
+    except ValueError as exc:
+        raise CliError(str(exc), code=1)
     basis = [sorted(([list(pos), format_scalar(v)] for pos, v in mat.entries.items()))
              for mat in car.basis]
     obj = {"dimension": car.dimension, "bracket_closed": car.bracket_closed,

@@ -11,6 +11,7 @@ from .scalars import format_scalar
 from .tensorops import SparseOp
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 TRIANGULAR = "triangular"
 QUASITRIANGULAR = "quasitriangular"
@@ -40,19 +41,13 @@ def embed(r: SparseOp, legs: int) -> SparseOp:
 
 
 def z_op(n: int) -> SparseOp:
-    """u (x) v (x) w -> w (x) u (x) v - v (x) w (x) u."""
-    cols = {}
+    """u (x) v (x) w -> w (x) u (x) v - v (x) w (x) u.
+
+    The two images coincide, and cancel, exactly when a = b = c.
+    """
     rng = range(1, n + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                col = {}
-                col[(c, a, b)] = col.get((c, a, b), ZERO) + 1
-                col[(b, c, a)] = col.get((b, c, a), ZERO) - 1
-                col = {k: v for k, v in col.items() if v != 0}
-                if col:
-                    cols[(a, b, c)] = col
-    return SparseOp(n, cols)
+    return SparseOp(n, {(a, b, c): {(c, a, b): ONE, (b, c, a): -ONE}
+                        for a in rng for b in rng for c in rng if not a == b == c})
 
 
 def double_bracket(a: SparseOp, b: SparseOp) -> SparseOp:

@@ -177,12 +177,16 @@ def divided_difference() -> PolyOp:
     return (Mono(1, 0) + Mono(0, 1)) * DivDiff() * _one_minus(Sigma())
 
 
-def r_via_dunkl_m1(n: int) -> SparseOp:
-    """Window restriction of -(1/n)(x1 y1 - x2 y2) at kappa = 1, c0 = n/2, m = 1."""
-    params = CherednikParams(kappa=1, c0=Fraction(n, 2), m=1)
+def dunkl_m1_combo(n: int, params: CherednikParams) -> PolyOp:
+    """-(1/n)(x1 y1 - x2 y2) for m = 1."""
     y1, y2 = dunkl_y(params, 1), dunkl_y(params, 2)
-    op = Fraction(-1, n) * (Mono(1, 0) * y1 - Mono(0, 1) * y2)
-    return window_matrix(op, n)
+    return Fraction(-1, n) * (Mono(1, 0) * y1 - Mono(0, 1) * y2)
+
+
+def r_via_dunkl_m1(n: int) -> SparseOp:
+    """Window restriction of the m = 1 combination at kappa = 1, c0 = n/2."""
+    params = CherednikParams(kappa=1, c0=Fraction(n, 2), m=1)
+    return window_matrix(dunkl_m1_combo(n, params), n)
 
 
 def element_e(params: CherednikParams) -> PolyOp:
@@ -482,20 +486,16 @@ def module_structure_check(n: int) -> bool:
     r = cg_closed_form(2, n)
     v1, v2, v3, v4 = elements_v(n)
     e1, e2 = e1_matrix(n), e2_matrix(n)
-
-    def act(x, w):
-        return ad_action(x, w)
-
     checks = [
-        act(e1, r) == v1,
-        act(e1, v2) == HALF * v3,
-        act(e2, r) == v2,
-        act(e2, v1) == v3,
-        act(e2, v3) == v4,
-        act(e1, v1).is_zero(),
-        act(e1, v3).is_zero(),
-        act(e1, v4).is_zero(),
-        act(e2, v2).is_zero(),
-        act(e2, v4).is_zero(),
+        ad_action(e1, r) == v1,
+        ad_action(e1, v2) == HALF * v3,
+        ad_action(e2, r) == v2,
+        ad_action(e2, v1) == v3,
+        ad_action(e2, v3) == v4,
+        ad_action(e1, v1).is_zero(),
+        ad_action(e1, v3).is_zero(),
+        ad_action(e1, v4).is_zero(),
+        ad_action(e2, v2).is_zero(),
+        ad_action(e2, v4).is_zero(),
     ]
     return all(checks)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import expand_in_rref, invert, rref, solve_affine
-from .tensorops import MatrixN, SparseOp, kron, kron_sum2, wedge_to_op
+from .tensorops import MatrixN, SparseOp, ad_action, kron, wedge_to_op
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,9 +41,6 @@ class LieSubalgebra:
     @property
     def dimension(self):
         return len(self.basis)
-
-    def contains(self, mat: MatrixN) -> bool:
-        return self.coordinates(mat) is not None
 
     def coordinates(self, mat: MatrixN):
         """Coefficients of mat in the reduced basis, or None when outside the span."""
@@ -307,6 +304,4 @@ def jordanian_x(n: int) -> MatrixN:
 def jordanian(n: int) -> SparseOp:
     """Leg-wise bracket of the weighted super-diagonal against the (1, n) solution."""
     from .bd import bd_r_matrix
-    r = wedge_to_op(bd_r_matrix(1, n))
-    d = kron_sum2(jordanian_x(n))
-    return d @ r - r @ d
+    return ad_action(jordanian_x(n), wedge_to_op(bd_r_matrix(1, n)))

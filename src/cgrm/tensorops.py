@@ -9,6 +9,7 @@ operators on V (x) V.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 
 from .linalg import rref
@@ -65,7 +66,10 @@ class MatrixN:
         return MatrixN(self.n, {k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out.get(k, ZERO) - v
+        return MatrixN(self.n, out)
 
     def __rmul__(self, scalar):
         s = Fraction(scalar)
@@ -178,20 +182,39 @@ class SparseOp:
     def is_zero(self):
         return not self.cols
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op in (add, sub), in one pass over other's entries.
+
+        Both operands hold no zeros, so an entry cancels only where both have
+        one; it is dropped there, and the result needs no cleaning pass.
+        """
         self._check(other)
         cols = {k: dict(c) for k, c in self.cols.items()}
         for key, col in other.cols.items():
-            dst = cols.setdefault(key, {})
+            dst = cols.get(key)
+            if dst is None:
+                cols[key] = {out: op(ZERO, v) for out, v in col.items()}
+                continue
             for out, v in col.items():
-                dst[out] = dst.get(out, ZERO) + v
-        return SparseOp(self.n, cols)
+                w = op(dst.get(out, ZERO), v)
+                if w:
+                    dst[out] = w
+                else:
+                    del dst[out]
+            if not dst:
+                del cols[key]
+        result = SparseOp(self.n)
+        result.cols = cols
+        return result
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
         return SparseOp(self.n, {k: {o: -v for o, v in c.items()} for k, c in self.cols.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __rmul__(self, scalar):
         s = Fraction(scalar)
@@ -212,9 +235,7 @@ class SparseOp:
                     continue
                 for out, w in upper.items():
                     acc[out] = acc.get(out, ZERO) + v * w
-            acc = _clean(acc)
-            if acc:
-                cols[inp] = acc
+            cols[inp] = acc
         return SparseOp(self.n, cols)
 
     def bracket(self, other):
@@ -230,13 +251,6 @@ class SparseOp:
     def is_antisymmetric(self):
         return self.swap_conjugate() == -self
 
-    def transpose_tensor(self):
-        """Tensor coefficients T_{abcd} with self = sum T e_{ab} (x) e_{cd}, on two legs."""
-        out = {}
-        for (i, j), (k, l), v in self.entries():
-            out[(i, k, j, l)] = v
-        return out
-
     def to_json_obj(self):
         items = sorted(((out, inp, v) for out, inp, v in self.entries()),
                        key=lambda t: (t[0], t[1]))
@@ -247,7 +261,10 @@ class SparseOp:
     def from_json_obj(cls, obj):
         entries = [(tuple(map(int, o)), tuple(map(int, i)), parse_scalar(s))
                    for o, i, s in obj["entries"]]
-        return cls.from_entries(int(obj["n"]), entries)
+        n = obj["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError("n must be an integer >= 1, not %r" % (n,))
+        return cls.from_entries(n, entries)
 
     def _check(self, other):
         if self.n != other.n:
@@ -259,28 +276,6 @@ class SparseOp:
 
 # Former per-arity names; callers and bench/tracer.py still look methods up under them.
 SparseOp2 = SparseOp3 = SparseOp
-
-
-# Module-level aliases matching the operation contract; all work for any number of legs.
-
-def op_compose(a, b):
-    return a @ b
-
-
-def op_add(a, b):
-    return a + b
-
-
-def op_scale(scalar, a):
-    return Fraction(scalar) * a
-
-
-def op_commutator(a, b):
-    return a.bracket(b)
-
-
-def swap_conjugate(r: SparseOp) -> SparseOp:
-    return r.swap_conjugate()
 
 
 def _flat(n, i, j):
@@ -302,9 +297,9 @@ class WedgeElement:
         self.terms = {}
         for (p, q), v in (terms or {}).items():
             self._accumulate(p, q, v)
-        self.terms = _clean(self.terms)
 
     def _accumulate(self, p, q, v):
+        """Add v e_p ^ e_q, dropping the term when it cancels."""
         n = self.n
         if not (1 <= p[0] <= n and 1 <= p[1] <= n and 1 <= q[0] <= n and 1 <= q[1] <= n):
             raise ValueError("index out of range: %r" % ((p, q),))
@@ -313,7 +308,11 @@ class WedgeElement:
         if _flat(n, *p) > _flat(n, *q):
             p, q, v = q, p, -v
         key = (p, q)
-        self.terms[key] = self.terms.get(key, ZERO) + v
+        total = self.terms.get(key, ZERO) + v
+        if total:
+            self.terms[key] = total
+        else:
+            del self.terms[key]
 
     @classmethod
     def zero(cls, n):
@@ -330,7 +329,6 @@ class WedgeElement:
         w = cls(n)
         for p, q, v in triples:
             w._accumulate(p, q, Fraction(v))
-        w.terms = _clean(w.terms)
         return w
 
     def __eq__(self, other):
@@ -344,7 +342,6 @@ class WedgeElement:
         out.terms = dict(self.terms)
         for (p, q), v in other.terms.items():
             out._accumulate(p, q, v)
-        out.terms = _clean(out.terms)
         return out
 
     def __neg__(self):
@@ -370,7 +367,6 @@ def wedge_of_matrices(a: MatrixN, b: MatrixN) -> WedgeElement:
     for p, x in a.entries.items():
         for q, y in b.entries.items():
             out._accumulate(p, q, x * y)
-    out.terms = _clean(out.terms)
     return out
 
 
@@ -389,19 +385,19 @@ def wedge_to_op(w: WedgeElement) -> SparseOp:
 
 
 def op_to_wedge(op: SparseOp) -> WedgeElement:
-    """Inverse of wedge_to_op on antisymmetric operators; raises on anything else."""
-    tensor = op.transpose_tensor()
-    for (a, b, c, d), v in tensor.items():
-        if tensor.get((c, d, a, b), ZERO) != -v:
-            raise ValueError("operator is not antisymmetric; no wedge form exists")
-    out = WedgeElement(op.n)
+    """Inverse of wedge_to_op on antisymmetric operators; raises on anything else.
+
+    The entry of e_i (x) e_j in column (k, l) is the coefficient of
+    e_{ik} (x) e_{jl}; antisymmetry pairs it with the negated entry of
+    e_{jl} (x) e_{ik}, so the earlier pair of each two carries the wedge term.
+    """
+    if not op.is_antisymmetric():
+        raise ValueError("operator is not antisymmetric; no wedge form exists")
     n = op.n
-    for (a, b, c, d), v in tensor.items():
-        if _flat(n, a, b) < _flat(n, c, d):
-            out._accumulate((a, b), (c, d), 2 * v)
-        elif (a, b) == (c, d) and v != 0:
-            raise ValueError("operator is not antisymmetric; no wedge form exists")
-    out.terms = _clean(out.terms)
+    out = WedgeElement(n)
+    for (i, j), (k, l), v in op.entries():
+        if _flat(n, i, k) < _flat(n, j, l):
+            out._accumulate((i, k), (j, l), 2 * v)
     return out
 
 
@@ -437,8 +433,7 @@ def kron_sum2(x: MatrixN) -> SparseOp:
 
 def ad_action(x: MatrixN, op: SparseOp) -> SparseOp:
     """Adjoint action of X on an operator coming from gl_n (x) gl_n."""
-    d = kron_sum2(x)
-    return d @ op - op @ d
+    return kron_sum2(x).bracket(op)
 
 
 def canonical_json(obj) -> str:

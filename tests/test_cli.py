@@ -136,6 +136,14 @@ def test_carrier_report(tmp_path, capsys):
     assert obj["frobenius"]["functional_check"] is True
 
 
+def test_carrier_nonzero_trace_slice_is_json_error(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text('{"n": 3, "entries": [[[1, 1], [1, 2], "1/2"], [[1, 1], [2, 1], "-1/2"]]}')
+    code, out = run_cli(capsys, "carrier", "--in", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": "carrier slice has nonzero trace"}
+
+
 def test_bd_subcommand(capsys):
     code, out = run_cli(capsys, "bd", "--m", "1", "--n", "3", "--part", "beta")
     assert code == 0
@@ -183,6 +191,12 @@ def test_negative_lambda_spellings_agree(tmp_path, capsys):
     '[[[1, 2], [2, 1], "1"]]',
     '{"n": 2, "entries": [[[1, 2], [2, 1], 1]]}',
     '{"n": null, "entries": []}',
+    '{"n": -1, "entries": []}',
+    '{"n": 0, "entries": []}',
+    '{"n": 1.5, "entries": []}',
+    '{"n": "3", "entries": []}',
+    '{"n": true, "entries": []}',
+    '{"n": 2.9, "entries": []}',
 ])
 def test_malformed_operator_file_is_json_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"

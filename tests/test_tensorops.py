@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from cgrm import bd
 from cgrm.tensorops import (MatrixN, SparseOp2, WedgeElement, canonical_json,
-                            kron, kron_sum2, op_commutator, op_compose, op_scale,
-                            op_to_wedge, permutation_op, span_basis,
-                            swap_conjugate, wedge_of_matrices, wedge_to_op)
+                            kron, kron_sum2, op_to_wedge, permutation_op,
+                            span_basis, wedge_of_matrices, wedge_to_op)
 
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -40,13 +39,14 @@ def test_reversed_wedge_is_negated():
     w1 = WedgeElement.single(3, 1, 2, 2, 3)
     w2 = WedgeElement.single(3, 2, 3, 1, 2)
     assert w1 == Fraction(-1) * w2
+    assert (w1 + w2).terms == {}
 
 
 @settings(max_examples=60)
 @given(wedge_elements())
 def test_swap_conjugate_negates_wedge_ops(w):
     op = wedge_to_op(w)
-    assert swap_conjugate(op) == Fraction(-1) * op
+    assert op.swap_conjugate() == Fraction(-1) * op
 
 
 @settings(max_examples=40)
@@ -66,32 +66,35 @@ def test_op_to_wedge_round_trip(w):
 def test_op_to_wedge_rejects_symmetric():
     with pytest.raises(ValueError):
         op_to_wedge(SparseOp2.identity(2))
+    e12 = MatrixN.unit(2, 1, 2)
+    with pytest.raises(ValueError):
+        op_to_wedge(kron(e12, e12))
 
 
 def test_swap_conjugate_examples():
-    assert swap_conjugate(SparseOp2.identity(3)) == SparseOp2.identity(3)
+    assert SparseOp2.identity(3).swap_conjugate() == SparseOp2.identity(3)
     p = permutation_op(3)
-    assert swap_conjugate(p) == p
+    assert p.swap_conjugate() == p
 
 
 @settings(max_examples=40)
 @given(wedge_elements())
 def test_commutator_with_self_vanishes(w):
     op = wedge_to_op(w)
-    assert op_commutator(op, op).is_zero()
+    assert op.bracket(op).is_zero()
 
 
 def test_compose_identity_and_scale():
     w = WedgeElement.single(3, 1, 2, 2, 3, 5)
     op = wedge_to_op(w)
-    assert op_compose(SparseOp2.identity(3), op) == op
-    assert op_compose(op, SparseOp2.identity(3)) == op
-    assert op_scale(2, op_scale(Fraction(1, 2), op)) == op
+    assert SparseOp2.identity(3) @ op == op
+    assert op @ SparseOp2.identity(3) == op
+    assert 2 * (Fraction(1, 2) * op) == op
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        op_compose(SparseOp2.identity(2), SparseOp2.identity(3))
+        SparseOp2.identity(2) @ SparseOp2.identity(3)
 
 
 def test_span_basis_examples():
@@ -187,6 +190,43 @@ def test_kron_entries_are_products(a, b, c):
 def test_kron_mixed_product(a, b, c, d):
     assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
     assert kron(a, MatrixN.identity(3)) + kron(MatrixN.identity(3), a) == kron_sum2(a)
+
+
+def sparse_ops(legs, n=2):
+    idx = st.tuples(*[st.integers(min_value=1, max_value=n)] * legs)
+    col = st.dictionaries(idx, scalars, max_size=3)
+    return st.dictionaries(idx, col, max_size=4).map(lambda cols: SparseOp2(n, cols))
+
+
+def assert_clean(op):
+    """No empty column and no zero entry: what __init__ leaves, and what __eq__ relies on."""
+    assert all(col and all(col.values()) for col in op.cols.values())
+
+
+@pytest.mark.parametrize("legs", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_op_subtraction(legs, data):
+    a = data.draw(sparse_ops(legs))
+    b = data.draw(sparse_ops(legs))
+    if data.draw(st.booleans()):
+        b = a + b  # most entries of a - b then cancel
+    diff = a - b
+    assert_clean(diff)
+    assert_clean(a + b)
+    assert diff == a + (-1) * b
+    assert diff + b == a
+    assert (a - a).cols == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(3), matrices(3), st.booleans())
+def test_matrix_subtraction(a, b, overlap):
+    if overlap:
+        b = a + b
+    assert a - b == a + (-1) * b
+    assert (a - b) + b == a
+    assert (a - a).entries == {}
 
 
 def test_one_operator_class_for_every_leg_count():
