@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .scalars import format_scalar
 from .tensorops import SparseOp
@@ -50,13 +51,32 @@ def z_op(n: int) -> SparseOp:
                         for a in rng for b in rng for c in rng if not a == b == c})
 
 
+def _integral(op: SparseOp):
+    """(D, D op) with D the lcm of op's entry denominators; D op has int entries."""
+    d = lcm(*(v.denominator for col in op.cols.values() for v in col.values()))
+    scaled = SparseOp(op.n)
+    scaled.cols = {inp: {out: v.numerator * (d // v.denominator) for out, v in col.items()}
+                   for inp, col in op.cols.items()}
+    return d, scaled
+
+
 def double_bracket(a: SparseOp, b: SparseOp) -> SparseOp:
-    """[a12, b13] + [a12, b23] + [a13, b23]."""
+    """[a12, b13] + [a12, b23] + [a13, b23].
+
+    Bilinear, so it is computed on the integer operators D_a a and D_b b and
+    divided by D_a D_b once at the end.
+    """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
+    (da, a), (db, b) = _integral(a), _integral(b)
     a12, a13 = embed(a, 12), embed(a, 13)
     b13, b23 = embed(b, 13), embed(b, 23)
-    return a12.bracket(b13) + a12.bracket(b23) + a13.bracket(b23)
+    ints = a12.bracket(b13) + a12.bracket(b23) + a13.bracket(b23)
+    d = da * db
+    result = SparseOp(a.n)
+    result.cols = {inp: {out: Fraction(v, d) for out, v in col.items()}
+                   for inp, col in ints.cols.items()}
+    return result
 
 
 def cyb_lambda(r: SparseOp, lam) -> SparseOp:

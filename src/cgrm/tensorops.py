@@ -125,7 +125,9 @@ class SparseOp:
 
     cols maps an input basis tuple (k, l, ...) to the sparse image column
     {(i, j, ...): coefficient of e_i (x) e_j (x) ...}; the number of tensor
-    legs is the length of those tuples.
+    legs is the length of those tuples.  Coefficients are Fractions, or ints
+    in an operator scaled to integer numerators; sums and compositions of
+    ints stay ints.
     """
 
     __slots__ = ("n", "cols")
@@ -182,8 +184,9 @@ class SparseOp:
     def is_zero(self):
         return not self.cols
 
-    def _combine(self, other, op):
-        """self op other for op in (add, sub), in one pass over other's entries.
+    def _combine(self, other, op, unary):
+        """self op other for (op, unary) in ((add, pos), (sub, neg)), in one
+        pass over other's entries; unary(v) is op(0, v) without the addition.
 
         Both operands hold no zeros, so an entry cancels only where both have
         one; it is dropped there, and the result needs no cleaning pass.
@@ -193,10 +196,13 @@ class SparseOp:
         for key, col in other.cols.items():
             dst = cols.get(key)
             if dst is None:
-                cols[key] = {out: op(ZERO, v) for out, v in col.items()}
+                cols[key] = {out: unary(v) for out, v in col.items()}
                 continue
             for out, v in col.items():
-                w = op(dst.get(out, ZERO), v)
+                if out not in dst:
+                    dst[out] = unary(v)
+                    continue
+                w = op(dst[out], v)
                 if w:
                     dst[out] = w
                 else:
@@ -208,10 +214,10 @@ class SparseOp:
         return result
 
     def __add__(self, other):
-        return self._combine(other, operator.add)
+        return self._combine(other, operator.add, operator.pos)
 
     def __sub__(self, other):
-        return self._combine(other, operator.sub)
+        return self._combine(other, operator.sub, operator.neg)
 
     def __neg__(self):
         return SparseOp(self.n, {k: {o: -v for o, v in c.items()} for k, c in self.cols.items()})
@@ -234,7 +240,10 @@ class SparseOp:
                 if upper is None:
                     continue
                 for out, w in upper.items():
-                    acc[out] = acc.get(out, ZERO) + v * w
+                    if out in acc:
+                        acc[out] += v * w
+                    else:
+                        acc[out] = v * w
             cols[inp] = acc
         return SparseOp(self.n, cols)
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cgrm.cli import main
+from cgrm.cli import MAX_FILE_N, main
 
 
 def run_cli(capsys, *argv):
@@ -197,15 +197,25 @@ def test_negative_lambda_spellings_agree(tmp_path, capsys):
     '{"n": "3", "entries": []}',
     '{"n": true, "entries": []}',
     '{"n": 2.9, "entries": []}',
+    '{"n": %d, "entries": []}' % (MAX_FILE_N + 1),
+    '{"n": 80, "entries": [[[1, 2], [2, 1], "1/4"]]}',
 ])
 def test_malformed_operator_file_is_json_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    for argv in (("verify", "--in", str(path)), ("carrier", "--in", str(path)),
-                 ("compare", str(path), str(path))):
+    for argv in (("verify", "--in", str(path)),
+                 ("verify", "--in", str(path), "--lambda", "1/4"),
+                 ("carrier", "--in", str(path)), ("compare", str(path), str(path))):
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"].startswith("cannot read operator file")
+
+
+def test_operator_file_n_at_the_cap_is_read(tmp_path, capsys):
+    path = tmp_path / "cap.json"
+    path.write_text('{"n": %d, "entries": [[[1, 2], [2, 1], "1/2"]]}' % MAX_FILE_N)
+    code, out = run_cli(capsys, "compare", str(path), str(path))
+    assert code == 0 and json.loads(out)["equal"] is True
 
 
 def test_unwritable_out_is_json_error(tmp_path, capsys):

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgrm import bd, closed_form, cyb
 from cgrm.frobenius import jordanian, jordanian_x, nilpotent_exp_action
 from cgrm.scalars import random_rational
-from cgrm.tensorops import (MatrixN, SparseOp2, WedgeElement, kron,
+from cgrm.tensorops import (MatrixN, SparseOp, SparseOp2, WedgeElement, kron,
                             permutation_op, wedge_to_op)
 
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -72,6 +72,38 @@ def test_z_is_invariant_under_diagonal_action():
             term = kron(*legs)
             d3 = term if d3 is None else d3 + term
         assert (d3 @ z - z @ d3).is_zero()
+
+
+def _double_bracket_over_fractions(a, b):
+    """The double bracket computed in Fraction throughout: the oracle for
+    cyb.double_bracket, which works on integer numerators."""
+    a12, a13 = cyb.embed(a, 12), cyb.embed(a, 13)
+    b13, b23 = cyb.embed(b, 13), cyb.embed(b, 23)
+    return a12.bracket(b13) + a12.bracket(b23) + a13.bracket(b23)
+
+
+def two_leg_ops(n, max_terms=6):
+    idx = st.integers(min_value=1, max_value=n)
+    term = st.tuples(idx, idx, idx, idx, st.fractions(min_value=-9, max_value=9,
+                                                      max_denominator=12))
+    return st.lists(term, max_size=max_terms).map(lambda ts: SparseOp.from_entries(
+        n, (((i, j), (k, l), v) for i, j, k, l, v in ts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(two_leg_ops(n), two_leg_ops(n))))
+@example((SparseOp.from_entries(2, [((1, 2), (2, 1), Fraction(1, 2)), ((2, 1), (1, 2), 3)]),
+          SparseOp.from_entries(2, [((1, 1), (1, 2), Fraction(-2, 3)),
+                                    ((2, 1), (2, 2), Fraction(5, 9))])))
+@example((SparseOp.zero(3), SparseOp.from_entries(3, [((1, 3), (2, 1), Fraction(7, 5))])))
+@example((SparseOp.from_entries(3, [((2, 3), (3, 1), Fraction(-1, 4))]),
+          SparseOp.from_entries(3, [((3, 1), (2, 3), Fraction(2, 7))])))
+def test_double_bracket_matches_fraction_oracle(ops):
+    a, b = ops
+    db = cyb.double_bracket(a, b)
+    assert db == _double_bracket_over_fractions(a, b)
+    assert all(type(v) is Fraction for _, _, v in db.entries())
 
 
 @settings(max_examples=25, deadline=None)

@@ -192,9 +192,9 @@ def test_kron_mixed_product(a, b, c, d):
     assert kron(a, MatrixN.identity(3)) + kron(MatrixN.identity(3), a) == kron_sum2(a)
 
 
-def sparse_ops(legs, n=2):
+def sparse_ops(legs, n=2, values=scalars):
     idx = st.tuples(*[st.integers(min_value=1, max_value=n)] * legs)
-    col = st.dictionaries(idx, scalars, max_size=3)
+    col = st.dictionaries(idx, values, max_size=3)
     return st.dictionaries(idx, col, max_size=4).map(lambda cols: SparseOp2(n, cols))
 
 
@@ -217,6 +217,19 @@ def test_sparse_op_subtraction(legs, data):
     assert diff == a + (-1) * b
     assert diff + b == a
     assert (a - a).cols == {}
+
+
+@pytest.mark.parametrize("legs", [2, 3])
+@pytest.mark.parametrize("values, kind", [(st.integers(-9, 9), int), (scalars, Fraction)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arithmetic_keeps_the_entry_type(legs, values, kind, data):
+    """Operators scaled to integer numerators stay int-valued under @, + and -;
+    Fraction-valued ones stay Fraction-valued."""
+    a = data.draw(sparse_ops(legs, values=values))
+    b = data.draw(sparse_ops(legs, values=values))
+    for result in (a @ b, b @ a, a + b, a - b, b - a, a.bracket(b)):
+        assert all(type(v) is kind for _, _, v in result.entries())
 
 
 @settings(max_examples=60, deadline=None)
