@@ -3,10 +3,10 @@ classical Yang-Baxter equation, by three independent routes, with full identity
 verification over the rationals."""
 
 from .bd import (BDTriple, PosRoot, alpha_part, bd_r_matrix,
-                 beta_part, cg_triple, gamma_part, precedes, solve_beta_variety,
-                 verify_beta_variety, zeta_hat)
-from .closed_form import (CGParams, PsiTable, cg_closed_form, cg_column,
-                          cg_m1_display, cg_m2_display, phi_twist, psi)
+                 beta_part, cg_triple, gamma_part, precedes, require_coprime,
+                 solve_beta_variety, verify_beta_variety, zeta_hat)
+from .closed_form import (cg_closed_form, cg_column, cg_m1_display,
+                          cg_m2_display, phi_twist, psi, psi_values)
 from .cyb import (CybReport, cyb_lambda, double_bracket, embed, find_lambda,
                   z_op)
 from .dunkl import (CherednikParams, b_cg, divided_difference, dunkl_y,

@@ -82,13 +82,18 @@ class BDTriple:
         return "BDTriple(n=%d, s0=%r, s1=%r)" % (self.n, sorted(self.s0), sorted(self.s1))
 
 
-def cg_triple(m: int, n: int) -> BDTriple:
-    """The maximal triple for coprime m < n: drop a_{n-m} from S0, a_m from S1,
-    and shift indices by m modulo n."""
+def require_coprime(m: int, n: int) -> None:
+    """Raise ValueError unless (m, n) is a construction pair: 1 <= m < n, coprime."""
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     if gcd(m, n) != 1:
         raise ValueError("m and n must be coprime")
+
+
+def cg_triple(m: int, n: int) -> BDTriple:
+    """The maximal triple for coprime m < n: drop a_{n-m} from S0, a_m from S1,
+    and shift indices by m modulo n."""
+    require_coprime(m, n)
     s0 = set(range(1, n)) - {n - m}
     s1 = set(range(1, n)) - {m}
     zeta = {s: (s + m) % n for s in s0}
@@ -163,8 +168,7 @@ def strict_pair_count(m: int, n: int) -> int:
 
 def beta_part(m: int, n: int) -> WedgeElement:
     """The diagonal part: sum over j < l of (-1 + (2/n)[(j-l) m^{-1} mod n]) e_jj ^ e_ll."""
-    if gcd(m, n) != 1:
-        raise ValueError("m and n must be coprime")
+    require_coprime(m, n)
     m_inv = pow(m, -1, n)
     return WedgeElement.from_terms(
         n, (((j, j), (l, l), Fraction(-1) + Fraction(2, n) * (((j - l) * m_inv) % n))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from math import gcd
 
 from . import acceptance, bd, closed_form, cyb, dunkl, frobenius, wheels
 from .scalars import format_scalar, parse_scalar
@@ -21,13 +20,6 @@ class CliError(Exception):
     def __init__(self, message, code=2):
         super().__init__(message)
         self.code = code
-
-
-def _require_coprime(m, n):
-    if not 1 <= m < n:
-        raise CliError("need 1 <= m < n")
-    if gcd(m, n) != 1:
-        raise CliError("m and n must be coprime")
 
 
 def _emit(args, obj):
@@ -42,10 +34,10 @@ def _emit(args, obj):
         sys.stdout.write(text)
 
 
-# The largest "n" an operator file may declare.  Checking CYB on V (x) V (x) V
-# builds n^3 columns even for an empty file: `verify --lambda` peaks at about
-# 53 MB at n = 32, 88 MB at n = 40 and 590 MB at n = 80.
-MAX_FILE_N = 32
+# The largest n an operator file or an --n flag may name.  Checking CYB on
+# V (x) V (x) V builds n^3 columns even for an empty file: `verify --lambda`
+# peaks at about 53 MB at n = 32, 88 MB at n = 40 and 590 MB at n = 80.
+MAX_N = 32
 
 
 def _load_op2(path):
@@ -60,35 +52,29 @@ def _load_op2(path):
             if len(out) != 2 or len(inp) != 2:
                 raise ValueError("expected two-leg index tuples")
         op = SparseOp.from_json_obj(obj)
-        if op.n > MAX_FILE_N:
-            raise ValueError("n must be at most %d, not %d" % (MAX_FILE_N, op.n))
+        if op.n > MAX_N:
+            raise ValueError("n must be at most %d, not %d" % (MAX_N, op.n))
         return op
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError, OverflowError,
+            RecursionError) as exc:
         raise CliError("cannot read operator file %r: %s" % (path, exc))
 
 
 def cmd_gen(args) -> int:
     m, n = args.m, args.n
-    _require_coprime(m, n)
+    bd.require_coprime(m, n)
     if args.construction == "closed":
         op = closed_form.cg_closed_form(m, n)
     elif args.construction == "bd":
         op = wedge_to_op(bd.bd_r_matrix(n - m, n))
-    elif args.construction == "dunkl":
-        if m == 1:
-            op = dunkl.r_via_dunkl_m1(n)
-        elif m == 2:
-            if args.c0 == 0:
-                raise CliError("c0 must be nonzero for the m = 2 construction")
-            params = dunkl.CherednikParams(args.kappa, args.c0, args.c1, m=2)
-            try:
-                op = dunkl.r_via_dunkl_m2(n, params)
-            except ValueError as exc:
-                raise CliError(str(exc))
-        else:
-            raise CliError("the dunkl construction requires m in {1, 2}")
+    elif m == 1:
+        op = dunkl.r_via_dunkl_m1(n)
+    elif m == 2:
+        if args.c0 == 0:
+            raise CliError("c0 must be nonzero for the m = 2 construction")
+        op = dunkl.r_via_dunkl_m2(n, dunkl.CherednikParams(args.kappa, args.c0, args.c1, m=2))
     else:
-        raise CliError("unknown construction %r" % args.construction)
+        raise CliError("the dunkl construction requires m in {1, 2}")
     _emit(args, op.to_json_obj())
     return 0
 
@@ -113,16 +99,11 @@ def cmd_compare(args) -> int:
         _emit(args, {"equal": False, "reason": "dimension mismatch"})
         return 1
     diff = a - b
-    entries = sorted(((out, inp, v) for out, inp, v in diff.entries()),
-                     key=lambda x: (x[0], x[1]))
-    _emit(args, {"equal": diff.is_zero(),
-                 "differences": [[list(o), list(i), format_scalar(v)]
-                                 for o, i, v in entries]})
+    _emit(args, {"equal": diff.is_zero(), "differences": diff.to_json_obj()["entries"]})
     return 0 if diff.is_zero() else 1
 
 
 def cmd_wheels(args) -> int:
-    _require_coprime(args.m, args.n)
     w = wheels.wheel(args.m, args.n)
     obj = {"m": w.m, "n": w.n, "seq": w.seq, "strings": w.strings,
            "minimal_elements": w.minimal_elements}
@@ -149,10 +130,7 @@ def cmd_dunkl(args) -> int:
         if args.n % 2 == 0:
             raise CliError("n must be odd when m = 2")
         params = dunkl.CherednikParams(args.kappa, args.c0, args.c1, m=2)
-        try:
-            matrix = dunkl.r_via_dunkl_m2(args.n, params)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        matrix = dunkl.r_via_dunkl_m2(args.n, params)
     else:
         raise CliError("m must be 1 or 2")
     _emit(args, matrix.to_json_obj())
@@ -160,8 +138,6 @@ def cmd_dunkl(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    if args.n % 2 == 0 or args.n < 3:
-        raise CliError("n must be odd and >= 3")
     _emit(args, dunkl.b_cg(args.n, args.u, args.t).to_json_obj())
     return 0
 
@@ -189,14 +165,11 @@ def cmd_carrier(args) -> int:
 
 def cmd_bd(args) -> int:
     m, n = args.m, args.n
-    _require_coprime(m, n)
     t = bd.cg_triple(m, n)
     obj = {"m": m, "n": n, "s0": sorted(t.s0), "s1": sorted(t.s1),
            "zeta": {str(k): t.zeta[k] for k in sorted(t.zeta)}}
     parts = {"alpha": bd.alpha_part, "beta": bd.beta_part,
              "gamma": lambda m_, n_: bd.gamma_part(n_), "r": bd.bd_r_matrix}
-    if args.part not in parts:
-        raise CliError("unknown part %r" % args.part)
     obj["part"] = args.part
     obj["op"] = wedge_to_op(parts[args.part](m, n)).to_json_obj()
     _emit(args, obj)
@@ -324,11 +297,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_join_negative_values(argv))
+        n = getattr(args, "n", None)
+        if n is not None and n > MAX_N:
+            raise CliError("n must be at most %d, not %d" % (MAX_N, n))
         _parse_rationals(args)
         return COMMANDS[args.command](args)
     except CliError as exc:
         sys.stdout.write(canonical_json({"error": str(exc)}))
         return exc.code
+    except ValueError as exc:
+        sys.stdout.write(canonical_json({"error": str(exc)}))
+        return 2
 
 
 if __name__ == "__main__":

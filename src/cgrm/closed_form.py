@@ -4,29 +4,16 @@ specialized m = 1 and m = 2 displays."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
+from . import wheels
+from .bd import require_coprime
 from .scalars import sgn
 from .tensorops import MatrixN, SparseOp, WedgeElement
-from .wheels import func_j, wheel
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class CGParams:
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.m < self.n:
-            raise ValueError("need 1 <= m < n")
-        if gcd(self.m, self.n) != 1:
-            raise ValueError("m and n must be coprime")
 
 
 def psi(m: int, n: int, j: int) -> int:
@@ -37,41 +24,31 @@ def psi(m: int, n: int, j: int) -> int:
     return v if v else n
 
 
-@dataclass(frozen=True)
-class PsiTable:
-    n: int
-    m: int
-    values: tuple
-
-    @classmethod
-    def build(cls, m, n):
-        CGParams(m, n)
-        values = tuple(psi(m, n, j) for j in range(1, n + 1))
-        if sorted(values) != list(range(1, n + 1)):
-            raise ValueError("psi must be a permutation")
-        if values[-1] != n:
-            raise ValueError("psi must fix n")
-        for j, pj in enumerate(values, start=1):
-            if (m * pj - j) % n:
-                raise ValueError("m * psi_%d must equal %d modulo n" % (j, j))
-        return cls(n=n, m=m, values=values)
-
-
 @lru_cache(maxsize=None)
-def _psi_values(m, n):
-    return PsiTable.build(m, n).values
+def psi_values(m: int, n: int) -> tuple:
+    """(psi_1, ..., psi_n), checked to be a permutation of 1..n fixing n."""
+    require_coprime(m, n)
+    values = tuple(psi(m, n, j) for j in range(1, n + 1))
+    if sorted(values) != list(range(1, n + 1)):
+        raise ValueError("psi must be a permutation")
+    if values[-1] != n:
+        raise ValueError("psi must fix n")
+    for j, pj in enumerate(values, start=1):
+        if (m * pj - j) % n:
+            raise ValueError("m * psi_%d must equal %d modulo n" % (j, j))
+    return values
 
 
 @lru_cache(maxsize=None)
 def cg_column(m: int, n: int, j: int, l: int):
     """Image of e_j (x) e_l under the (m, n) closed form, as a sparse column.
 
-    The double sums run over the alternating-Euclid levels; inner sums with a
-    nonpositive bound are empty, and a produced subscript out of range raises
+    Each s in the aligned index set sbar_closed(w, n+1-j, n+1-l) contributes
+    e_{n+1-s} (x) e_{j+l-n-1+s}, and each s in sbar_closed(w, n+1-l, n+1-j)
+    subtracts the swapped term; a produced subscript out of range raises
     ValueError rather than being clamped.
     """
-    CGParams(m, n)
-    w = wheel(m, n)
+    w = wheels.wheel(m, n)
     col = {}
 
     def add(i, k, v):
@@ -82,16 +59,12 @@ def cg_column(m: int, n: int, j: int, l: int):
         if col[key] == 0:
             del col[key]
 
-    for t in range(w.L):
-        step = w.seq[t + 1]
-        jt = func_j(t, j, l, w)
-        for big_n in range((jt - 1) // step + 1):
-            add(j - jt + big_n * step, l + jt - big_n * step, Fraction(1))
-        jt = func_j(t, l, j, w)
-        for big_n in range((jt - 1) // step + 1):
-            add(j + jt - big_n * step, l - jt + big_n * step, Fraction(-1))
+    for s in wheels.sbar_closed(w, n + 1 - j, n + 1 - l):
+        add(n + 1 - s, j + l - n - 1 + s, Fraction(1))
+    for s in wheels.sbar_closed(w, n + 1 - l, n + 1 - j):
+        add(j + l - n - 1 + s, n + 1 - s, Fraction(-1))
 
-    pv = _psi_values(m, n)
+    pv = psi_values(m, n)
     dpsi = pv[j - 1] - pv[l - 1]
     add(j, l, Fraction(sgn(dpsi), 2) - Fraction(dpsi, n))
     add(l, j, -Fraction(sgn(j - l), 2))
@@ -101,6 +74,7 @@ def cg_column(m: int, n: int, j: int, l: int):
 def cg_closed_form(m: int, n: int) -> SparseOp:
     """The full operator; note the construction pair (m, n) yields the solution
     attached to the mirrored pair (n - m, n)."""
+    require_coprime(m, n)
     cols = {}
     for j in range(1, n + 1):
         for l in range(1, n + 1):

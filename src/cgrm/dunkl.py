@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bd import require_coprime
 from .polyops import (Const, DivDiff, DivSum, ExponentSign, LaurentPoly, Mono,
                       Partial, PolyOp, Sigma, Xi, window_matrix)
 from .tensorops import (MatrixN, SparseOp, WedgeElement, ad_action,
@@ -185,6 +186,7 @@ def dunkl_m1_combo(n: int, params: CherednikParams) -> PolyOp:
 
 def r_via_dunkl_m1(n: int) -> SparseOp:
     """Window restriction of the m = 1 combination at kappa = 1, c0 = n/2."""
+    require_coprime(1, n)
     params = CherednikParams(kappa=1, c0=Fraction(n, 2), m=1)
     return window_matrix(dunkl_m1_combo(n, params), n)
 

@@ -91,7 +91,7 @@ def parabolic(m: int, n: int) -> LieSubalgebra:
     """Maximal parabolic subalgebra: off-diagonal e_{jl} with j <= m or l > m,
     together with the traceless diagonal."""
     if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
+        raise ValueError("the parabolic block size m must satisfy 1 <= m < n")
     mats = []
     for j in range(1, n + 1):
         for l in range(1, n + 1):

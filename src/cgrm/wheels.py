@@ -13,10 +13,7 @@ from . import bd
 
 def euclid_sequence(m: int, n: int):
     """i_0 = n, i_1 = m, i_t = (-i_{t-2}) mod i_{t-1}, stopping at the first 1."""
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
-    if gcd(m, n) != 1:
-        raise ValueError("m and n must be coprime")
+    bd.require_coprime(m, n)
     seq = [n, m]
     while seq[-1] != 1:
         seq.append((-seq[-2]) % seq[-1])
@@ -28,8 +25,7 @@ def strings(m: int, n: int):
 
     Chains are listed in wheel order starting from the chain containing 1.
     """
-    if gcd(m, n) != 1:
-        raise ValueError("m and n must be coprime")
+    bd.require_coprime(m, n)
     out = [[1]]
     cur = 1
     for _ in range(n - 1):

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from cgrm import bd
+from cgrm import bd, closed_form, dunkl, wheels
 from cgrm.closed_form import phi_twist
 from cgrm.tensorops import WedgeElement, wedge_to_op
 
@@ -167,3 +167,33 @@ def test_nilpotency_validation():
     # the identity on a single node never escapes S0
     with pytest.raises(ValueError):
         bd.BDTriple(3, {1}, {1}, {1: 1})
+
+
+# Every entry point that takes a construction pair, as a function of (m, n).
+PAIR_ENTRY_POINTS = {
+    "cg_triple": bd.cg_triple,
+    "beta_part": bd.beta_part,
+    "bd_r_matrix": bd.bd_r_matrix,
+    "euclid_sequence": wheels.euclid_sequence,
+    "strings": wheels.strings,
+    "wheel": wheels.wheel,
+    "psi_values": closed_form.psi_values,
+    "cg_closed_form": closed_form.cg_closed_form,
+}
+INVALID_PAIRS = {(1, 0): "need 1 <= m < n", (1, -3): "need 1 <= m < n",
+                 (2, 1): "need 1 <= m < n", (0, 3): "need 1 <= m < n",
+                 (2, 4): "m and n must be coprime"}
+
+
+INVALID_PAIR_CASES = ([(name, pair) for name in PAIR_ENTRY_POINTS for pair in INVALID_PAIRS]
+                      + [("r_via_dunkl_m1", (1, n)) for n in (1, 0, -1, -3)])
+
+
+@pytest.mark.parametrize("name, pair", [pytest.param(name, pair, id="%s-%d,%d" % (name, *pair))
+                                        for name, pair in INVALID_PAIR_CASES])
+def test_invalid_pair_is_rejected(name, pair):
+    entry = PAIR_ENTRY_POINTS.get(name, lambda m, n: dunkl.r_via_dunkl_m1(n))
+    message = INVALID_PAIRS.get(pair, "need 1 <= m < n")
+    with pytest.raises(ValueError) as info:
+        entry(*pair)
+    assert str(info.value) == message

@@ -1,10 +1,17 @@
 """Command-line behaviour: canonical output, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cgrm.cli import MAX_FILE_N, main
+from cgrm.cli import MAX_N, main
+from cgrm.scalars import parse_scalar
 
 
 def run_cli(capsys, *argv):
@@ -197,7 +204,7 @@ def test_negative_lambda_spellings_agree(tmp_path, capsys):
     '{"n": "3", "entries": []}',
     '{"n": true, "entries": []}',
     '{"n": 2.9, "entries": []}',
-    '{"n": %d, "entries": []}' % (MAX_FILE_N + 1),
+    '{"n": %d, "entries": []}' % (MAX_N + 1),
     '{"n": 80, "entries": [[[1, 2], [2, 1], "1/4"]]}',
 ])
 def test_malformed_operator_file_is_json_error(tmp_path, capsys, text):
@@ -213,7 +220,7 @@ def test_malformed_operator_file_is_json_error(tmp_path, capsys, text):
 
 def test_operator_file_n_at_the_cap_is_read(tmp_path, capsys):
     path = tmp_path / "cap.json"
-    path.write_text('{"n": %d, "entries": [[[1, 2], [2, 1], "1/2"]]}' % MAX_FILE_N)
+    path.write_text('{"n": %d, "entries": [[[1, 2], [2, 1], "1/2"]]}' % MAX_N)
     code, out = run_cli(capsys, "compare", str(path), str(path))
     assert code == 0 and json.loads(out)["equal"] is True
 
@@ -245,3 +252,211 @@ def test_rational_flags_take_only_p_over_q(capsys, value):
     code, out = run_cli(capsys, "boundary", "--n", "5", "--u", value, "--t", "1")
     assert code == 2
     assert json.loads(out) == {"error": "invalid rational for --u: %r" % value}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "--m", "2", "--n", "4"), "m and n must be coprime"),
+    (("gen", "--m", "3", "--n", "3", "--construction", "dunkl"), "need 1 <= m < n"),
+    (("wheels", "--m", "0", "--n", "3"), "need 1 <= m < n"),
+    (("bd", "--m", "3", "--n", "9", "--part", "alpha"), "m and n must be coprime"),
+    (("boundary", "--n", "4", "--u", "1", "--t", "1"), "n must be odd and >= 3"),
+])
+def test_library_value_error_is_json_error(capsys, argv, message):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--m", "1", "--n", "33"),
+    ("gen", "--m", "2", "--n", "33", "--construction", "dunkl"),
+    ("wheels", "--m", "12", "--n", "33"),
+    ("dunkl", "--m", "2", "--n", "33"),
+    ("boundary", "--n", "33", "--u", "1", "--t", "1"),
+    ("bd", "--m", "1", "--n", "33", "--part", "beta"),
+])
+def test_n_flag_above_the_cap_is_json_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "n must be at most 32, not 33"}
+
+
+def test_n_flag_at_the_cap_is_accepted(capsys):
+    code, out = run_cli(capsys, "wheels", "--m", "12", "--n", "31")
+    assert code == 0 and json.loads(out)["n"] == 31
+    code, out = run_cli(capsys, "bd", "--m", "1", "--n", str(MAX_N), "--part", "gamma")
+    assert code == 0 and json.loads(out)["n"] == MAX_N
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every malformed flag or operator file gives one JSON error object.
+
+def _call(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def assert_json_error(argv):
+    code, out = _call(argv)
+    assert code != 0, argv
+    obj = json.loads(out)
+    assert isinstance(obj, dict) and list(obj) == ["error"], (argv, out)
+
+
+def _parses(text, parse):
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+VALID_OBJ = {"n": 3, "entries": [[[1, 2], [2, 1], "1/2"], [[2, 1], [1, 2], "-1/2"]]}
+VALID_FILE = "<valid operator file>"
+
+
+@pytest.fixture(scope="module")
+def valid_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "r.json"
+    path.write_text(json.dumps(VALID_OBJ))
+    return str(path)
+
+
+# Cheap valid invocations; each fuzz case breaks exactly one part of one of them.
+TEMPLATES = {
+    "gen": ["--m", "1", "--n", "3", "--construction", "dunkl", "--kappa", "1", "--c0", "1",
+            "--c1", "0"],
+    "wheels": ["--m", "2", "--n", "5", "--pair", "1", "2"],
+    "dunkl": ["--m", "2", "--n", "5", "--kappa", "1", "--c0", "1", "--c1", "0"],
+    "boundary": ["--n", "5", "--u", "1", "--t", "1"],
+    "bd": ["--m", "2", "--n", "5", "--part", "r"],
+    "verify": ["--in", VALID_FILE, "--lambda", "1/4"],
+    "compare": [VALID_FILE, VALID_FILE],
+    "carrier": ["--in", VALID_FILE],
+    "acceptance": ["--seed", "0"],
+}
+INT_FLAGS = ("--m", "--n", "--pair", "--seed")
+RATIONAL_FLAGS = ("--kappa", "--c0", "--c1", "--u", "--t", "--lambda")
+CHOICE_FLAGS = {"--construction": ("closed", "bd", "dunkl"),
+                "--part": ("alpha", "beta", "gamma", "r")}
+
+non_integers = st.one_of(
+    st.sampled_from(["", " ", "x", "1.5", "1/2", "3e2", "0x10", "1-", "--"]),
+    st.text(max_size=6).filter(lambda t: not t.startswith("-") and not _parses(t, int)))
+bad_rationals = st.one_of(
+    st.sampled_from(["", "0.5", "1e3", "1/0", "1//2", "a", "-x", "--", "1/-2"]),
+    st.text(max_size=6).filter(lambda t: not t.startswith("-") and not _parses(t, parse_scalar)))
+bad_ns = st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_N + 1, max_value=10 ** 30))
+
+
+@st.composite
+def malformed_argv(draw):
+    command = draw(st.sampled_from(sorted(TEMPLATES)))
+    argv = list(TEMPLATES[command])
+    flags = [i for i, a in enumerate(argv) if a.startswith("--")]
+    kinds = ["unknown flag", "missing value", "bad command"]
+    if any(argv[i] in INT_FLAGS for i in flags):
+        kinds.append("non-integer")
+    if any(argv[i] in RATIONAL_FLAGS for i in flags):
+        kinds.append("bad rational")
+    if any(argv[i] in CHOICE_FLAGS for i in flags):
+        kinds.append("bad choice")
+    if "--n" in argv:
+        kinds.append("bad n")
+    if "--m" in argv:
+        kinds += ["bad m", "non-coprime pair"]
+    kind = draw(st.sampled_from(kinds))
+
+    def value_of(names):
+        return 1 + draw(st.sampled_from([i for i in flags if argv[i] in names]))
+
+    if kind == "unknown flag":
+        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    elif kind == "missing value":
+        argv = argv[:-1] if argv[-2].startswith("--") else argv[:-1] + ["--out"]
+    elif kind == "bad command":
+        command = draw(st.text(max_size=8).filter(lambda t: t not in TEMPLATES and t[:1] != "-"))
+    elif kind == "non-integer":
+        argv[value_of(INT_FLAGS)] = draw(non_integers)
+    elif kind == "bad rational":
+        argv[value_of(RATIONAL_FLAGS)] = draw(bad_rationals)
+    elif kind == "bad choice":
+        i = value_of(CHOICE_FLAGS)
+        argv[i] = draw(st.text(max_size=8).filter(
+            lambda t: t not in CHOICE_FLAGS[argv[i - 1]] and t[:1] != "-"))
+    elif kind == "bad n":
+        argv[argv.index("--n") + 1] = str(draw(bad_ns))
+    elif kind == "bad m":
+        n = int(argv[argv.index("--n") + 1])
+        argv[argv.index("--m") + 1] = str(draw(st.one_of(st.integers(max_value=0),
+                                                         st.integers(min_value=n))))
+    else:
+        k, a, b = draw(st.integers(2, 4)), draw(st.integers(1, 4)), draw(st.integers(5, 8))
+        argv[argv.index("--m") + 1], argv[argv.index("--n") + 1] = str(k * a), str(k * b)
+    return [command] + argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=malformed_argv())
+def test_fuzzed_flags_give_json_error(valid_file, argv):
+    assert_json_error([valid_file if a == VALID_FILE else a for a in argv])
+
+
+wrong_types = st.one_of(st.none(), st.booleans(), st.floats(), st.text(min_size=1, max_size=4),
+                        st.lists(st.integers(), min_size=1, max_size=3))
+
+
+@st.composite
+def malformed_operator_file(draw):
+    obj = json.loads(json.dumps(VALID_OBJ))
+    entry = draw(st.sampled_from(obj["entries"]))
+    kind = draw(st.sampled_from(["truncated", "not an object", "missing key", "n type",
+                                 "n above the cap", "entries type", "entry shape", "scalar",
+                                 "index range", "arity"]))
+    if kind == "truncated":
+        text = json.dumps(obj)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "not an object":
+        return json.dumps(draw(st.one_of(wrong_types, st.just(obj["entries"]))))
+    if kind == "missing key":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "n type":
+        obj["n"] = draw(st.one_of(wrong_types.filter(lambda v: type(v) is not list),
+                                  st.integers(max_value=0)))
+    elif kind == "n above the cap":
+        obj["n"] = draw(st.integers(min_value=MAX_N + 1, max_value=10 ** 30))
+    elif kind == "entries type":
+        obj["entries"] = draw(st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                                        st.text(min_size=1, max_size=4),
+                                        st.dictionaries(st.text(max_size=3), st.integers(),
+                                                        min_size=1, max_size=2)))
+    elif kind == "entry shape":
+        obj["entries"].append(draw(st.one_of(wrong_types, st.lists(st.integers(), max_size=2),
+                                             st.just([[1, 2], [2, 1], "1", "1"]))))
+    elif kind == "scalar":
+        entry[2] = draw(st.one_of(st.integers(), st.floats(), st.none(), st.lists(st.integers()),
+                                  bad_rationals))
+    elif kind == "index range":
+        leg = draw(st.sampled_from([0, 1]))
+        entry[leg][draw(st.sampled_from([0, 1]))] = draw(st.one_of(
+            st.integers(max_value=0), st.integers(min_value=obj["n"] + 1),
+            st.just(float("inf")), st.none(),
+            st.text(min_size=1).filter(lambda t: not _parses(t, int))))
+    else:
+        entry[draw(st.sampled_from([0, 1]))] = draw(st.lists(st.integers(1, 3), max_size=4)
+                                                    .filter(lambda legs: len(legs) != 2))
+    return json.dumps(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=malformed_operator_file())
+def test_fuzzed_operator_files_give_json_error(valid_file, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in (("verify", "--in", path), ("verify", "--in", path, "--lambda", "1/4"),
+                     ("compare", path, valid_file), ("carrier", "--in", path)):
+            assert_json_error(argv)

@@ -19,8 +19,7 @@ def test_psi_examples():
     for n in (3, 5, 8):
         assert closed_form.psi(1, n, n) == n
         assert [closed_form.psi(1, n, j) for j in range(1, n + 1)] == list(range(1, n + 1))
-    table = closed_form.PsiTable.build(12, 31)
-    assert table.values[-1] == 31
+    assert closed_form.psi_values(12, 31)[-1] == 31
 
 
 def test_r23_column():
