@@ -11,15 +11,15 @@ from .cyb import (CybReport, cyb_lambda, double_bracket, embed, find_lambda,
                   z_op)
 from .dunkl import (CherednikParams, b_cg, divided_difference, dunkl_y,
                     element_e, elements_e1_e2, elements_v, lemma_cyb4,
-                    m_operator, module_structure_check, r_via_dunkl_m1,
-                    r_via_dunkl_m2, verify_relations)
+                    module_structure_check, r_via_dunkl_m1, r_via_dunkl_m2,
+                    verify_relations)
 from .frobenius import (FrobeniusData, LieSubalgebra, carrier,
                         frobenius_functional_check, jordanian,
                         nilpotent_exp_action, parabolic, r_check)
 from .polyops import (ExactDivisionError, LaurentPoly, PolyOp,
                       WindowStabilityError, window_matrix)
 from .tensorops import (MatrixN, SparseOp, SparseOp2, SparseOp3, WedgeElement,
-                        op_to_wedge, span_basis, wedge_to_op)
+                        op_to_wedge, wedge_to_op)
 from .wheels import (WheelData, euclid_sequence, func_a, func_b, func_c,
                      func_d, func_j, sbar_bruteforce, sbar_closed, strings,
                      wheel)

@@ -156,9 +156,8 @@ def cmd_carrier(args) -> int:
            "basis": basis}
     if car.bracket_closed and car.dimension:
         fd = frobenius.r_check(op, car)
-        functional_ok = fd.invertible and fd.skew and frobenius.cocycle_check(fd)
         obj["frobenius"] = {"invertible": fd.invertible, "skew": fd.skew,
-                            "functional_check": functional_ok}
+                            "functional_check": frobenius.cocycle_check(fd)}
     _emit(args, obj)
     return 0
 

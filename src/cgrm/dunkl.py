@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from .bd import require_coprime
 from .polyops import (Const, DivDiff, DivSum, ExponentSign, LaurentPoly, Mono,
-                      Partial, PolyOp, Sigma, Xi, window_matrix)
+                      Partial, PolyOp, Sigma, Xi, restrict_to_window,
+                      window_matrix)
 from .tensorops import (MatrixN, SparseOp, WedgeElement, ad_action,
                         wedge_of_matrices, wedge_to_op)
 
@@ -41,6 +42,12 @@ class CherednikParams:
 
 def _one_minus(op):
     return Const(1) - op
+
+
+def require_odd_n(n: int):
+    """The m = 2 window constructions need n odd and >= 3."""
+    if n % 2 == 0 or n < 3:
+        raise ValueError("n must be odd and >= 3")
 
 
 # Building blocks shared by the m = 2 operators; operators are stateless.
@@ -117,10 +124,7 @@ def group_relations(params: CherednikParams):
     rels = []
     rels.append((sig * sig, one))
     for i in (0, 1):
-        power = one
-        for _ in range(m):
-            power = xi[i] * power
-        rels.append((power, one))
+        rels.append((_power(xi[i], m), one))
     rels.append((xi[0] * xi[1], xi[1] * xi[0]))
     rels.append((x[0] * x[1], x[1] * x[0]))
     rels.append((y[0] * y[1], y[1] * y[0]))
@@ -178,10 +182,14 @@ def divided_difference() -> PolyOp:
     return (Mono(1, 0) + Mono(0, 1)) * DivDiff() * _one_minus(Sigma())
 
 
+def _xy(params: CherednikParams) -> PolyOp:
+    """x1 y1 - x2 y2."""
+    return Mono(1, 0) * dunkl_y(params, 1) - Mono(0, 1) * dunkl_y(params, 2)
+
+
 def dunkl_m1_combo(n: int, params: CherednikParams) -> PolyOp:
     """-(1/n)(x1 y1 - x2 y2) for m = 1."""
-    y1, y2 = dunkl_y(params, 1), dunkl_y(params, 2)
-    return Fraction(-1, n) * (Mono(1, 0) * y1 - Mono(0, 1) * y2)
+    return Fraction(-1, n) * _xy(params)
 
 
 def r_via_dunkl_m1(n: int) -> SparseOp:
@@ -195,9 +203,7 @@ def element_e(params: CherednikParams) -> PolyOp:
     """x1 y1 - x2 y2 + c0 (xi1 - xi2) sigma  (m = 2)."""
     if params.m != 2:
         raise ValueError("defined for m = 2")
-    y1, y2 = dunkl_y(params, 1), dunkl_y(params, 2)
-    return (Mono(1, 0) * y1 - Mono(0, 1) * y2
-            + params.c0 * ((xi1 - xi2) * Sigma()))
+    return _xy(params) + params.c0 * ((xi1 - xi2) * Sigma())
 
 
 def element_e_wedge(params: CherednikParams, n: int) -> WedgeElement:
@@ -233,19 +239,16 @@ def dunkl_m2_combo(n: int, params: CherednikParams) -> PolyOp:
         raise ValueError("c0 must be nonzero")
     kappa, c0, c1 = params.kappa, params.c0, params.c1
     sig = Sigma()
-    y1, y2 = dunkl_y(params, 1), dunkl_y(params, 2)
     g1 = Fraction(-1, 1) / (4 * c0) * sig
     g2 = (kappa / (4 * c0)) * sig + Const(Fraction(-1, 2 * n))
     g4 = (-c1 / (4 * c0)) * ((xi1 - xi2) * sig)
-    xy = Mono(1, 0) * y1 - Mono(0, 1) * y2
-    return g1 * xy + g2 * euler + skew_mono * g3 + g4
+    return g1 * _xy(params) + g2 * euler + skew_mono * g3 + g4
 
 
 def r_via_dunkl_m2(n: int, params: CherednikParams) -> SparseOp:
     """Window restriction of the m = 2 combination; independent of the
     parameters as long as c0 is nonzero."""
-    if n % 2 == 0 or n < 3:
-        raise ValueError("n must be odd and >= 3")
+    require_odd_n(n)
     return window_matrix(dunkl_m2_combo(n, params), n)
 
 
@@ -276,19 +279,13 @@ def e1_matrix(n: int) -> MatrixN:
 
 
 def e2_matrix(n: int) -> MatrixN:
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
+    require_odd_n(n)
     return MatrixN(n, {(k + 1, k): Fraction(1) for k in range(2, n, 2)})
 
 
 def eplus_matrix(n: int) -> MatrixN:
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
+    require_odd_n(n)
     return MatrixN(n, {(k, k + 1): Fraction(1) for k in range(1, n - 1, 2)})
-
-
-def eminus_matrix(n: int) -> MatrixN:
-    return e2_matrix(n)
 
 
 def h_matrix(j: int, n: int) -> MatrixN:
@@ -382,34 +379,22 @@ def v_wedge(k: int, n: int) -> WedgeElement:
             w = w + Fraction(2) * wedge_of_matrices(MatrixN.unit(n, j, j + 2), h_matrix(j, n))
         return w
     if k == 2:
-        return Fraction(2) * wedge_of_matrices(eminus_matrix(n), h_matrix(n - 1, n))
+        return Fraction(2) * wedge_of_matrices(e2_matrix(n), h_matrix(n - 1, n))
     if k == 3:
         return Fraction(4) * wedge_of_matrices(eplus_matrix(n), h_matrix(n - 1, n))
     if k == 4:
-        return Fraction(4) * wedge_of_matrices(eplus_matrix(n), eminus_matrix(n))
+        return Fraction(4) * wedge_of_matrices(eplus_matrix(n), e2_matrix(n))
     raise ValueError("k must be 1..4")
 
 
 def v_matrix_from_monomials(k: int, n: int) -> SparseOp:
-    win_cols = {}
-    for j in range(1, n + 1):
-        for l in range(1, n + 1):
-            image = v_monomial_action(k, n, j - 1, l - 1)
-            col = {}
-            for (a, b), v in image.terms.items():
-                if not (0 <= a < n and 0 <= b < n):
-                    raise ValueError("monomial action leaves the window")
-                col[(a + 1, b + 1)] = v
-            if col:
-                win_cols[(j, l)] = col
-    return SparseOp(n, win_cols)
+    return restrict_to_window(lambda p, q: v_monomial_action(k, n, p, q).terms, n)
 
 
 def elements_v(n: int):
     """The four module generators as operators on the window, produced three
     independent ways (operator, monomial action, wedge form) and checked to agree."""
-    if n % 2 == 0 or n < 3:
-        raise ValueError("n must be odd and >= 3")
+    require_odd_n(n)
     out = []
     for k in range(1, 5):
         from_op = window_matrix(v_operator(k, n), n)
@@ -426,11 +411,6 @@ def b_cg(n: int, u, t) -> SparseOp:
     u, t = Fraction(u), Fraction(t)
     v1, v2, v3, v4 = elements_v(n)
     return u * v1 + t * v2 + (t * u) * v3 + (HALF * t * t * u) * v4
-
-
-def m_operator() -> PolyOp:
-    """Diagonal sign operator x^j y^l -> sgn(j - l) x^j y^l."""
-    return ExponentSign()
 
 
 def alpha_poly_op(n: int) -> PolyOp:
@@ -458,10 +438,11 @@ def gamma_poly_op() -> PolyOp:
 
 
 def r_m2_poly_op(n: int) -> PolyOp:
-    """-(1/(2n))(x1 d1 - x2 d2) + (1/4)(Delta + xi1 Delta xi2 + 4 (x2/x1 - x1/x2) g3)."""
-    delta = divided_difference()
-    return (Fraction(-1, 2 * n) * euler
-            + Fraction(1, 4) * (delta + xi1 * delta * xi2 + Fraction(4) * (skew_mono * g3)))
+    """-(1/(2n))(x1 d1 - x2 d2) + (1/4)(Delta + xi1 Delta xi2 + 4 (x2/x1 - x1/x2) g3).
+
+    This is a quarter of the lemma expression at a1 = 4, a2 = -2/n, so its
+    CYB_(1/4) is a sixteenth of that expression's CYB_4, which vanishes."""
+    return Fraction(1, 4) * lemma_expression(4, Fraction(-2, n))
 
 
 def operator_degree(op: PolyOp, samples):
@@ -483,8 +464,7 @@ def module_structure_check(n: int) -> bool:
     """All ten adjoint-action relations tying the solution to the module
     generators, using the matrix forms of the two Heisenberg generators."""
     from .closed_form import cg_closed_form
-    if n % 2 == 0 or n < 3:
-        raise ValueError("n must be odd and >= 3")
+    require_odd_n(n)
     r = cg_closed_form(2, n)
     v1, v2, v3, v4 = elements_v(n)
     e1, e2 = e1_matrix(n), e2_matrix(n)

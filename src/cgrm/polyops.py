@@ -7,6 +7,7 @@ one place, from a memo of its two-variable images.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .tensorops import SparseOp
@@ -20,7 +21,7 @@ class ExactDivisionError(ArithmeticError):
     this always signals an implementation bug."""
 
 
-class WindowStabilityError(Exception):
+class WindowStabilityError(ValueError):
     """An operator expected to preserve the truncated monomial window left it."""
 
 
@@ -32,10 +33,6 @@ class LaurentPoly:
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
-
-    @classmethod
-    def zero(cls, nvars=2):
-        return cls(nvars)
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -120,21 +117,21 @@ class PolyOp:
         raise NotImplementedError
 
     def __add__(self, other):
-        return OpSum([self, other])
+        return OpSum([(ONE, self), (ONE, other)])
 
     def __sub__(self, other):
-        return OpSum([self, OpScale(Fraction(-1), other)])
+        return OpSum([(ONE, self), (-ONE, other)])
 
     def __neg__(self):
-        return OpScale(Fraction(-1), self)
+        return OpSum([(-ONE, self)])
 
     def __mul__(self, other):
         if isinstance(other, PolyOp):
             return OpCompose(self, other)
-        return OpScale(Fraction(other), self)
+        return OpSum([(Fraction(other), self)])
 
     def __rmul__(self, scalar):
-        return OpScale(Fraction(scalar), self)
+        return OpSum([(Fraction(scalar), self)])
 
 
 class Const(PolyOp):
@@ -211,32 +208,21 @@ class ExponentSign(PolyOp):
         return {(a, b): v if a > b else -v for (a, b), v in terms.items() if a != b}
 
 
-class OpScale(PolyOp):
-    def __init__(self, c, op):
-        self.c = Fraction(c)
-        self.op = op
-
-    def _apply(self, terms):
-        if self.c == 0:
-            return {}
-        return {k: self.c * v for k, v in self.op._apply(terms).items()}
-
-
 class OpSum(PolyOp):
-    def __init__(self, ops):
-        flat = []
-        for op in ops:
-            if isinstance(op, OpSum):
-                flat.extend(op.ops)
-            else:
-                flat.append(op)
-        self.ops = flat
+    """Linear combination sum c * op over (c, op) pairs.  A nested sum is
+    flattened with its coefficients multiplied in, and zero terms are dropped."""
+
+    def __init__(self, summands):
+        self.summands = []
+        for c, op in summands:
+            inner = op.summands if isinstance(op, OpSum) else [(ONE, op)]
+            self.summands.extend((c * d, atom) for d, atom in inner if c * d)
 
     def _apply(self, terms):
         out = {}
-        for op in self.ops:
+        for c, op in self.summands:
             for k, v in op._apply(terms).items():
-                nv = out.get(k, ZERO) + v
+                nv = out.get(k, ZERO) + (v if c == 1 else c * v)
                 if nv == 0:
                     out.pop(k, None)
                 else:
@@ -265,36 +251,26 @@ def op_equal_on(op_a: PolyOp, op_b: PolyOp, monomials) -> bool:
 
 
 def polynomial_monomials(nvars, max_total_degree):
-    """All monomial exponent tuples with nonnegative entries and bounded total degree."""
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for d in range(remaining + 1):
-                yield prefix + (d,)
-            return
-        for d in range(remaining + 1):
-            yield from rec(prefix + (d,), remaining - d, slots - 1)
-    return list(rec((), max_total_degree, nvars))
+    """All monomial exponent tuples with nonnegative entries and bounded total
+    degree, in lexicographic order."""
+    return [e for e in itertools.product(range(max_total_degree + 1), repeat=nvars)
+            if sum(e) <= max_total_degree]
 
 
 def laurent_window(nvars, bound):
-    """All exponent tuples with entries in [-bound, bound]."""
-    def rec(prefix, slots):
-        if slots == 0:
-            yield prefix
-            return
-        for d in range(-bound, bound + 1):
-            yield from rec(prefix + (d,), slots - 1)
-    return list(rec((), nvars))
+    """All exponent tuples with entries in [-bound, bound], in lexicographic order."""
+    return list(itertools.product(range(-bound, bound + 1), repeat=nvars))
 
 
-def window_matrix(op: PolyOp, n: int) -> SparseOp:
-    """Restrict a two-variable operator to the window x^(j-1) y^(l-1) <-> e_j (x) e_l,
-    1 <= j, l <= n; raises WindowStabilityError if any image leaves the window."""
+def restrict_to_window(images, n: int) -> SparseOp:
+    """Restrict a monomial-image map (p, q) -> {(p', q'): v} to the window
+    x^(j-1) y^(l-1) <-> e_j (x) e_l, 1 <= j, l <= n; raises
+    WindowStabilityError if any image leaves the window."""
     cols = {}
     for j in range(1, n + 1):
         for l in range(1, n + 1):
             col = {}
-            for (p, q), v in op._apply({(j - 1, l - 1): ONE}).items():
+            for (p, q), v in images(j - 1, l - 1).items():
                 if not (0 <= p < n and 0 <= q < n):
                     raise WindowStabilityError(
                         "image of (%d, %d) leaves the window: exponents %r" % (j, l, (p, q)))
@@ -302,6 +278,11 @@ def window_matrix(op: PolyOp, n: int) -> SparseOp:
             if col:
                 cols[(j, l)] = col
     return SparseOp(n, cols)
+
+
+def window_matrix(op: PolyOp, n: int) -> SparseOp:
+    """The window restriction of a two-variable operator."""
+    return restrict_to_window(lambda p, q: op._apply({(p, q): ONE}), n)
 
 
 class _Images(dict):

@@ -12,7 +12,6 @@ import json
 import operator
 from fractions import Fraction
 
-from .linalg import rref
 from .scalars import format_scalar, parse_scalar
 
 ZERO = Fraction(0)
@@ -268,8 +267,20 @@ class SparseOp:
 
     @classmethod
     def from_json_obj(cls, obj):
-        entries = [(tuple(map(int, o)), tuple(map(int, i)), parse_scalar(s))
-                   for o, i, s in obj["entries"]]
+        """Read {"n": n, "entries": [[out, inp, "p/q"], ...]}, where out and inp
+        are lists of JSON integers; anything else raises ValueError."""
+        raw = obj["entries"]
+        if not isinstance(raw, list):
+            raise ValueError("entries must be a list, not %r" % (raw,))
+        entries = []
+        for entry in raw:
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise ValueError("an entry must be a list [out, inp, value], not %r" % (entry,))
+            out, inp, s = entry
+            if not (isinstance(out, list) and isinstance(inp, list)
+                    and {int}.issuperset(map(type, out + inp))):
+                raise ValueError("indices must be lists of integers, not %r" % ((out, inp),))
+            entries.append((tuple(out), tuple(inp), parse_scalar(s)))
         n = obj["n"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError("n must be an integer >= 1, not %r" % (n,))
@@ -408,12 +419,6 @@ def op_to_wedge(op: SparseOp) -> WedgeElement:
         if _flat(n, i, k) < _flat(n, j, l):
             out._accumulate((i, k), (j, l), 2 * v)
     return out
-
-
-def span_basis(vectors):
-    """Exact row-reduced basis of the span of a list of MatrixN."""
-    reduced, _ = rref([m.entries for m in vectors])
-    return [MatrixN(vectors[0].n, row) for row in reduced]
 
 
 def permutation_op(n) -> SparseOp:

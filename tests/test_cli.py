@@ -414,7 +414,7 @@ def malformed_operator_file(draw):
     entry = draw(st.sampled_from(obj["entries"]))
     kind = draw(st.sampled_from(["truncated", "not an object", "missing key", "n type",
                                  "n above the cap", "entries type", "entry shape", "scalar",
-                                 "index range", "arity"]))
+                                 "index range", "index type", "arity"]))
     if kind == "truncated":
         text = json.dumps(obj)
         return text[:draw(st.integers(0, len(text) - 1))]
@@ -429,12 +429,13 @@ def malformed_operator_file(draw):
         obj["n"] = draw(st.integers(min_value=MAX_N + 1, max_value=10 ** 30))
     elif kind == "entries type":
         obj["entries"] = draw(st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
-                                        st.text(min_size=1, max_size=4),
+                                        st.text(max_size=4),
                                         st.dictionaries(st.text(max_size=3), st.integers(),
-                                                        min_size=1, max_size=2)))
+                                                        max_size=2)))
     elif kind == "entry shape":
         obj["entries"].append(draw(st.one_of(wrong_types, st.lists(st.integers(), max_size=2),
-                                             st.just([[1, 2], [2, 1], "1", "1"]))))
+                                             st.just([[1, 2], [2, 1], "1", "1"]),
+                                             st.just({"12": 0, "21": 0, "1/2": 0}))))
     elif kind == "scalar":
         entry[2] = draw(st.one_of(st.integers(), st.floats(), st.none(), st.lists(st.integers()),
                                   bad_rationals))
@@ -444,10 +445,40 @@ def malformed_operator_file(draw):
             st.integers(max_value=0), st.integers(min_value=obj["n"] + 1),
             st.just(float("inf")), st.none(),
             st.text(min_size=1).filter(lambda t: not _parses(t, int))))
+    elif kind == "index type":
+        leg = draw(st.sampled_from([0, 1]))
+        if draw(st.booleans()):
+            entry[leg] = "".join(map(str, entry[leg]))
+        else:
+            entry[leg][draw(st.sampled_from([0, 1]))] = draw(st.one_of(
+                st.booleans(), st.sampled_from([1.0, 1.9, 2.0]),
+                st.integers(1, 3).map(str)))
     else:
         entry[draw(st.sampled_from([0, 1]))] = draw(st.lists(st.integers(1, 3), max_size=4)
                                                     .filter(lambda legs: len(legs) != 2))
     return json.dumps(obj)
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "entries": ""}',
+    '{"n": 3, "entries": {}}',
+    '{"n": 3, "entries": [{"12": 0, "21": 0, "1/2": 0}]}',
+    '{"n": 3, "entries": [[[1, 2], [2, 1.9], "1/2"], [[2, 1], [1, 2], "-1/2"]]}',
+    '{"n": 3, "entries": [[[1, 2], [2, 1.0], "1/2"], [[2, 1], [1, 2], "-1/2"]]}',
+    '{"n": 3, "entries": [[[1, 2], "21", "1/2"], [[2, 1], "12", "-1/2"]]}',
+    '{"n": 3, "entries": [[[true, 2], [2, true], "1/2"], [[2, 1], [1, 2], "-1/2"]]}',
+], ids=["entries-string", "entries-object", "entry-object", "index-1.9", "index-1.0",
+        "index-string", "index-true"])
+def test_operator_files_are_read_strictly(tmp_path, valid_file, text):
+    """Entries must be a list of [out, inp, value] lists with JSON-integer indices:
+    a string index "12" is not the pair (1, 2), and 1.9 or true is no index."""
+    path = tmp_path / "lenient.json"
+    path.write_text(text)
+    for argv in (("verify", "--in", str(path)), ("compare", str(path), valid_file),
+                 ("carrier", "--in", str(path))):
+        code, out = _call(argv)
+        assert code == 2, (argv, out)
+        assert json.loads(out)["error"].startswith("cannot read operator file"), out
 
 
 @settings(max_examples=150, deadline=None)

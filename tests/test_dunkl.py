@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cgrm import bd, closed_form, cyb, dunkl
-from cgrm.polyops import (LaurentPoly, check_poly_cyb, op_equal_on,
+from cgrm.polyops import (ExponentSign, LaurentPoly, check_poly_cyb, op_equal_on,
                           polynomial_monomials, window_matrix)
 from cgrm.scalars import random_rational
 from cgrm.tensorops import kron_sum2, op_to_wedge, wedge_to_op
@@ -124,6 +124,11 @@ def test_r_via_dunkl_m2_rejects_bad_input():
     for n in (4, 1, -1):
         with pytest.raises(ValueError, match="n must be odd and >= 3"):
             dunkl.r_via_dunkl_m2(n, PARAMS_M2)
+    for build in (dunkl.e2_matrix, dunkl.eplus_matrix, dunkl.elements_v,
+                  dunkl.module_structure_check):
+        for n in (1, 4):
+            with pytest.raises(ValueError, match="n must be odd and >= 3"):
+                build(n)
     with pytest.raises(ValueError):
         dunkl.dunkl_m2_combo(5, dunkl.CherednikParams(kappa=1, c0=0, m=2))
 
@@ -174,7 +179,7 @@ def test_alpha_beta_gamma_operator_displays():
 
 
 def test_m_operator():
-    m = dunkl.m_operator()
+    m = ExponentSign()
     assert m.apply(LaurentPoly.monomial((1, 1))).is_zero()
     assert m.apply(LaurentPoly.monomial((2, 1))) == LaurentPoly.monomial((2, 1))
 
@@ -209,7 +214,7 @@ def test_elements_v_triple_agreement():
 def test_v4_wedge_is_4_eplus_eminus():
     n = 5
     from cgrm.tensorops import wedge_of_matrices
-    expected = Fraction(4) * wedge_of_matrices(dunkl.eplus_matrix(n), dunkl.eminus_matrix(n))
+    expected = Fraction(4) * wedge_of_matrices(dunkl.eplus_matrix(n), dunkl.e2_matrix(n))
     assert dunkl.v_wedge(4, n) == expected
     # and the monomial action matches it on the window
     assert wedge_to_op(expected) == dunkl.v_matrix_from_monomials(4, n)

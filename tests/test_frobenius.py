@@ -96,7 +96,7 @@ def test_r_check_table_spot_checks():
     basis_list += [dunkl.h_matrix(j, n) for j in range(1, n)]
     hdual = frobenius.dual_functional(car, basis_list, len(basis_list) - 1)
     got = frobenius.apply_r_check(b, hdual)
-    want = (Fraction(-t) * dunkl.eminus_matrix(n)
+    want = (Fraction(-t) * dunkl.e2_matrix(n)
             + Fraction(-2 * t * u) * dunkl.eplus_matrix(n))
     assert got == want
 
@@ -148,7 +148,7 @@ def test_contraction_table_all_cases(n, u, t):
     b = dunkl.b_cg(n, u, t)
     car = frobenius.carrier(b)
     offdiag, basis_list = _table_basis(n)
-    eminus, eplus = dunkl.eminus_matrix(n), dunkl.eplus_matrix(n)
+    eminus, eplus = dunkl.e2_matrix(n), dunkl.eplus_matrix(n)
     hm1 = dunkl.h_matrix(n - 1, n)
     for (j, l) in offdiag:
         got = frobenius.apply_r_check(b, {(j, l): Fraction(1)})

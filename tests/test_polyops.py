@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgrm.polyops import (Const, DivDiff, DivSum, ExactDivisionError,
-                          ExponentSign, LaurentPoly, Mono, Partial, Sigma, Xi,
-                          WindowStabilityError, divide_linear, laurent_window,
-                          polynomial_monomials, window_matrix)
+                          ExponentSign, LaurentPoly, Mono, OpSum, Partial,
+                          Sigma, Xi, WindowStabilityError, divide_linear,
+                          laurent_window, polynomial_monomials, window_matrix)
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 exps = st.integers(min_value=-4, max_value=4)
@@ -80,6 +80,39 @@ def test_operator_algebra():
     assert op.apply(f) == mono(2, 0, 2) - mono(0, 2)
 
 
+atoms = st.one_of(
+    st.builds(Mono, exps, exps),
+    st.builds(Partial, st.sampled_from([0, 1])),
+    st.just(Sigma()),
+    st.builds(Xi, st.sampled_from([0, 1]), st.sampled_from([1, -1])),
+    st.just(ExponentSign()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs, coeffs, coeffs, atoms, atoms, atoms,
+       st.lists(st.tuples(exps, exps), min_size=1, max_size=4))
+def test_combination_node_is_linear(a, b, c, x, y, z, samples):
+    """a X + b (Y - c Z) acts as the same combination of the atoms' images."""
+    combo = a * x + b * (y - c * z)
+    assert all(isinstance(op, (Mono, Partial, Sigma, Xi, ExponentSign))
+               for _, op in combo.summands)
+    for exps_ in samples:
+        f = LaurentPoly.monomial(exps_)
+        want = a * x.apply(f) + b * (y.apply(f) - c * z.apply(f))
+        assert combo.apply(f) == want
+
+
+def test_combination_node_flattens_and_drops_zeros():
+    x, y = Mono(1, 0), Sigma()
+    combo = Fraction(2, 3) * (x - 3 * y) + Fraction(1, 3) * (-x)
+    assert combo.summands == [(Fraction(2, 3), x), (Fraction(-2), y), (Fraction(-1, 3), x)]
+    # a zero term is dropped, so the division is never tried on x
+    assert (x + 0 * DivDiff()).summands == [(1, x)]
+    assert (x + 0 * DivDiff()).apply(mono(1, 0)) == mono(2, 0)
+    assert isinstance(-x, OpSum) and (-x).apply(mono(1, 0)) == mono(2, 0, -1)
+
+
 def test_apply_rejects_other_variable_counts():
     for exps in ((1, 2, 3), (1,)):
         with pytest.raises(ValueError, match="two-variable"):
@@ -118,6 +151,7 @@ def test_window_matrix_and_stability():
             assert m.column(j, l) == expected
     with pytest.raises(WindowStabilityError):
         window_matrix(Mono(1, 0), n)
+    assert issubclass(WindowStabilityError, ValueError)
 
 
 def test_monomial_enumerators():

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgrm import bd
+from cgrm.frobenius import LieSubalgebra
 from cgrm.tensorops import (MatrixN, SparseOp2, WedgeElement, canonical_json,
                             kron, kron_sum2, op_to_wedge, permutation_op,
-                            span_basis, wedge_of_matrices, wedge_to_op)
+                            wedge_of_matrices, wedge_to_op)
 
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -97,13 +98,17 @@ def test_dimension_mismatch_raises():
         SparseOp2.identity(2) @ SparseOp2.identity(3)
 
 
+def span_basis(n, mats):
+    return LieSubalgebra.from_matrices(n, mats).basis
+
+
 def test_span_basis_examples():
     e12 = MatrixN.unit(3, 1, 2)
     e21 = MatrixN.unit(3, 2, 1)
-    assert len(span_basis([e12, 2 * e12])) == 1
-    assert len(span_basis([e12, e21])) == 2
-    basis = span_basis([e12, e21])
-    assert span_basis(basis) == basis  # idempotent
+    assert len(span_basis(3, [e12, 2 * e12])) == 1
+    assert len(span_basis(3, [e12, e21])) == 2
+    basis = span_basis(3, [e12, e21])
+    assert span_basis(3, basis) == basis  # idempotent
 
 
 def test_span_of_first_leg_slices():
@@ -120,7 +125,7 @@ def test_span_of_first_leg_slices():
         for (i, j), (k, l), v in r.entries():
             slices.setdefault((i, k), {}).setdefault((j, l), Fraction(0))
             slices[(i, k)][(j, l)] += v
-        return span_basis([MatrixN(n, entries) for entries in slices.values()])
+        return span_basis(n, [MatrixN(n, entries) for entries in slices.values()])
 
     assert len(slice_span(wedge_to_op(bd.bd_r_matrix(1, 3)), 3)) == 8
     assert len(slice_span(jordanian(3), 3)) == 6
