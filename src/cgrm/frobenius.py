@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import expand_in_rref, invert, rref, solve_affine
+from .linalg import add_scaled, expand_in_rref, invert, rref, solve_affine
 from .tensorops import MatrixN, SparseOp, ad_action, kron, wedge_to_op
 
 ZERO = Fraction(0)
@@ -19,8 +19,9 @@ class LieSubalgebra:
     is actually a Lie subalgebra.
 
     The reduced rows are the basis matrices' entries, keyed by (i, j) position.
-    When the span is closed, the expansions of the brackets [x_i, x_j] (i < j)
-    found while checking closure are kept for structure_constants.
+    When the span is closed, the nonzero sparse expansions {s: c} of the
+    brackets [x_i, x_j] (i < j) found while checking closure are kept for
+    structure_constants.
     """
 
     n: int
@@ -43,7 +44,8 @@ class LieSubalgebra:
         return len(self.basis)
 
     def coordinates(self, mat: MatrixN):
-        """Coefficients of mat in the reduced basis, or None when outside the span."""
+        """Sparse coefficients {basis index: c} of mat in the reduced basis, or
+        None when outside the span."""
         return expand_in_rref(self._rows, self._pivots, mat.entries)
 
     def same_span(self, other) -> bool:
@@ -56,9 +58,8 @@ class LieSubalgebra:
                 coords = self.coordinates(a.bracket(self.basis[j]))
                 if coords is None:
                     return False
-                sparse = [(s, c) for s, c in enumerate(coords) if c]
-                if sparse:
-                    brackets[(i, j)] = sparse
+                if coords:
+                    brackets[(i, j)] = coords
         self._brackets = brackets
         return True
 
@@ -80,7 +81,7 @@ def carrier(r: SparseOp) -> LieSubalgebra:
     the bracket instead of raising, so callers can report failures.
     """
     if not r.is_antisymmetric():
-        raise ValueError("carrier is only defined for antisymmetric operators")
+        raise ValueError("operator is not antisymmetric")
     mats = [MatrixN(r.n, entries) for entries in _first_leg_slices(r).values()]
     if any(m.trace() != 0 for m in mats):
         raise ValueError("carrier slice has nonzero trace")
@@ -141,7 +142,7 @@ def r_check(r: SparseOp, f: LieSubalgebra) -> FrobeniusData:
         if coords is None:
             raise ValueError("contraction image leaves the carrier")
         columns.append(coords)
-    matrix = [[columns[i][j] for i in range(k)] for j in range(k)]
+    matrix = [[columns[i].get(j, ZERO) for i in range(k)] for j in range(k)]
     inverse = invert(matrix)
     if inverse is None:
         return FrobeniusData(subalgebra=f, r_check_matrix=matrix)
@@ -151,7 +152,7 @@ def r_check(r: SparseOp, f: LieSubalgebra) -> FrobeniusData:
 
 
 def structure_constants(f: LieSubalgebra):
-    """Sparse expansion coefficients of all pairwise brackets of basis elements.
+    """Sparse expansions {s: c} of all nonzero pairwise brackets of basis elements.
 
     They are the expansions recorded by the closure check; (j, i) is (i, j)
     negated, since [b, a] = -[a, b] exactly.
@@ -161,7 +162,7 @@ def structure_constants(f: LieSubalgebra):
     consts = {}
     for (i, j), coeffs in f._brackets.items():
         consts[(i, j)] = coeffs
-        consts[(j, i)] = [(s, -c) for s, c in coeffs]
+        consts[(j, i)] = {s: -c for s, c in coeffs.items()}
     return consts
 
 
@@ -183,9 +184,8 @@ def cocycle_check(fd: FrobeniusData) -> bool:
         if a > b:
             continue
         w = {}
-        for s, c in coeffs:
-            for l, v in form_rows[s].items():
-                w[l] = w.get(l, ZERO) + c * v
+        for s, c in coeffs.items():
+            add_scaled(w, c, form_rows[s])
         for l, v in w.items():
             if l == a or l == b:
                 continue
@@ -225,7 +225,7 @@ def frobenius_functional_check(fd: FrobeniusData, eta) -> bool:
         if form[i][i] != 0:
             return False
         for j in range(i + 1, len(values)):
-            value = sum((c * values[s] for s, c in f._brackets.get((i, j), ())), ZERO)
+            value = sum((c * values[s] for s, c in f._brackets.get((i, j), {}).items()), ZERO)
             if value != form[i][j] or -value != form[j][i]:
                 return False
     return invert(form) is not None
@@ -277,10 +277,7 @@ def apply_r_check(r: SparseOp, eta) -> MatrixN:
     """(eta (x) 1) r for a functional in elementary-dual coordinates."""
     out = {}
     for pos, entries in _first_leg_slices(r).items():
-        c = eta.get(pos, ZERO)
-        if c:
-            for key, v in entries.items():
-                out[key] = out.get(key, ZERO) + c * v
+        add_scaled(out, eta.get(pos, ZERO), entries)
     return MatrixN(r.n, out)
 
 

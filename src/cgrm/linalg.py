@@ -5,6 +5,10 @@ A row or vector is a dict {column: value} that stores no zeros.  Columns are
 any mutually comparable keys (integers, or the (i, j) positions of a matrix);
 pivots are taken in increasing column order, so the reduced rows are those of
 the dense matrix with its columns sorted the same way.
+
+add_scaled owns that rule: the rows here, and the sums of matrices, operator
+columns, wedge elements, Laurent polynomials and polynomial-operator images
+elsewhere, all merge through it.
 """
 
 from __future__ import annotations
@@ -16,14 +20,25 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _subtract(target, c, row):
-    """target -= c * row in place, dropping entries that cancel."""
+def add_scaled(target, c, row):
+    """target += c * row in place for sparse maps that store no zeros; returns target.
+
+    An entry that cancels is deleted, and a key absent from target gets v * c
+    itself, so int entries stay int for an int c.
+    """
+    if not c:
+        return target
     for col, v in row.items():
-        x = target.get(col, ZERO) - c * v
+        x = target.get(col)
+        if x is None:
+            target[col] = v * c
+            continue
+        x += v * c
         if x:
             target[col] = x
         else:
             del target[col]
+    return target
 
 
 def rref(rows):
@@ -37,7 +52,7 @@ def rref(rows):
     for row in rows:
         row = {col: v for col, v in row.items() if v}
         for p in [col for col in row if col in basis]:
-            _subtract(row, row[p], basis[p])
+            add_scaled(row, -row[p], basis[p])
         if not row:
             continue
         p = min(row)
@@ -46,7 +61,7 @@ def rref(rows):
         for other in basis.values():
             f = other.get(p)
             if f:
-                _subtract(other, f, row)
+                add_scaled(other, -f, row)
         basis[p] = row
     pivots = sorted(basis)
     return [basis[p] for p in pivots], pivots
@@ -57,22 +72,21 @@ def rank(rows) -> int:
 
 
 def expand_in_rref(reduced, pivots, vec):
-    """Coefficients of the sparse vector vec in the span of an RREF basis, or
-    None if it lies outside the span.
+    """Coefficients {row index: coefficient} of the sparse vector vec in the span
+    of an RREF basis, or None if it lies outside the span.
 
     The coefficients are vec's entries at the pivots, found by bisecting the
     sorted pivots; only the rows with a nonzero coefficient are subtracted, and
-    the residual is checked on their support together with vec's.
+    vec lies in the span exactly when nothing is left.
     """
-    coeffs = [ZERO] * len(pivots)
+    coeffs = {}
     residual = dict(vec)
     for col, c in vec.items():
         i = bisect_left(pivots, col)
         if i < len(pivots) and pivots[i] == col:
             coeffs[i] = c
-            for col2, v in reduced[i].items():
-                residual[col2] = residual.get(col2, ZERO) - c * v
-    if any(residual.values()):
+            add_scaled(residual, -c, reduced[i])
+    if residual:
         return None
     return coeffs
 

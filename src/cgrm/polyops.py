@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .linalg import add_scaled
 from .tensorops import SparseOp
 
 ZERO = Fraction(0)
@@ -49,17 +50,22 @@ class LaurentPoly:
         return (isinstance(other, LaurentPoly) and self.nvars == other.nvars
                 and self.terms == other.terms)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, ZERO) + v
-        return LaurentPoly(self.nvars, out)
+    def _check(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch: %d vs %d" % (self.nvars, other.nvars))
+
+    def __add__(self, other, c=1):
+        """self + c * other; same nvars and no zeros, so no cleaning pass."""
+        self._check(other)
+        out = LaurentPoly(self.nvars)
+        out.terms = add_scaled(dict(self.terms), c, other.terms)
+        return out
 
     def __neg__(self):
         return LaurentPoly(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rmul__(self, scalar):
         s = Fraction(scalar)
@@ -68,6 +74,7 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        self._check(other)
         out = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
@@ -221,12 +228,7 @@ class OpSum(PolyOp):
     def _apply(self, terms):
         out = {}
         for c, op in self.summands:
-            for k, v in op._apply(terms).items():
-                nv = out.get(k, ZERO) + (v if c == 1 else c * v)
-                if nv == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
+            add_scaled(out, c, op._apply(terms))
         return out
 
 

@@ -9,9 +9,9 @@ operators on V (x) V.
 from __future__ import annotations
 
 import json
-import operator
 from fractions import Fraction
 
+from .linalg import add_scaled
 from .scalars import format_scalar, parse_scalar
 
 ZERO = Fraction(0)
@@ -20,6 +20,11 @@ HALF = Fraction(1, 2)
 
 def _clean(d):
     return {k: v for k, v in d.items() if v != 0}
+
+
+def _check_n(a, b):
+    if a.n != b.n:
+        raise ValueError("dimension mismatch: %d vs %d" % (a.n, b.n))
 
 
 class MatrixN:
@@ -55,26 +60,25 @@ class MatrixN:
     def is_zero(self):
         return not self.entries
 
-    def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, ZERO) + v
-        return MatrixN(self.n, out)
+    def __add__(self, other, c=1):
+        """self + c * other; same n and no zeros, so no cleaning or range check."""
+        _check_n(self, other)
+        out = MatrixN(self.n)
+        out.entries = add_scaled(dict(self.entries), c, other.entries)
+        return out
 
     def __neg__(self):
         return MatrixN(self.n, {k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, ZERO) - v
-        return MatrixN(self.n, out)
+        return self.__add__(other, -1)
 
     def __rmul__(self, scalar):
         s = Fraction(scalar)
         return MatrixN(self.n, {k: s * v for k, v in self.entries.items()})
 
     def __matmul__(self, other):
+        _check_n(self, other)
         out = {}
         by_row = {}
         for (i, j), v in other.entries.items():
@@ -183,40 +187,20 @@ class SparseOp:
     def is_zero(self):
         return not self.cols
 
-    def _combine(self, other, op, unary):
-        """self op other for (op, unary) in ((add, pos), (sub, neg)), in one
-        pass over other's entries; unary(v) is op(0, v) without the addition.
-
-        Both operands hold no zeros, so an entry cancels only where both have
-        one; it is dropped there, and the result needs no cleaning pass.
-        """
-        self._check(other)
-        cols = {k: dict(c) for k, c in self.cols.items()}
+    def __add__(self, other, c=1):
+        """self + c * other, column by column; a column that cancels is dropped."""
+        _check_n(self, other)
+        cols = {k: dict(col) for k, col in self.cols.items()}
         for key, col in other.cols.items():
-            dst = cols.get(key)
-            if dst is None:
-                cols[key] = {out: unary(v) for out, v in col.items()}
-                continue
-            for out, v in col.items():
-                if out not in dst:
-                    dst[out] = unary(v)
-                    continue
-                w = op(dst[out], v)
-                if w:
-                    dst[out] = w
-                else:
-                    del dst[out]
+            dst = add_scaled(cols.setdefault(key, {}), c, col)
             if not dst:
                 del cols[key]
         result = SparseOp(self.n)
         result.cols = cols
         return result
 
-    def __add__(self, other):
-        return self._combine(other, operator.add, operator.pos)
-
     def __sub__(self, other):
-        return self._combine(other, operator.sub, operator.neg)
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return SparseOp(self.n, {k: {o: -v for o, v in c.items()} for k, c in self.cols.items()})
@@ -229,7 +213,7 @@ class SparseOp:
 
     def __matmul__(self, other):
         """Composition self after other."""
-        self._check(other)
+        _check_n(self, other)
         cols = {}
         mine = self.cols
         for inp, col in other.cols.items():
@@ -285,10 +269,6 @@ class SparseOp:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError("n must be an integer >= 1, not %r" % (n,))
         return cls.from_entries(n, entries)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch: %d vs %d" % (self.n, other.n))
 
     def __repr__(self):
         return "SparseOp(n=%d, nnz=%d)" % (self.n, self.count_nonzero())
@@ -357,18 +337,18 @@ class WedgeElement:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
+    def __add__(self, other, c=1):
+        """self + c * other; same n and canonical keys, so no refolding."""
+        _check_n(self, other)
         out = WedgeElement(self.n)
-        out.terms = dict(self.terms)
-        for (p, q), v in other.terms.items():
-            out._accumulate(p, q, v)
+        out.terms = add_scaled(dict(self.terms), c, other.terms)
         return out
 
     def __neg__(self):
         return Fraction(-1) * self
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rmul__(self, scalar):
         s = Fraction(scalar)
@@ -383,6 +363,7 @@ class WedgeElement:
 
 def wedge_of_matrices(a: MatrixN, b: MatrixN) -> WedgeElement:
     """Bilinear extension of ^ to arbitrary gl_n elements."""
+    _check_n(a, b)
     out = WedgeElement(a.n)
     for p, x in a.entries.items():
         for q, y in b.entries.items():

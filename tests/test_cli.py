@@ -151,6 +151,14 @@ def test_carrier_nonzero_trace_slice_is_json_error(tmp_path, capsys):
     assert json.loads(out) == {"error": "carrier slice has nonzero trace"}
 
 
+def test_carrier_rejects_symmetric_operator(tmp_path, capsys):
+    path = tmp_path / "sym.json"
+    path.write_text('{"n": 2, "entries": [[[1, 2], [1, 2], "1"], [[2, 1], [2, 1], "1"]]}')
+    code, out = run_cli(capsys, "carrier", "--in", str(path))
+    assert code == 1
+    assert out == '{"error":"operator is not antisymmetric"}\n'
+
+
 def test_bd_subcommand(capsys):
     code, out = run_cli(capsys, "bd", "--m", "1", "--n", "3", "--part", "beta")
     assert code == 0
@@ -459,26 +467,33 @@ def malformed_operator_file(draw):
     return json.dumps(obj)
 
 
-@pytest.mark.parametrize("text", [
-    '{"n": 3, "entries": ""}',
-    '{"n": 3, "entries": {}}',
-    '{"n": 3, "entries": [{"12": 0, "21": 0, "1/2": 0}]}',
-    '{"n": 3, "entries": [[[1, 2], [2, 1.9], "1/2"], [[2, 1], [1, 2], "-1/2"]]}',
-    '{"n": 3, "entries": [[[1, 2], [2, 1.0], "1/2"], [[2, 1], [1, 2], "-1/2"]]}',
-    '{"n": 3, "entries": [[[1, 2], "21", "1/2"], [[2, 1], "12", "-1/2"]]}',
-    '{"n": 3, "entries": [[[true, 2], [2, true], "1/2"], [[2, 1], [1, 2], "-1/2"]]}',
-], ids=["entries-string", "entries-object", "entry-object", "index-1.9", "index-1.0",
-        "index-string", "index-true"])
-def test_operator_files_are_read_strictly(tmp_path, valid_file, text):
+@pytest.mark.parametrize("text, reason", [
+    ('{"n": 3, "entries": ""}', "entries must be a list"),
+    ('{"n": 3, "entries": {}}', "entries must be a list"),
+    ('{"n": 3, "entries": [{"12": 0, "21": 0, "1/2": 0}]}', "an entry must be a list"),
+    ('{"n": 3, "entries": [[[1, 2], [2, 1]]]}', "an entry must be a list"),
+    ('{"n": 3, "entries": [[[1, 2], [2, 1.9], "1/2"], [[2, 1], [1, 2], "-1/2"]]}',
+     "indices must be lists of integers"),
+    ('{"n": 3, "entries": [[[1, 2], [2, 1.0], "1/2"], [[2, 1], [1, 2], "-1/2"]]}',
+     "indices must be lists of integers"),
+    ('{"n": 3, "entries": [[[1, 2], "21", "1/2"], [[2, 1], "12", "-1/2"]]}',
+     "indices must be lists of integers"),
+    ('{"n": 3, "entries": [[[true, 2], [2, true], "1/2"], [[2, 1], [1, 2], "-1/2"]]}',
+     "indices must be lists of integers"),
+], ids=["entries-string", "entries-object", "entry-object", "entry-short", "index-1.9",
+        "index-1.0", "index-string", "index-true"])
+def test_operator_files_are_read_strictly(tmp_path, valid_file, text, reason):
     """Entries must be a list of [out, inp, value] lists with JSON-integer indices:
-    a string index "12" is not the pair (1, 2), and 1.9 or true is no index."""
+    a string index "12" is not the pair (1, 2), and 1.9 or true is no index.  The
+    strict reader names what is wrong, also for an entry with too few parts."""
     path = tmp_path / "lenient.json"
     path.write_text(text)
     for argv in (("verify", "--in", str(path)), ("compare", str(path), valid_file),
                  ("carrier", "--in", str(path))):
         code, out = _call(argv)
         assert code == 2, (argv, out)
-        assert json.loads(out)["error"].startswith("cannot read operator file"), out
+        error = json.loads(out)["error"]
+        assert error.startswith("cannot read operator file %r: %s" % (str(path), reason)), out
 
 
 @settings(max_examples=150, deadline=None)

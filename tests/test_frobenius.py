@@ -104,7 +104,7 @@ def test_r_check_table_spot_checks():
     # the carrier by evaluating both sides on every basis element
     for j in (1, 2, 3):
         coords = car.coordinates(dunkl.h_matrix(j, n))
-        image = [sum((fd.r_check_inverse[s][i] * coords[i] for i in range(car.dimension)),
+        image = [sum((fd.r_check_inverse[s][i] * c for i, c in coords.items()),
                      Fraction(0)) for s in range(car.dimension)]
         for k, mat in enumerate(car.basis):
             lhs = image[k]
@@ -193,7 +193,7 @@ def test_inverse_contraction_table_all_cases(n, u, t):
 
     def inverse_values(x):
         coords = car.coordinates(x)
-        return [sum((fd.r_check_inverse[s][i] * coords[i] for i in range(k)),
+        return [sum((fd.r_check_inverse[s][i] * c for i, c in coords.items()),
                     Fraction(0)) for s in range(k)]
 
     def combo_values(terms):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgrm import dunkl, frobenius
-from cgrm.linalg import expand_in_rref, invert, rank, rref, solve_affine
+from cgrm.linalg import add_scaled, expand_in_rref, invert, rank, rref, solve_affine
 from cgrm.tensorops import MatrixN, WedgeElement, wedge_to_op
 
 ZERO = Fraction(0)
@@ -58,6 +58,31 @@ def dense(vec, ncols):
     return [vec.get(j, ZERO) for j in range(ncols)]
 
 
+@pytest.mark.parametrize("values, kind", [
+    (st.integers(-4, 4), int),
+    (st.fractions(min_value=-5, max_value=5, max_denominator=4), Fraction),
+], ids=["int", "Fraction"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_add_scaled_matches_dense(values, kind, data):
+    """target + c * row, merged in place: the dense sum, no stored zeros, row
+    untouched, and int entries kept int for an int c."""
+    maps = st.dictionaries(st.integers(0, 5), values.filter(bool), max_size=6)
+    target, row, c = data.draw(maps), data.draw(maps), data.draw(values)
+    cancel = data.draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
+    for k, flag in zip(row, cancel):
+        if flag and c:
+            target[k] = -c * row[k]  # this entry cancels
+    before_target, before_row = dict(target), dict(row)
+    result = add_scaled(target, c, row)
+    assert result is target
+    assert ([target.get(j, 0) for j in range(6)]
+            == [before_target.get(j, 0) + c * row.get(j, 0) for j in range(6)])
+    assert all(target.values())
+    assert row == before_row
+    assert all(type(v) is kind for v in target.values())
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rref_and_rank_match_oracle(a):
@@ -84,8 +109,8 @@ def test_expand_in_rref_matches_oracle(a, data):
         if not in_span:
             assert coeffs is None
             continue
-        assert coeffs == [vec[p] for p in pivots]
-        rebuilt = [sum((c * r.get(j, ZERO) for c, r in zip(coeffs, reduced)), ZERO)
+        assert coeffs == {i: vec[p] for i, p in enumerate(pivots) if vec[p]}
+        rebuilt = [sum((c * reduced[i].get(j, ZERO) for i, c in coeffs.items()), ZERO)
                    for j in range(ncols)]
         assert rebuilt == vec
 
@@ -142,7 +167,8 @@ def _direct_structure_constants(f):
     for i, a in enumerate(f.basis):
         for j, b in enumerate(f.basis):
             if i != j:
-                coeffs = [(s, c) for s, c in enumerate(f.coordinates(a.bracket(b))) if c]
+                coeffs = f.coordinates(a.bracket(b))
+                assert all(coeffs.values())
                 if coeffs:
                     consts[(i, j)] = coeffs
     return consts
@@ -205,7 +231,7 @@ def _cocycle_bruteforce(fd):
     k = len(form)
 
     def f(i, j, l):
-        return sum((c * form[s][l] for s, c in consts.get((i, j), ())), ZERO)
+        return sum((c * form[s][l] for s, c in consts.get((i, j), {}).items()), ZERO)
 
     return all(f(i, j, l) + f(l, i, j) + f(j, l, i) == 0
                for i in range(k) for j in range(i + 1, k) for l in range(j + 1, k))

@@ -25,6 +25,14 @@ def mono(a, b, c=1):
     return LaurentPoly.monomial((a, b), c)
 
 
+def test_variable_count_mismatch_raises():
+    a, b = LaurentPoly.monomial((1, 0)), LaurentPoly.monomial((1, 0, 2))
+    for x, y in ((a, b), (b, a)):
+        for combine in (lambda: x + y, lambda: x - y, lambda: x * y):
+            with pytest.raises(ValueError, match="variable count mismatch"):
+                combine()
+
+
 def test_poly_arithmetic():
     p = mono(1, 0) + mono(0, 1)
     q = mono(1, 0) - mono(0, 1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cgrm import bd
 from cgrm.frobenius import LieSubalgebra
+from cgrm.polyops import LaurentPoly
 from cgrm.tensorops import (MatrixN, SparseOp2, WedgeElement, canonical_json,
                             kron, kron_sum2, op_to_wedge, permutation_op,
                             wedge_of_matrices, wedge_to_op)
@@ -94,8 +95,20 @@ def test_compose_identity_and_scale():
 
 
 def test_dimension_mismatch_raises():
-    with pytest.raises(ValueError):
-        SparseOp2.identity(2) @ SparseOp2.identity(3)
+    """Sums and products of operands on different V = k^n raise, in either order."""
+    pairs = [(SparseOp2.identity(2), SparseOp2.identity(3)),
+             (MatrixN.unit(3, 1, 2), MatrixN.unit(2, 1, 1)),
+             (WedgeElement.single(3, 1, 2, 2, 1), WedgeElement.single(2, 1, 2, 2, 1))]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            combines = [lambda: x + y, lambda: x - y]
+            if isinstance(x, MatrixN):
+                combines += [lambda: x @ y, lambda: wedge_of_matrices(x, y)]
+            elif isinstance(x, SparseOp2):
+                combines.append(lambda: x @ y)
+            for combine in combines:
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    combine()
 
 
 def span_basis(n, mats):
@@ -237,14 +250,31 @@ def test_arithmetic_keeps_the_entry_type(legs, values, kind, data):
         assert all(type(v) is kind for _, _, v in result.entries())
 
 
+def laurent_polys(nvars=2):
+    exps = st.integers(min_value=-2, max_value=2)
+    return st.dictionaries(st.tuples(*[exps] * nvars), scalars, max_size=6).map(
+        lambda terms: LaurentPoly(nvars, terms))
+
+
+def _stored(x):
+    return x.terms if isinstance(x, (WedgeElement, LaurentPoly)) else x.entries
+
+
+@pytest.mark.parametrize("elements", [matrices(3), wedge_elements(), laurent_polys()],
+                         ids=["MatrixN", "WedgeElement", "LaurentPoly"])
 @settings(max_examples=60, deadline=None)
-@given(matrices(3), matrices(3), st.booleans())
-def test_matrix_subtraction(a, b, overlap):
-    if overlap:
-        b = a + b
+@given(data=st.data())
+def test_matrix_subtraction(elements, data):
+    """Sums and differences of the sparse types merge without a cleaning pass;
+    they must still store no zeros, and agree with adding the negative."""
+    a = data.draw(elements)
+    b = data.draw(elements)
+    if data.draw(st.booleans()):
+        b = a + b  # most entries of a - b then cancel
     assert a - b == a + (-1) * b
     assert (a - b) + b == a
-    assert (a - a).entries == {}
+    assert _stored(a - a) == {}
+    assert all(_stored(a - b).values()) and all(_stored(a + b).values())
 
 
 def test_one_operator_class_for_every_leg_count():
