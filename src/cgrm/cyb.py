@@ -6,9 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .scalars import format_scalar
+from .scalars import common_denominator, format_scalar, scaled_to_int
 from .tensorops import SparseOp
 
 ZERO = Fraction(0)
@@ -53,10 +52,9 @@ def z_op(n: int) -> SparseOp:
 
 def _integral(op: SparseOp):
     """(D, D op) with D the lcm of op's entry denominators; D op has int entries."""
-    d = lcm(*(v.denominator for col in op.cols.values() for v in col.values()))
+    d = common_denominator(v for col in op.cols.values() for v in col.values())
     scaled = SparseOp(op.n)
-    scaled.cols = {inp: {out: v.numerator * (d // v.denominator) for out, v in col.items()}
-                   for inp, col in op.cols.items()}
+    scaled.cols = {inp: scaled_to_int(col, d) for inp, col in op.cols.items()}
     return d, scaled
 
 

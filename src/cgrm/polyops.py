@@ -2,15 +2,19 @@
 
 Operators act on two-variable polynomials.  The polynomial Yang-Baxter check
 lifts an operator to legs (1,2), (1,3), (2,3) of three-variable monomials in
-one place, from a memo of its two-variable images.
+one place, from a memo of its two-variable images.  The memo holds them as
+integer numerators over the operator's common denominator, so the lift adds
+ints; poly_cyb_residual divides once, at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .linalg import add_scaled
+from .scalars import scaled_to_int
 from .tensorops import SparseOp
 
 ZERO = Fraction(0)
@@ -123,6 +127,11 @@ class PolyOp:
     def _apply(self, terms):
         raise NotImplementedError
 
+    def denominator(self) -> int:
+        """A D such that D * op maps integer coefficients to integer ones.  Every
+        atom but Const keeps integer coefficients integral, so D is 1 here."""
+        return 1
+
     def __add__(self, other):
         return OpSum([(ONE, self), (ONE, other)])
 
@@ -144,6 +153,9 @@ class PolyOp:
 class Const(PolyOp):
     def __init__(self, c=1):
         self.c = Fraction(c)
+
+    def denominator(self):
+        return self.c.denominator
 
     def _apply(self, terms):
         if self.c == 1:
@@ -182,9 +194,11 @@ class Sigma(PolyOp):
 
 
 class Xi(PolyOp):
-    """Scale variable i by omega (x -> omega x); omega is 1 or -1 here."""
+    """Scale variable i by omega (x -> omega x); omega is 1 or -1."""
 
     def __init__(self, i, omega):
+        if omega not in (1, -1):
+            raise ValueError("omega must be 1 or -1, got %r" % (omega,))
         self.i = i
         self.omega = Fraction(omega)
 
@@ -225,6 +239,9 @@ class OpSum(PolyOp):
             inner = op.summands if isinstance(op, OpSum) else [(ONE, op)]
             self.summands.extend((c * d, atom) for d, atom in inner if c * d)
 
+    def denominator(self):
+        return lcm(*(c.denominator * op.denominator() for c, op in self.summands))
+
     def _apply(self, terms):
         out = {}
         for c, op in self.summands:
@@ -238,6 +255,9 @@ class OpCompose(PolyOp):
     def __init__(self, f, g):
         self.f = f
         self.g = g
+
+    def denominator(self):
+        return self.f.denominator() * self.g.denominator()
 
     def _apply(self, terms):
         return self.f._apply(self.g._apply(terms))
@@ -288,31 +308,33 @@ def window_matrix(op: PolyOp, n: int) -> SparseOp:
 
 
 class _Images(dict):
-    """Memo of the two-variable images (p, q) -> op._apply({(p, q): 1})."""
+    """Memo of the integer images (p, q) -> D * op._apply({(p, q): 1}), with
+    D = op.denominator(); an image that D does not clear raises NonIntegralError."""
 
     def __init__(self, op):
         super().__init__()
         self.op = op
+        self.d = op.denominator()
 
     def __missing__(self, pair):
-        image = self[pair] = self.op._apply({pair: ONE})
+        image = self[pair] = scaled_to_int(self.op._apply({pair: ONE}), self.d)
         return image
 
 
 def _lift(images, legs, terms, out):
-    """Add the action on legs (i, j) of three-variable terms into out, and return
-    out.  The third exponent is carried along, which is exact because every atom
-    touches only its two variables."""
+    """Add the action on legs (i, j) of three-variable int terms into out, and
+    return out.  The third exponent is carried along, which is exact because
+    every atom touches only its two variables."""
     i, j = legs
     for key, coeff in terms.items():
         r = key[3 - i - j]
         for (p, q), v in images[(key[i], key[j])].items():
             k = (p, q, r) if j == 1 else (p, r, q) if i == 0 else (r, p, q)
-            nv = out.get(k, ZERO) + coeff * v
-            if nv == 0:
-                out.pop(k, None)
-            else:
+            nv = out.get(k, 0) + coeff * v
+            if nv:
                 out[k] = nv
+            else:
+                out.pop(k, None)
     return out
 
 
@@ -322,25 +344,31 @@ BRACKETS = (((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)))
 
 def poly_cyb_residual(op: PolyOp, lam, exps):
     """CYB_lambda of a two-variable operator evaluated on one three-variable monomial."""
-    return _poly_cyb_residual(_Images(op), lam, exps)
+    total, scale = _poly_cyb_residual(_Images(op), lam, exps)
+    return LaurentPoly(3, {k: Fraction(v, scale) for k, v in total.items()})
 
 
 def _poly_cyb_residual(images, lam, exps):
-    lam = Fraction(lam)
+    """(scale * CYB_lambda on exps as an int dict, scale), with scale = s D^2 and
+    s the denominator of lambda D^2, so that the Z term is integral too."""
+    d2 = images.d ** 2
+    lam_d2 = Fraction(lam) * d2
+    s = lam_d2.denominator
+    z = lam_d2.numerator
     a, b, c = exps
-    # -lambda Z, with Z x^a y^b z^c = x^c y^a z^b - x^b y^c z^a
-    total = {(c, a, b): -lam, (b, c, a): lam} if lam and not a == b == c else {}
-    plus, minus = {exps: ONE}, {exps: -ONE}
+    # -s lambda D^2 Z, with Z x^a y^b z^c = x^c y^a z^b - x^b y^c z^a
+    total = {(c, a, b): -z, (b, c, a): z} if z and not a == b == c else {}
+    plus, minus = {exps: s}, {exps: -s}
     for la, lb in BRACKETS:
         _lift(images, la, _lift(images, lb, plus, {}), total)
         _lift(images, lb, _lift(images, la, minus, {}), total)
-    return LaurentPoly(3, total)
+    return total, s * d2
 
 
 def check_poly_cyb(op: PolyOp, lam, monomials) -> bool:
     """CYB_lambda(op) = 0 on every listed three-variable monomial."""
     images = _Images(op)
     for exps in monomials:
-        if not _poly_cyb_residual(images, lam, exps).is_zero():
+        if _poly_cyb_residual(images, lam, exps)[0]:
             return False
     return True

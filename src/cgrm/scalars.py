@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 _P_OR_P_OVER_Q = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
@@ -36,6 +37,27 @@ def sgn(x) -> int:
     if x < 0:
         return -1
     return 0
+
+
+class NonIntegralError(ArithmeticError):
+    """A rational scaled by a common denominator was not an integer."""
+
+
+def common_denominator(values) -> int:
+    """The lcm of the denominators of rational values; 1 for none."""
+    return lcm(*(v.denominator for v in values))
+
+
+def scaled_to_int(entries, d: int) -> dict:
+    """{key: d * v} with int values for a dict of rationals; raises
+    NonIntegralError where d * v is not an integer, and never rounds."""
+    out = {}
+    for key, v in entries.items():
+        q, r = divmod(d, v.denominator)
+        if r:
+            raise NonIntegralError("%s times %s is not an integer" % (d, format_scalar(v)))
+        out[key] = v.numerator * q
+    return out
 
 
 def random_rational(rng) -> Fraction:

@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgrm.polyops import (Const, DivDiff, DivSum, ExactDivisionError,
-                          ExponentSign, LaurentPoly, Mono, OpSum, Partial,
-                          Sigma, Xi, WindowStabilityError, divide_linear,
-                          laurent_window, polynomial_monomials, window_matrix)
+from cgrm import dunkl
+from cgrm.polyops import (BRACKETS, Const, DivDiff, DivSum, ExactDivisionError,
+                          ExponentSign, LaurentPoly, Mono, OpSum, Partial, PolyOp,
+                          Sigma, Xi, WindowStabilityError, _Images, check_poly_cyb,
+                          divide_linear, laurent_window, poly_cyb_residual,
+                          polynomial_monomials, window_matrix)
+from cgrm.scalars import NonIntegralError, scaled_to_int
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 exps = st.integers(min_value=-4, max_value=4)
@@ -75,10 +78,19 @@ def test_atoms():
     assert Xi(0, -1).apply(f) == mono(2, 3)
     assert Xi(0, -1).apply(mono(1, 2)) == mono(1, 2, -1)
     assert Xi(1, 1).apply(f) == f
+    assert Xi(1, Fraction(-1)).apply(mono(0, 1)) == mono(0, 1, -1)
     assert ExponentSign().apply(mono(1, 1)).is_zero()
     assert ExponentSign().apply(mono(2, 1)) == mono(2, 1)
     assert ExponentSign().apply(mono(0, 1)) == mono(0, 1, -1)
     assert DivSum().apply(mono(1, 0) + mono(0, 1)) == LaurentPoly.one()
+
+
+@pytest.mark.parametrize("omega", [2, Fraction(1, 2), 0, Fraction(-1, 2), -2])
+def test_xi_rejects_other_omegas(omega):
+    """Xi acts by a sign, so an omega other than 1 or -1 is refused rather than
+    treated as -1."""
+    with pytest.raises(ValueError, match="omega must be 1 or -1"):
+        Xi(0, omega)
 
 
 def test_operator_algebra():
@@ -133,7 +145,6 @@ def test_lift_matches_window_cyb(n):
     embeds the operator on tensor legs by an independent path."""
     from cgrm.cyb import cyb_lambda
     from cgrm.dunkl import alpha_poly_op
-    from cgrm.polyops import poly_cyb_residual
     lam = Fraction(1, 3)
     op = alpha_poly_op(n)
     window = cyb_lambda(window_matrix(op, n), lam)
@@ -168,10 +179,156 @@ def test_monomial_enumerators():
     assert all(len(e) == 3 for e in laurent_window(3, 1))
 
 
+def _lift_over_fractions(images, legs, terms, out):
+    i, j = legs
+    for key, coeff in terms.items():
+        r = key[3 - i - j]
+        for (p, q), v in images[(key[i], key[j])].items():
+            k = (p, q, r) if j == 1 else (p, r, q) if i == 0 else (r, p, q)
+            nv = out.get(k, Fraction(0)) + coeff * v
+            if nv == 0:
+                out.pop(k, None)
+            else:
+                out[k] = nv
+    return out
+
+
+class _FractionImages(dict):
+    def __init__(self, op):
+        super().__init__()
+        self.op = op
+
+    def __missing__(self, pair):
+        image = self[pair] = self.op._apply({pair: Fraction(1)})
+        return image
+
+
+def _poly_cyb_residual_over_fractions(op, lam, exps):
+    """CYB_lambda on one monomial lifted in Fraction throughout, from unscaled
+    images: the oracle for poly_cyb_residual, which lifts integer numerators."""
+    lam = Fraction(lam)
+    images = _FractionImages(op)
+    a, b, c = exps
+    total = {(c, a, b): -lam, (b, c, a): lam} if lam and not a == b == c else {}
+    plus, minus = {exps: Fraction(1)}, {exps: Fraction(-1)}
+    for la, lb in BRACKETS:
+        _lift_over_fractions(images, la, _lift_over_fractions(images, lb, plus, {}), total)
+        _lift_over_fractions(images, lb, _lift_over_fractions(images, la, minus, {}), total)
+    return LaurentPoly(3, total)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+m2_params = st.builds(dunkl.CherednikParams, small, small.filter(bool), small, st.just(2))
+odd_n = st.sampled_from([3, 5, 7])
+cyb_ops = st.one_of(
+    st.builds(dunkl.lemma_expression, small, small),
+    st.builds(dunkl.element_e, m2_params),
+    st.builds(dunkl.alpha_poly_op, odd_n),
+    st.builds(dunkl.beta_poly_op, odd_n),
+    st.just(dunkl.gamma_poly_op()),
+    st.builds(dunkl.dunkl_m2_combo, odd_n, m2_params),
+)
+cyb_exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyb_ops, st.lists(cyb_exps, min_size=1, max_size=3),
+       st.fractions(min_value=-9, max_value=9, max_denominator=12),
+       st.integers(min_value=-20, max_value=20), st.booleans())
+@example(dunkl.lemma_expression(1, Fraction(2, 5)), [(1, 0, -1), (2, 2, 2)], Fraction(4),
+         0, False)
+@example(dunkl.lemma_expression(1, Fraction(2, 5)), [(1, 0, -1)], Fraction(0), 3, True)
+def test_lift_matches_fraction_oracle(op, monomials, lam, k, off_grid):
+    """poly_cyb_residual equals the Fraction lift, also where lambda D^2 is not
+    an integer; off_grid picks lambda D^2 = (7k + 1)/7 to force that case."""
+    d = op.denominator()
+    if off_grid:
+        lam = Fraction(7 * k + 1, 7 * d * d)
+        assert (lam * d * d).denominator == 7
+    for exps_ in monomials:
+        residual = poly_cyb_residual(op, lam, exps_)
+        assert residual == _poly_cyb_residual_over_fractions(op, lam, exps_)
+        assert all(type(v) is Fraction for v in residual.terms.values())
+
+
+def test_operator_denominators():
+    """Const gives its denominator, a sum the lcm of its scaled summands, and a
+    composition the product; the integral atoms give 1."""
+    assert Const(Fraction(2, 3)).denominator() == 3
+    assert (Fraction(1, 2) * Const(Fraction(1, 3)) + Fraction(3, 4) * Mono(1, 0)).denominator() == 12
+    assert (Const(Fraction(1, 2)) * Const(Fraction(5, 3))).denominator() == 6
+    for atom in (Mono(1, -1), Partial(0), Sigma(), Xi(0, -1), DivDiff(), DivSum(),
+                 ExponentSign()):
+        assert atom.denominator() == 1
+    images = _Images(dunkl.lemma_expression(1, Fraction(2, 5)))
+    assert images.d == 20
+    assert all(type(v) is int for v in images[(3, -2)].values())
+
+
+def test_scaled_to_int():
+    image = {(1, 0): Fraction(1, 2), (0, 1): Fraction(-3, 4)}
+    scaled = scaled_to_int(image, 8)
+    assert scaled == {(1, 0): 4, (0, 1): -6}
+    assert all(type(v) is int for v in scaled.values())
+    with pytest.raises(NonIntegralError):
+        scaled_to_int(image, 2)
+    assert issubclass(NonIntegralError, ArithmeticError)
+
+
+class _Halving(PolyOp):
+    """Emits a half-integer coefficient while claiming the integral default D = 1."""
+
+    def _apply(self, terms):
+        return {k: v / 2 for k, v in terms.items()}
+
+
+def test_undeclared_denominator_raises():
+    """An operator whose images D does not clear makes the check raise rather
+    than return a verdict."""
+    for op in (_Halving(), Mono(1, 0) + _Halving()):
+        with pytest.raises(NonIntegralError):
+            check_poly_cyb(op, 1, [(0, 0, 0)])
+        with pytest.raises(NonIntegralError):
+            poly_cyb_residual(op, 1, (1, 0, 0))
+    # declared through a Const, the same map is integral over D = 2
+    halved = Const(Fraction(1, 2)) * Mono(1, 0)
+    assert poly_cyb_residual(halved, 1, (1, 0, 0)) == \
+        _poly_cyb_residual_over_fractions(halved, 1, (1, 0, 0))
+
+
+def test_perturbed_lemma_fails():
+    """The lemma's check fails when g3's identity coefficient 1/4 becomes 1/3,
+    or lambda moves off 4; a uniform 1/3 in g3 only rescales a1 and still holds."""
+    from cgrm.dunkl import divided_difference, euler, lemma_expression, skew_mono, xi1, xi2
+    window = laurent_window(3, 1)
+    delta = divided_difference()
+
+    def lemma(a1, a2, g):
+        return delta + xi1 * delta * xi2 + Fraction(a1) * (skew_mono * g) + Fraction(a2) * euler
+
+    q = Fraction(1, 4)
+    perturbed = Fraction(1, 3) * Const(1) - q * xi1 - q * xi2 + q * (xi1 * xi2)
+    assert not check_poly_cyb(lemma(1, Fraction(2, 5), perturbed), 4, window)
+    assert not check_poly_cyb(lemma_expression(1, Fraction(2, 5)), 4 + Fraction(1, 1000),
+                              window)
+    assert check_poly_cyb(lemma_expression(1, Fraction(2, 5)), 4, window)
+    uniform = Fraction(1, 3) * ((Const(1) - xi1) * (Const(1) - xi2))
+    assert check_poly_cyb(lemma(1, Fraction(2, 5), uniform), 4, window)
+    assert check_poly_cyb(lemma_expression(Fraction(4, 3), Fraction(2, 5)), 4, window)
+
+
+def test_element_e_off_lambda_fails():
+    params = dunkl.CherednikParams(kappa=Fraction(1, 2), c0=Fraction(2, 3),
+                                   c1=Fraction(1, 5), m=2)
+    monos = polynomial_monomials(3, 3)
+    op = dunkl.element_e(params)
+    assert check_poly_cyb(op, 4 * params.c0 ** 2, monos)
+    assert not check_poly_cyb(op, 4 * params.c0 ** 2 + 1, monos)
+
+
 def test_poly_cyb_detects_non_solutions():
     """The three-leg checker is not vacuous: the bare divided difference fails."""
     from cgrm.dunkl import divided_difference, lemma_expression
-    from cgrm.polyops import check_poly_cyb, poly_cyb_residual
     delta = divided_difference()
     assert not poly_cyb_residual(delta, 4, (1, 0, 0)).is_zero()
     assert not check_poly_cyb(delta, 4, laurent_window(3, 1))
