@@ -137,14 +137,18 @@ def nonvanishing_piece(ops):
 
     The double bracket is bilinear, so DB(sum c_i v_i, sum c_i v_i) equals
     sum_i c_i^2 DB(v_i, v_i) + sum_{i<j} c_i c_j (DB(v_i, v_j) + DB(v_j, v_i)),
-    and it vanishes for all coefficients exactly when each piece does.
+    and it vanishes for all coefficients exactly when each piece does.  Each
+    cross piece is found by polarization, DB(v_i + v_j, v_i + v_j) - DB(v_i, v_i)
+    - DB(v_j, v_j), so every double bracket here is of one operator with itself.
     """
+    diagonal = [cyb.double_bracket(v, v) for v in ops]
     for i, vi in enumerate(ops):
         for j in range(i, len(ops)):
-            vj = ops[j]
-            piece = cyb.double_bracket(vi, vj)
-            if j > i:
-                piece = piece + cyb.double_bracket(vj, vi)
+            if j == i:
+                piece = diagonal[i]
+            else:
+                both = vi + ops[j]
+                piece = cyb.double_bracket(both, both) - diagonal[i] - diagonal[j]
             if not piece.is_zero():
                 return i, j
     return None

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import add_scaled
 from .scalars import common_denominator, format_scalar, scaled_to_int
 from .tensorops import SparseOp
 
@@ -58,19 +59,54 @@ def _integral(op: SparseOp):
     return d, scaled
 
 
+def _cyclic_sum_over(b: SparseOp, d: int) -> SparseOp:
+    """(b + s b s^-1 + s^2 b s^-2) / d for the cyclic leg shift s, which sends
+    r12 to r23 and r13 to r21.
+
+    Conjugating by s relabels both indices by rot(x, y, z) = (y, z, x): column
+    t of s b s^-1 is column rot(t) of b, each output o moved to rot^-1(o).  The
+    sum is s-invariant, so each orbit {t, rot(t), rot^2(t)} is summed once, at
+    its least member, and its other columns are the same entries relabelled.
+    """
+    src = b.cols
+    cols = {}
+    for rep in {min(t, (t[1], t[2], t[0]), (t[2], t[0], t[1])) for t in src}:
+        r1 = (rep[1], rep[2], rep[0])
+        r2 = (rep[2], rep[0], rep[1])
+        acc = dict(src.get(rep, {}))
+        add_scaled(acc, 1, {(o[2], o[0], o[1]): v for o, v in src.get(r1, {}).items()})
+        add_scaled(acc, 1, {(o[1], o[2], o[0]): v for o, v in src.get(r2, {}).items()})
+        if not acc:
+            continue
+        col = cols[rep] = {o: Fraction(v, d) for o, v in acc.items()}
+        if r1 != rep:
+            cols[r1] = {(o[1], o[2], o[0]): v for o, v in col.items()}
+            cols[r2] = {(o[2], o[0], o[1]): v for o, v in col.items()}
+    result = SparseOp(b.n)
+    result.cols = cols
+    return result
+
+
 def double_bracket(a: SparseOp, b: SparseOp) -> SparseOp:
     """[a12, b13] + [a12, b23] + [a13, b23].
 
     Bilinear, so it is computed on the integer operators D_a a and D_b b and
-    divided by D_a D_b once at the end.
+    divided by D_a D_b once at the end.  For a skew r (P r P = -r) the cyclic
+    leg shift s sends r12 to r23 and r13 to -r12, so [r12, r23] and
+    [r13, r23] are the s- and s^2-conjugates of [r12, r13], and
+    double_bracket(r, r) is (1 + s + s^2)[r12, r13]: one bracket, not three.
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    (da, a), (db, b) = _integral(a), _integral(b)
+    same = a is b
+    d, a = _integral(a)
+    db, b = (d, a) if same else _integral(b)
+    if same and a.is_antisymmetric():
+        return _cyclic_sum_over(embed(a, 12).bracket(embed(a, 13)), d * d)
     a12, a13 = embed(a, 12), embed(a, 13)
     b13, b23 = embed(b, 13), embed(b, 23)
     ints = a12.bracket(b13) + a12.bracket(b23) + a13.bracket(b23)
-    d = da * db
+    d *= db
     result = SparseOp(a.n)
     result.cols = {inp: {out: Fraction(v, d) for out, v in col.items()}
                    for inp, col in ints.cols.items()}
@@ -78,8 +114,8 @@ def double_bracket(a: SparseOp, b: SparseOp) -> SparseOp:
 
 
 def cyb_lambda(r: SparseOp, lam) -> SparseOp:
-    """[r12, r13] + [r12, r23] + [r13, r23] - lambda Z."""
-    return double_bracket(r, r) - Fraction(lam) * z_op(r.n)
+    """[r12, r13] + [r12, r23] + [r13, r23] - lambda Z, in one merge."""
+    return double_bracket(r, r).__add__(z_op(r.n), -Fraction(lam))
 
 
 @dataclass
@@ -108,7 +144,7 @@ def find_lambda(r: SparseOp) -> CybReport:
     if bb.is_zero():
         return CybReport(Fraction(0), 0, TRIANGULAR)
     lam = -bb.cols.get((1, 1, 2), {}).get((1, 2, 1), ZERO)
-    residual = bb - lam * z_op(r.n)
+    residual = bb.__add__(z_op(r.n), -lam)
     count = residual.count_nonzero()
     if count == 0 and lam != 0:
         return CybReport(lam, 0, QUASITRIANGULAR)

@@ -24,16 +24,20 @@ def add_scaled(target, c, row):
     """target += c * row in place for sparse maps that store no zeros; returns target.
 
     An entry that cancels is deleted, and a key absent from target gets v * c
-    itself, so int entries stay int for an int c.
+    itself, so int entries stay int for an int c.  A unit c adds v with no
+    product.
     """
     if not c:
         return target
+    unit = c == 1
     for col, v in row.items():
+        if not unit:
+            v *= c
         x = target.get(col)
         if x is None:
-            target[col] = v * c
+            target[col] = v
             continue
-        x += v * c
+        x += v
         if x:
             target[col] = x
         else:

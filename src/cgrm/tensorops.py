@@ -231,7 +231,23 @@ class SparseOp:
         return SparseOp(self.n, cols)
 
     def bracket(self, other):
-        return self @ other - other @ self
+        """self @ other - other @ self in one pass: each product of other after
+        self is subtracted straight into the columns of self @ other, so no
+        second operator is built and nothing is cleaned twice."""
+        out = self @ other
+        cols = out.cols
+        theirs = other.cols
+        for inp, col in self.cols.items():
+            acc = cols.get(inp, {})
+            for mid, v in col.items():
+                upper = theirs.get(mid)
+                if upper is not None:
+                    add_scaled(acc, -v, upper)
+            if acc:
+                cols[inp] = acc
+            elif inp in cols:
+                del cols[inp]
+        return out
 
     def swap_conjugate(self):
         """P o self o P with P(u (x) v) = v (x) u, on two legs."""

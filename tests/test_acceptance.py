@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cgrm import acceptance, closed_form, cyb, dunkl, frobenius
+from cgrm.tensorops import SparseOp
 
 
 @pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA,
@@ -41,3 +42,27 @@ def test_v_span_certificate_checks_the_cross_pieces():
     for k in range(4):
         piece = acceptance.nonvanishing_piece(vs[:k] + (j,) + vs[k + 1:])
         assert piece is not None and k in piece and piece[0] != piece[1]
+
+
+def _first_piece_by_definition(ops):
+    """nonvanishing_piece with each cross piece taken as DB(vi, vj) + DB(vj, vi)."""
+    for i, vi in enumerate(ops):
+        for j in range(i, len(ops)):
+            piece = cyb.double_bracket(vi, ops[j])
+            if j > i:
+                piece = piece + cyb.double_bracket(ops[j], vi)
+            if not piece.is_zero():
+                return i, j
+    return None
+
+
+def test_polarized_pieces_match_the_definition():
+    """Polarization finds the same first nonzero piece; with the zero operator
+    first, the cross piece vanishes and the failure is the second diagonal."""
+    vs = dunkl.elements_v(5)
+    r = closed_form.cg_closed_form(2, 5)
+    zero = SparseOp.zero(5)
+    cases = [(zero, r), (r,), vs, (vs[0], r, vs[1]), vs[:2] + (frobenius.jordanian(5),)]
+    found = [acceptance.nonvanishing_piece(ops) for ops in cases]
+    assert found == [_first_piece_by_definition(ops) for ops in cases]
+    assert found[:3] == [(1, 1), (0, 0), None]

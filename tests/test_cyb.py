@@ -106,6 +106,79 @@ def test_double_bracket_matches_fraction_oracle(ops):
     assert all(type(v) is Fraction for _, _, v in db.entries())
 
 
+def _conjugate_by_cyclic_shift(op):
+    """s op s^-1 for the leg shift s with s r12 s^-1 = r23, built as an operator:
+    s^-1 sends e_x (x) e_y (x) e_z to e_y (x) e_z (x) e_x."""
+    rng = range(1, op.n + 1)
+    s_inv = SparseOp(op.n, {(x, y, z): {(y, z, x): Fraction(1)}
+                            for x in rng for y in rng for z in rng})
+    s = SparseOp(op.n, {(y, z, x): {(x, y, z): Fraction(1)}
+                        for x in rng for y in rng for z in rng})
+    return s @ op @ s_inv
+
+
+def _cyclic_sum_of_one_bracket(r):
+    """(1 + s + s^2)[r12, r13], by explicit conjugation."""
+    b = cyb.embed(r, 12).bracket(cyb.embed(r, 13))
+    sb = _conjugate_by_cyclic_shift(b)
+    return b + sb + _conjugate_by_cyclic_shift(sb)
+
+
+def _assert_skew_path_exact(r):
+    copy = SparseOp(r.n, r.cols)
+    assert copy == r and copy is not r
+    db = cyb.double_bracket(r, r)
+    assert db == _double_bracket_over_fractions(r, r)
+    assert db == cyb.double_bracket(r, copy)  # the three-bracket path
+    assert all(type(v) is Fraction for _, _, v in db.entries())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: wedge_elements(n, max_terms=6)))
+@example(WedgeElement.single(3, 1, 2, 2, 3, Fraction(3, 4)))
+@example(WedgeElement.from_terms(2, [((1, 2), (2, 1), Fraction(1, 2)),
+                                     ((1, 1), (2, 2), Fraction(-2, 3))]))
+def test_skew_double_bracket_matches_fraction_oracle(w):
+    """A wedge is skew, so double_bracket(r, r) takes the cyclic path; it equals
+    the Fraction oracle and the general path on an equal copy of r."""
+    r = wedge_to_op(w)
+    assert r.is_antisymmetric()
+    _assert_skew_path_exact(r)
+
+
+def test_skew_double_bracket_examples():
+    from cgrm import dunkl
+    for r in (closed_form.cg_closed_form(2, 7), dunkl.b_cg(7, 2, 3), jordanian(4)):
+        assert r.is_antisymmetric()
+        _assert_skew_path_exact(r)
+        assert cyb.double_bracket(r, r) == _cyclic_sum_of_one_bracket(r)
+
+
+def test_skew_path_runs_one_bracket(monkeypatch):
+    calls = []
+    bracket = SparseOp.bracket
+    monkeypatch.setattr(SparseOp, "bracket", lambda x, y: calls.append(1) or bracket(x, y))
+    r = closed_form.cg_closed_form(2, 5)
+    cyb.double_bracket(r, r)
+    assert len(calls) == 1
+    cyb.double_bracket(r, SparseOp(r.n, r.cols))
+    assert len(calls) == 4
+
+
+def test_non_skew_operator_takes_the_general_path():
+    """One perturbed entry breaks skewness; the result still matches the oracle,
+    while the cyclic sum of [r12, r13] no longer equals the double bracket."""
+    r = closed_form.cg_closed_form(2, 5)
+    col = dict(r.column(2, 3))
+    col[(3, 2)] = col.get((3, 2), Fraction(0)) + Fraction(1, 3)
+    bent = SparseOp(r.n, {**r.cols, (2, 3): col})
+    assert not bent.is_antisymmetric()
+    db = cyb.double_bracket(bent, bent)
+    assert db == _double_bracket_over_fractions(bent, bent)
+    assert db != _cyclic_sum_of_one_bracket(bent)
+    assert cyb.find_lambda(bent).classification == cyb.NOT_R_MATRIX
+
+
 @settings(max_examples=25, deadline=None)
 @given(wedge_elements(), wedge_elements())
 def test_double_bracket_bilinear(w1, w2):

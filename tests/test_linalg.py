@@ -83,6 +83,14 @@ def test_add_scaled_matches_dense(values, kind, data):
     assert all(type(v) is kind for v in target.values())
 
 
+def test_add_scaled_unit_coefficient_stores_the_entry_itself():
+    """c == 1 takes no product: a new key holds the row's own value object."""
+    row = {0: Fraction(2, 3), 1: Fraction(-5, 7), 2: Fraction(1, 4)}
+    target = add_scaled({1: Fraction(5, 7), 2: Fraction(1, 4)}, 1, row)
+    assert target == {0: Fraction(2, 3), 2: Fraction(1, 2)}
+    assert target[0] is row[0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rref_and_rank_match_oracle(a):

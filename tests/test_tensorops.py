@@ -250,6 +250,24 @@ def test_arithmetic_keeps_the_entry_type(legs, values, kind, data):
         assert all(type(v) is kind for _, _, v in result.entries())
 
 
+@pytest.mark.parametrize("legs", [2, 3])
+@pytest.mark.parametrize("values, kind", [(st.integers(-9, 9), int), (scalars, Fraction)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bracket_is_the_commutator(legs, values, kind, data):
+    """The one-pass bracket subtracts other @ self into self @ other; it must
+    equal the two products' difference, store no zeros and keep the entry type."""
+    a = data.draw(sparse_ops(legs, values=values))
+    b = data.draw(sparse_ops(legs, values=values))
+    if data.draw(st.booleans()):
+        b = a + a @ a  # commutes with a, so every entry cancels
+    result = a.bracket(b)
+    assert result == a @ b - b @ a
+    assert result == -b.bracket(a)
+    assert_clean(result)
+    assert all(type(v) is kind for _, _, v in result.entries())
+
+
 def laurent_polys(nvars=2):
     exps = st.integers(min_value=-2, max_value=2)
     return st.dictionaries(st.tuples(*[exps] * nvars), scalars, max_size=6).map(
