@@ -5,9 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from .linalg import add_scaled, expand_in_rref, invert, rref, solve_affine
-from .tensorops import MatrixN, SparseOp, ad_action, kron, wedge_to_op
+from .tensorops import MatrixN, SparseOp, ad_action, kron_sum2, wedge_to_op
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -282,12 +283,22 @@ def apply_r_check(r: SparseOp, eta) -> MatrixN:
 
 
 def nilpotent_exp_action(x: MatrixN, s, r: SparseOp) -> SparseOp:
-    """Conjugate r by exp(sX) (x) exp(sX); X must be nilpotent."""
-    g = x.exp_nilpotent(s)
-    ginv = x.exp_nilpotent(-Fraction(s))
-    big = kron(g, g)
-    big_inv = kron(ginv, ginv)
-    return big @ r @ big_inv
+    """Conjugate r by exp(sX) (x) exp(sX); X must be nilpotent.
+
+    With Y = X (x) 1 + 1 (x) X, exp(sX) (x) exp(sX) = exp(sY), and conjugating
+    by it is exp(s ad Y) r = sum_k s^k/k! (ad Y)^k r.  ad Y is nilpotent with X,
+    so the series ends at its first zero term; each term is one bracket.
+    """
+    if not x.is_nilpotent():
+        raise ValueError("matrix is not nilpotent")
+    y = kron_sum2(x)
+    s = Fraction(s)
+    total = term = r
+    for k in count(1):
+        term = s / k * y.bracket(term)
+        if term.is_zero():
+            return total
+        total = total + term
 
 
 def jordanian_x(n: int) -> MatrixN:

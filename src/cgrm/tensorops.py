@@ -27,6 +27,32 @@ def _check_n(a, b):
         raise ValueError("dimension mismatch: %d vs %d" % (a.n, b.n))
 
 
+def _check_legs(a, b):
+    """Operators on different tensor powers of V do not combine; an empty
+    operator has no legs and combines with any.  One key gives the count."""
+    _check_n(a, b)
+    if a.cols and b.cols:
+        la, lb = len(next(iter(a.cols))), len(next(iter(b.cols)))
+        if la != lb:
+            raise ValueError("leg count mismatch: %d vs %d" % (la, lb))
+
+
+def _add_product(out, left, right, negate=False):
+    """Add left @ right (or its negative) into out; entry maps (i, j) -> coefficient."""
+    by_row = {}
+    for (i, j), v in right.items():
+        by_row.setdefault(i, []).append((j, v))
+    for (i, j), a in left.items():
+        row = by_row.get(j)
+        if row is None:
+            continue
+        if negate:
+            a = -a
+        for (l, b) in row:
+            key = (i, l)
+            out[key] = out.get(key, ZERO) + a * b
+
+
 class MatrixN:
     """Element of gl_n stored as a sparse map (i, j) -> coefficient."""
 
@@ -80,17 +106,19 @@ class MatrixN:
     def __matmul__(self, other):
         _check_n(self, other)
         out = {}
-        by_row = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        for (i, j), a in self.entries.items():
-            for (l, b) in by_row.get(j, ()):
-                key = (i, l)
-                out[key] = out.get(key, ZERO) + a * b
+        _add_product(out, self.entries, other.entries)
         return MatrixN(self.n, out)
 
     def bracket(self, other):
-        return self @ other - other @ self
+        """self @ other - other @ self: both products accumulate into one map,
+        which is cleaned once; indices are in range, so none is checked."""
+        _check_n(self, other)
+        out = {}
+        _add_product(out, self.entries, other.entries)
+        _add_product(out, other.entries, self.entries, negate=True)
+        result = MatrixN(self.n)
+        result.entries = _clean(out)
+        return result
 
     def trace(self):
         return sum((v for (i, j), v in self.entries.items() if i == j), ZERO)
@@ -189,7 +217,7 @@ class SparseOp:
 
     def __add__(self, other, c=1):
         """self + c * other, column by column; a column that cancels is dropped."""
-        _check_n(self, other)
+        _check_legs(self, other)
         cols = {k: dict(col) for k, col in self.cols.items()}
         for key, col in other.cols.items():
             dst = add_scaled(cols.setdefault(key, {}), c, col)
@@ -213,7 +241,7 @@ class SparseOp:
 
     def __matmul__(self, other):
         """Composition self after other."""
-        _check_n(self, other)
+        _check_legs(self, other)
         cols = {}
         mine = self.cols
         for inp, col in other.cols.items():
@@ -233,7 +261,8 @@ class SparseOp:
     def bracket(self, other):
         """self @ other - other @ self in one pass: each product of other after
         self is subtracted straight into the columns of self @ other, so no
-        second operator is built and nothing is cleaned twice."""
+        second operator is built and nothing is cleaned twice.  The product
+        checks that the operands match in n and in legs."""
         out = self @ other
         cols = out.cols
         theirs = other.cols

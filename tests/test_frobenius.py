@@ -4,10 +4,14 @@ Jordanian boundary family."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgrm import bd, closed_form, cyb, dunkl, frobenius
 from cgrm.linalg import invert
-from cgrm.tensorops import MatrixN, SparseOp2, wedge_to_op
+from cgrm.tensorops import MatrixN, SparseOp2, WedgeElement, kron, wedge_to_op
+
+scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
 def test_parabolic_dimensions():
@@ -271,6 +275,54 @@ def test_nilpotent_exp_action():
     assert frobenius.nilpotent_exp_action(x, 0, r) == r
     with pytest.raises(ValueError):
         frobenius.nilpotent_exp_action(MatrixN.identity(n), 1, r)
+
+
+def conjugated_by_kron(x, s, r):
+    """kron(g, g) @ r @ kron(g^-1, g^-1) with g = exp(sX): the oracle for
+    nilpotent_exp_action, which sums the adjoint series of X (x) 1 + 1 (x) X."""
+    g, g_inv = x.exp_nilpotent(s), x.exp_nilpotent(-Fraction(s))
+    return kron(g, g) @ r @ kron(g_inv, g_inv)
+
+
+@st.composite
+def exp_action_inputs(draw):
+    """A strictly upper-triangular X, a rational s and a two-leg r at n = 1..5."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    x = MatrixN(n, draw(st.dictionaries(st.sampled_from(upper), scalars)) if upper else {})
+    idx = st.tuples(st.integers(1, n), st.integers(1, n))
+    cols = draw(st.dictionaries(idx, st.dictionaries(idx, scalars, max_size=4), max_size=6))
+    return x, draw(scalars), SparseOp2(n, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exp_action_inputs())
+def test_exp_action_matches_kron_conjugation(inputs):
+    x, s, r = inputs
+    assert frobenius.nilpotent_exp_action(x, s, r) == conjugated_by_kron(x, s, r)
+
+
+def test_exp_action_requires_nilpotent():
+    """A diagonal X is not nilpotent, and its adjoint series would never end:
+    the guard raises before the first term."""
+    r = wedge_to_op(WedgeElement.single(2, 1, 2, 1, 1))  # weight -1 under diag(1, 2)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        frobenius.nilpotent_exp_action(MatrixN(2, {(1, 1): 1, (2, 2): 2}), 1, r)
+
+
+def test_exp_action_rejects_three_legs():
+    r = closed_form.cg_closed_form(1, 3)
+    with pytest.raises(ValueError, match="leg count mismatch"):
+        frobenius.nilpotent_exp_action(frobenius.jordanian_x(3), 1, cyb.embed(r, 12))
+
+
+def test_exp_action_orbit_identity_at_the_cli_cap():
+    """The orbit identity at n = 31, the largest odd n the CLI accepts."""
+    n, u, t = 31, Fraction(2), Fraction(-1, 3)
+    r = closed_form.cg_closed_form(2, n)
+    moved = frobenius.nilpotent_exp_action(
+        dunkl.e2_matrix(n), t, frobenius.nilpotent_exp_action(dunkl.e1_matrix(n), u, r))
+    assert moved == r + dunkl.b_cg(n, u, t)
 
 
 def test_exp_action_is_linear_in_t():

@@ -180,9 +180,9 @@ def test_sparse_op3_json_round_trip():
     assert canonical_json(again.to_json_obj()) == text
 
 
-def matrices(n=2):
+def matrices(n=2, values=scalars):
     idx = st.integers(min_value=1, max_value=n)
-    return st.dictionaries(st.tuples(idx, idx), scalars, max_size=n * n).map(
+    return st.dictionaries(st.tuples(idx, idx), values, max_size=n * n).map(
         lambda entries: MatrixN(n, entries))
 
 
@@ -266,6 +266,38 @@ def test_bracket_is_the_commutator(legs, values, kind, data):
     assert result == -b.bracket(a)
     assert_clean(result)
     assert all(type(v) is kind for _, _, v in result.entries())
+
+
+@pytest.mark.parametrize("values", [st.integers(-9, 9), scalars], ids=["int", "Fraction"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matrix_bracket_is_the_commutator(values, data):
+    """MatrixN.bracket accumulates both products into one map; it must equal
+    their difference and store no zeros."""
+    a = data.draw(matrices(3, values=values))
+    b = data.draw(matrices(3, values=values))
+    if data.draw(st.booleans()):
+        b = a + a @ a  # commutes with a, so every entry cancels
+    result = a.bracket(b)
+    assert result == a @ b - b @ a
+    assert result == -b.bracket(a)
+    assert all(result.entries.values())
+
+
+def test_leg_count_mismatch_raises():
+    """A two-leg and a three-leg operator do not combine, in either order; an
+    empty operator combines with both."""
+    two = SparseOp2.identity(2)
+    three = SparseOp2(2, {(1, 2, 1): {(2, 1, 1): Fraction(1, 3)}})
+    for x, y in ((two, three), (three, two)):
+        for combine in (lambda: x + y, lambda: x - y, lambda: x @ y, lambda: x.bracket(y)):
+            with pytest.raises(ValueError, match="leg count mismatch"):
+                combine()
+    empty = SparseOp2.zero(2)
+    for op in (two, three):
+        assert op + empty == op and empty + op == op and op - empty == op
+        assert (op @ empty).is_zero() and (empty @ op).is_zero()
+        assert op.bracket(empty).is_zero() and empty.bracket(op).is_zero()
 
 
 def laurent_polys(nvars=2):
