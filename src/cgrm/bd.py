@@ -7,10 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import solve_affine
+from .linalg import ONE, add_scaled, rref, solve_affine
 from .tensorops import WedgeElement
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, order=True)
@@ -188,74 +186,76 @@ def bd_r_matrix(m: int, n: int) -> WedgeElement:
     return alpha_part(m, n) + beta_part(m, n) + gamma_part(n)
 
 
-def _beta_system(t: BDTriple):
-    """The beta-variety equations as sparse rows over the unknowns e_jj ^ e_ll (j < l).
+def _beta_columns(t: BDTriple):
+    """The columns (f, v) of F and V in the beta-variety equation C F = V.
 
-    Returns (index, rows, rhs), index mapping each pair (j, l) to its column in
-    the order of the unknowns.  The first n rows say that every row sum of the
-    antisymmetric coefficient matrix C vanishes (h ^ h membership).  Then, for
-    each a_s in S0, the contraction (1 (x) f) of sum C_{jl}/2 e_jj (x) e_ll, with
-    f = a_{zeta(s)} - a_s, must equal half the sum of the trace-form duals of a_s
-    and its image, one row per diagonal entry.  The dual of a_s is the diagonal
-    matrix e_ss - e_{s+1,s+1}, so f and the right-hand side share its +-1 pattern.
+    C is the antisymmetric matrix of coefficients of e_jj ^ e_ll (C_jl for j < l).
+    Its row sums vanish (h ^ h membership): f = 1, v = 0.  For each a_s in S0
+    the contraction (1 (x) f) of sum C_jl/2 e_jj (x) e_ll with f = a_zeta(s) - a_s
+    is half the sum of the trace-form duals of a_s and its image:
+    C f = h_zeta(s) + h_s, where h_a = e_aa - e_{a+1,a+1} is the dual of a_a.
+    Columns are sparse maps over the diagonal positions 0..n-1.  The dense
+    column of ones comes last: eliminated first, it would fill every other row.
     """
-    n = t.n
-    pairs = [(j, l) for j in range(1, n + 1) for l in range(j + 1, n + 1)]
-    index = {p: k for k, p in enumerate(pairs)}
-    rows, rhs = [], []
-    for j in range(1, n + 1):
-        row = {index[(j, l)]: Fraction(1) for l in range(j + 1, n + 1)}
-        row.update((index[(l, j)], Fraction(-1)) for l in range(1, j))
-        rows.append(row)
-        rhs.append(ZERO)
+    def h(a):
+        return {a - 1: 1, a: -1}
+    columns = []
     for s in sorted(t.s0):
         z = t.zeta[s]
-        h_image, h_source = [ZERO] * n, [ZERO] * n
-        h_image[z - 1], h_image[z] = Fraction(1), Fraction(-1)
-        h_source[s - 1], h_source[s] = Fraction(1), Fraction(-1)
-        fvals = [a - b for a, b in zip(h_image, h_source)]
-        for d in range(1, n + 1):
-            row = {}
-            for l in range(d + 1, n + 1):
-                if fvals[l - 1]:
-                    row[index[(d, l)]] = fvals[l - 1] / 2
-            for j in range(1, d):
-                if fvals[j - 1]:
-                    row[index[(j, d)]] = -fvals[j - 1] / 2
-            rows.append(row)
-            rhs.append((h_image[d - 1] + h_source[d - 1]) / 2)
-    return index, rows, rhs
+        columns.append((add_scaled(h(z), -1, h(s)), add_scaled(h(z), 1, h(s))))
+    return columns + [(dict.fromkeys(range(t.n), 1), {})]
 
 
 def verify_beta_variety(t: BDTriple, b: WedgeElement) -> bool:
-    """Check b, which must lie in h ^ h, against the rows solve_beta_variety solves."""
-    index, rows, rhs = _beta_system(t)
-    x = {}
-    for ((a, bb), (c, d)), v in b.terms.items():
-        if a != bb or c != d:
+    """Check b, which must lie in h ^ h, against the C F = V that solve_beta_variety solves."""
+    if b.n != t.n:
+        raise ValueError("element is for n = %d, triple for n = %d" % (b.n, t.n))
+    c = [{} for _ in range(t.n)]
+    for ((a, bb), (d, e)), v in b.terms.items():
+        if a != bb or d != e:
             raise ValueError("element does not lie in the diagonal wedge square")
-        x[index[(a, c)]] = v
-    for k, (row, value) in enumerate(zip(rows, rhs)):
-        if sum((v * x.get(col, ZERO) for col, v in row.items()), ZERO) != value:
-            if k < t.n:
-                raise ValueError("element does not lie in h ^ h (nonzero trace leg)")
-            return False
-    return True
+        c[a - 1][d - 1], c[d - 1][a - 1] = v, -v
+    if any(sum(row.values()) for row in c):
+        raise ValueError("element does not lie in h ^ h (nonzero trace leg)")
+    return all(sum(row.get(l, 0) * x for l, x in f.items()) == v.get(d, 0)
+               for f, v in _beta_columns(t)[:-1] for d, row in enumerate(c))
 
 
 def solve_beta_variety(t: BDTriple):
-    """Solve the beta-variety system exactly.
+    """Solve C F = V exactly for an antisymmetric C.
 
-    Unknowns are the coefficients of e_jj ^ e_ll (j < l); the h ^ h membership
-    constraints are included as homogeneous equations.  Returns
-    (solution WedgeElement, affine dimension of the solution set), or None if
-    the system is inconsistent.
+    One rref of F^T, with row d of V as the right-hand side in column n + d,
+    gives each row d of C as a particular row plus sum_f t_{d,f} k_f over the
+    null vectors k_f of F^T.  Antisymmetry fixes the t_{d,f} through one small
+    affine system, whose nullity is the affine dimension of the variety.
+    Returns (solution WedgeElement, affine dimension), or None if inconsistent.
     """
-    index, rows, rhs = _beta_system(t)
-    solved = solve_affine(rows, rhs, len(index))
+    n = t.n
+    reduced, pivots = rref([{**f, **{n + d: x for d, x in v.items()}}
+                            for f, v in _beta_columns(t)])
+    if pivots and pivots[-1] >= n:
+        return None
+    pivot_set = set(pivots)
+    null = [{f: ONE, **{p: -row[f] for row, p in zip(reduced, pivots) if f in row}}
+            for f in range(n) if f not in pivot_set]
+    part = [{p: row[n + d] for row, p in zip(reduced, pivots) if n + d in row}
+            for d in range(n)]
+    r = len(null)
+    rows, rhs = [], []
+    for d in range(n):
+        for l in range(d, n):
+            row = {d * r + i: k[l] for i, k in enumerate(null) if l in k}
+            add_scaled(row, 1, {l * r + i: k[d] for i, k in enumerate(null) if d in k})
+            rows.append(row)
+            rhs.append(-part[d].get(l, 0) - part[l].get(d, 0))
+    solved = solve_affine(rows, rhs, n * r)
     if solved is None:
         return None
-    particular, null_basis = solved
+    coeffs, null_basis = solved
+    for key, x in coeffs.items():
+        d, i = divmod(key, r)
+        add_scaled(part[d], x, null[i])
     sol = WedgeElement.from_terms(
-        t.n, (((j, j), (l, l), particular.get(k, ZERO)) for (j, l), k in index.items()))
+        n, (((d + 1, d + 1), (l + 1, l + 1), x)
+            for d, row in enumerate(part) for l, x in row.items() if l > d))
     return sol, len(null_basis)

@@ -120,10 +120,14 @@ class FrobeniusData:
 
     @property
     def skew(self):
-        if self.form is None:
+        """A zero diagonal and form[j][i] = -form[i][j] for each i < j, compared by
+        numerator and denominator so that no entry is negated."""
+        form = self.form
+        if form is None or any(row[i] for i, row in enumerate(form)):
             return False
-        k = len(self.form)
-        return all(self.form[i][j] == -self.form[j][i] for i in range(k) for j in range(k))
+        return all(a.numerator == -b.numerator and a.denominator == b.denominator
+                   for i, row in enumerate(form)
+                   for a, b in zip(row[i + 1:], (below[i] for below in form[i + 1:])))
 
 
 def r_check(r: SparseOp, f: LieSubalgebra) -> FrobeniusData:

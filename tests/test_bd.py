@@ -2,12 +2,16 @@
 
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cgrm import bd, closed_form, dunkl, wheels
 from cgrm.closed_form import phi_twist
-from cgrm.tensorops import WedgeElement, wedge_to_op
+from cgrm.linalg import solve_affine
+from cgrm.tensorops import MatrixN, WedgeElement, wedge_of_matrices, wedge_to_op
 
 
 def coprime_pairs(n_max):
@@ -144,6 +148,161 @@ def test_beta_variety_is_singleton():
         assert sol == bd.beta_part(m, n)
 
 
+@pytest.mark.parametrize("b", [bd.beta_part(1, 5), bd.beta_part(1, 3), WedgeElement.zero(5)],
+                         ids=["beta_part(1,5)", "beta_part(1,3)", "zero(5)"])
+def test_verify_beta_variety_rejects_another_n(b):
+    with pytest.raises(ValueError, match="element is for n = %d, triple for n = 4" % b.n):
+        bd.verify_beta_variety(bd.cg_triple(1, 4), b)
+
+
+def test_beta_variety_at_the_cli_cap():
+    """c8 at n = 31 and 32, the largest sizes the CLI accepts."""
+    for n in (31, 32):
+        for m in range(1, n):
+            if gcd(m, n) == 1:
+                t = bd.cg_triple(m, n)
+                assert bd.solve_beta_variety(t) == (bd.beta_part(m, n), 0), (m, n)
+                assert bd.verify_beta_variety(t, bd.beta_part(m, n)), (m, n)
+
+
+def _beta_system(t):
+    """The beta-variety equations as sparse rows over the unknowns e_jj ^ e_ll (j < l):
+    the oracle for solve_beta_variety, which solves the same equations as C F = V.
+
+    Returns (index, rows, rhs), index mapping each pair (j, l) to its column in
+    the order of the unknowns.  The first n rows say that every row sum of the
+    antisymmetric coefficient matrix C vanishes (h ^ h membership).  Then, for
+    each a_s in S0, the contraction (1 (x) f) of sum C_{jl}/2 e_jj (x) e_ll, with
+    f = a_{zeta(s)} - a_s, must equal half the sum of the trace-form duals of a_s
+    and its image, one row per diagonal entry.  The dual of a_s is the diagonal
+    matrix e_ss - e_{s+1,s+1}, so f and the right-hand side share its +-1 pattern.
+    """
+    n = t.n
+    pairs = [(j, l) for j in range(1, n + 1) for l in range(j + 1, n + 1)]
+    index = {p: k for k, p in enumerate(pairs)}
+    rows, rhs = [], []
+    for j in range(1, n + 1):
+        row = {index[(j, l)]: Fraction(1) for l in range(j + 1, n + 1)}
+        row.update((index[(l, j)], Fraction(-1)) for l in range(1, j))
+        rows.append(row)
+        rhs.append(Fraction(0))
+    for s in sorted(t.s0):
+        z = t.zeta[s]
+        h_image, h_source = [Fraction(0)] * n, [Fraction(0)] * n
+        h_image[z - 1], h_image[z] = Fraction(1), Fraction(-1)
+        h_source[s - 1], h_source[s] = Fraction(1), Fraction(-1)
+        fvals = [a - b for a, b in zip(h_image, h_source)]
+        for d in range(1, n + 1):
+            row = {}
+            for l in range(d + 1, n + 1):
+                if fvals[l - 1]:
+                    row[index[(d, l)]] = fvals[l - 1] / 2
+            for j in range(1, d):
+                if fvals[j - 1]:
+                    row[index[(j, d)]] = -fvals[j - 1] / 2
+            rows.append(row)
+            rhs.append((h_image[d - 1] + h_source[d - 1]) / 2)
+    return index, rows, rhs
+
+
+def _first_failing_row(index, rows, rhs, b):
+    """The index of the first oracle row that the diagonal element b fails, or None."""
+    x = {index[(a, c)]: v for ((a, _), (c, _)), v in b.terms.items()}
+    return next((k for k, (row, value) in enumerate(zip(rows, rhs))
+                 if sum((v * x.get(col, 0) for col, v in row.items()), Fraction(0)) != value), None)
+
+
+def _verify_over_rows(t, b):
+    """verify_beta_variety over the oracle's rows."""
+    k = _first_failing_row(*_beta_system(t), b)
+    if k is not None and k < t.n:
+        raise ValueError("element does not lie in h ^ h (nonzero trace leg)")
+    return k is None
+
+
+def _closes_cycle(zeta, a, z):
+    """Whether setting zeta(a) = z closes a cycle of zeta, given that it has none."""
+    cur = z
+    while cur != a and cur in zeta:
+        cur = zeta[cur]
+    return cur == a
+
+
+def _h(n, a):
+    return MatrixN(n, {(a, a): 1, (a + 1, a + 1): -1})
+
+
+@st.composite
+def beta_cases(draw, max_n=8):
+    """A valid BDTriple at n = 1..max_n and a nonzero traceless h ^ h element
+    (None for n < 3).  The triple is a maximal cg_triple, or is built one node
+    at a time: each drawn node of S0 gets an image that keeps the Cartan pairing
+    with the nodes already placed and closes no cycle, and stays out of S0 when
+    no image does."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if n >= 2 and draw(st.booleans()):
+        t = bd.cg_triple(draw(st.sampled_from([m for m in range(1, n) if gcd(m, n) == 1])), n)
+    else:
+        zeta = {}
+        for a in range(1, n):
+            if draw(st.booleans()):
+                images = [z for z in range(1, n) if z not in zeta.values()
+                          and not _closes_cycle(zeta, a, z)
+                          and all(bd.cartan_pairing(z, zeta[b]) == bd.cartan_pairing(a, b)
+                                  for b in zeta)]
+                if images:
+                    zeta[a] = draw(st.sampled_from(images))
+        t = bd.BDTriple(n, zeta, zeta.values(), zeta)
+    if n < 3:
+        return t, None
+    a = draw(st.integers(min_value=1, max_value=n - 2))
+    b = draw(st.integers(min_value=a + 1, max_value=n - 1))
+    c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+    return t, c * wedge_of_matrices(_h(n, a), _h(n, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(beta_cases())
+@example((bd.BDTriple(5, (), (), {}), wedge_of_matrices(_h(5, 1), _h(5, 3))))
+@example((bd.BDTriple(6, {1, 2}, {4, 5}, {1: 5, 2: 4}), wedge_of_matrices(_h(6, 2), _h(6, 3))))
+@example((bd.BDTriple(7, {1, 4}, {3, 6}, {1: 3, 4: 6}), wedge_of_matrices(_h(7, 1), _h(7, 6))))
+@example((bd.cg_triple(3, 7), wedge_of_matrices(_h(7, 2), _h(7, 4))))
+@example((bd.BDTriple(1, (), (), {}), None))
+def test_beta_variety_matches_the_row_oracle(case):
+    """The C F = V solve against the n^2-row system on any valid triple: the same
+    affine dimension, a point satisfying every row, and verify_beta_variety
+    agreeing with the rows on that point and on a shift inside h ^ h."""
+    t, shift = case
+    index, rows, rhs = _beta_system(t)
+    oracle = solve_affine(rows, rhs, len(index))
+    solved = bd.solve_beta_variety(t)
+    assert (solved is None) == (oracle is None)
+    if solved is None:
+        return
+    point, dimension = solved
+    assert dimension == len(oracle[1])
+    assert _first_failing_row(index, rows, rhs, point) is None
+    if dimension == 0:
+        assert point.terms == {((j, j), (l, l)): oracle[0][k]
+                               for (j, l), k in index.items() if k in oracle[0]}
+    if not t.s0:
+        assert dimension == (t.n - 1) * (t.n - 2) // 2  # all of h ^ h
+    assert bd.verify_beta_variety(t, point) and _verify_over_rows(t, point)
+    if shift is not None:
+        assert bd.verify_beta_variety(t, point + shift) == _verify_over_rows(t, point + shift)
+
+
+@pytest.mark.parametrize("zeta", [{1: 1}, {1: 2, 2: 1}, {1: 3, 2: 1}],
+                         ids=["fixed point", "cycle", "not orthogonal"])
+def test_beta_variety_of_an_invalid_zeta_is_inconsistent(zeta):
+    """BDTriple refuses these maps; read without that check, their equations
+    have no solution, and both solves say so."""
+    t = SimpleNamespace(n=4, s0=frozenset(zeta), zeta=zeta)
+    index, rows, rhs = _beta_system(t)
+    assert solve_affine(rows, rhs, len(index)) is None
+    assert bd.solve_beta_variety(t) is None
+
+
 def test_phi_flips_bd_matrix():
     for (m, n) in coprime_pairs(8):
         assert phi_twist(bd.bd_r_matrix(m, n)) == bd.bd_r_matrix(n - m, n)
@@ -197,3 +356,4 @@ def test_invalid_pair_is_rejected(name, pair):
     with pytest.raises(ValueError) as info:
         entry(*pair)
     assert str(info.value) == message
+

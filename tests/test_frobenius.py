@@ -57,6 +57,18 @@ def test_r_check_structure():
     assert frobenius.cocycle_check(fd)
 
 
+def test_skew_rejects_a_diagonal_entry_or_an_asymmetric_pair():
+    def skew(form):
+        return frobenius.FrobeniusData(None, [], form=form).skew
+    h = Fraction(1, 2)
+    assert skew([[0, h, 0], [-h, 0, Fraction(-3)], [0, 3, 0]])
+    assert skew([])
+    assert not skew(None)
+    assert not skew([[0, h, 0], [-h, Fraction(1, 5), 0], [0, 0, 0]])
+    assert not skew([[0, h, 0], [-h, 0, Fraction(-3)], [0, Fraction(3, 2), 0]])
+    assert not skew([[0, h], [h, 0]])
+
+
 def test_r_check_reconstructs_solution():
     """r = sum (F^{-1})_{ij} b_i (x) b_j over the carrier basis."""
     n, u, t = 5, 2, 3
