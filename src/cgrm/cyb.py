@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .linalg import add_scaled
 from .scalars import common_denominator, format_scalar, scaled_to_int
 from .tensorops import SparseOp
 
@@ -38,7 +38,9 @@ def embed(r: SparseOp, legs: int) -> SparseOp:
                 cols3[(k, b, l)] = {(i, b, j): v for (i, j), v in col.items()}
     else:
         raise ValueError("legs must be one of 12, 13, 23")
-    return SparseOp(n, cols3)
+    result = SparseOp(n)
+    result.cols = cols3  # r stores no zeros, so its relabelled columns need no cleaning
+    return result
 
 
 def z_op(n: int) -> SparseOp:
@@ -59,30 +61,67 @@ def _integral(op: SparseOp):
     return d, scaled
 
 
-def _cyclic_sum_over(b: SparseOp, d: int) -> SparseOp:
-    """(b + s b s^-1 + s^2 b s^-2) / d for the cyclic leg shift s, which sends
-    r12 to r23 and r13 to r21.
+def _bracket_column(c12: dict, c13: dict, u: tuple) -> dict:
+    """Column u of [a12, a13] as an int dict, a12 (a13 e_u) - a13 (a12 e_u),
+    read from the columns of the two embeds; cancelled entries stay as 0."""
+    acc = {}
+    for right, left, sign in ((c13, c12, 1), (c12, c13, -1)):
+        for mid, v in right.get(u, {}).items():
+            upper = left.get(mid)
+            if upper is None:
+                continue
+            if sign < 0:
+                v = -v
+            for out, w in upper.items():
+                if out in acc:
+                    acc[out] += v * w
+                else:
+                    acc[out] = v * w
+    return acc
 
-    Conjugating by s relabels both indices by rot(x, y, z) = (y, z, x): column
-    t of s b s^-1 is column rot(t) of b, each output o moved to rot^-1(o).  The
-    sum is s-invariant, so each orbit {t, rot(t), rot^2(t)} is summed once, at
-    its least member, and its other columns are the same entries relabelled.
+
+# The leg permutations other than the identity, each with whether it is odd;
+# f(t) permutes the positions of an index tuple t.
+_OTHER_PERMS = tuple((itemgetter(*p), odd) for p, odd in (
+    ((1, 2, 0), False), ((2, 0, 1), False),
+    ((0, 2, 1), True), ((2, 1, 0), True), ((1, 0, 2), True)))
+
+
+def _skew_double_bracket(a: SparseOp, d: int) -> SparseOp:
+    """(1 + s + s^2)B / d for B = [a12, a13] and a skew int operator a, one S3
+    orbit of input columns at a time; B itself is never stored.
+
+    The cyclic leg shift s relabels both indices by rot(x, y, z) = (y, z, x):
+    column t of s B s^-1 is column rot(t) of B, each output o moved to
+    rot^-1(o).  So column t of the sum needs columns t, rot(t) and rot^2(t)
+    of B, and nothing else; it is formed at the sorted member t of
+    each orbit and divided by d there.  For a skew a the sum lies in the
+    third exterior power: P23 swaps a12 and a13 and negates a23, so every
+    leg permutation f gives column f(t) as column t relabelled by f and
+    multiplied by sgn(f).  That fills the other (at most five) columns.
     """
-    src = b.cols
+    c12, c13 = embed(a, 12).cols, embed(a, 13).cols
     cols = {}
-    for rep in {min(t, (t[1], t[2], t[0]), (t[2], t[0], t[1])) for t in src}:
-        r1 = (rep[1], rep[2], rep[0])
-        r2 = (rep[2], rep[0], rep[1])
-        acc = dict(src.get(rep, {}))
-        add_scaled(acc, 1, {(o[2], o[0], o[1]): v for o, v in src.get(r1, {}).items()})
-        add_scaled(acc, 1, {(o[1], o[2], o[0]): v for o, v in src.get(r2, {}).items()})
-        if not acc:
+    for t in {tuple(sorted(u)) for u in c12}:
+        x, y, z = t
+        acc = _bracket_column(c12, c13, t)
+        for out, v in _bracket_column(c12, c13, (y, z, x)).items():
+            key = (out[2], out[0], out[1])
+            acc[key] = acc.get(key, 0) + v
+        for out, v in _bracket_column(c12, c13, (z, x, y)).items():
+            key = (out[1], out[2], out[0])
+            acc[key] = acc.get(key, 0) + v
+        col = {out: Fraction(v, d) for out, v in acc.items() if v}
+        if not col:
             continue
-        col = cols[rep] = {o: Fraction(v, d) for o, v in acc.items()}
-        if r1 != rep:
-            cols[r1] = {(o[1], o[2], o[0]): v for o, v in col.items()}
-            cols[r2] = {(o[2], o[0], o[1]): v for o, v in col.items()}
-    result = SparseOp(b.n)
+        cols[t] = col
+        even = col.items()
+        odd = [(out, -v) for out, v in even]
+        for f, is_odd in _OTHER_PERMS:
+            u = f(t)
+            if u not in cols:
+                cols[u] = {f(out): v for out, v in (odd if is_odd else even)}
+    result = SparseOp(a.n)
     result.cols = cols
     return result
 
@@ -94,7 +133,8 @@ def double_bracket(a: SparseOp, b: SparseOp) -> SparseOp:
     divided by D_a D_b once at the end.  For a skew r (P r P = -r) the cyclic
     leg shift s sends r12 to r23 and r13 to -r12, so [r12, r23] and
     [r13, r23] are the s- and s^2-conjugates of [r12, r13], and
-    double_bracket(r, r) is (1 + s + s^2)[r12, r13]: one bracket, not three.
+    double_bracket(r, r) is (1 + s + s^2)[r12, r13], summed one S3 orbit of
+    columns at a time with no operator bracket.
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
@@ -102,7 +142,7 @@ def double_bracket(a: SparseOp, b: SparseOp) -> SparseOp:
     d, a = _integral(a)
     db, b = (d, a) if same else _integral(b)
     if same and a.is_antisymmetric():
-        return _cyclic_sum_over(embed(a, 12).bracket(embed(a, 13)), d * d)
+        return _skew_double_bracket(a, d * d)
     a12, a13 = embed(a, 12), embed(a, 13)
     b13, b23 = embed(b, 13), embed(b, 23)
     ints = a12.bracket(b13) + a12.bracket(b23) + a13.bracket(b23)
@@ -138,14 +178,37 @@ def find_lambda(r: SparseOp) -> CybReport:
 
     For n >= 2 the first column of Z in sorted order is (1, 1, 2), and its
     smallest nonzero entry is -1 at (1, 2, 1); for n = 1 the double bracket
-    is always zero.
+    is always zero.  The residual bb - lambda Z is counted in one pass over
+    the columns, with Z e_abc = e_cab - e_bca read inline: each of those two
+    entries of bb is compared with +-lambda, and Z is never built.
     """
     bb = double_bracket(r, r)
     if bb.is_zero():
         return CybReport(Fraction(0), 0, TRIANGULAR)
-    lam = -bb.cols.get((1, 1, 2), {}).get((1, 2, 1), ZERO)
-    residual = bb.__add__(z_op(r.n), -lam)
-    count = residual.count_nonzero()
+    cols = bb.cols
+    lam = -cols.get((1, 1, 2), {}).get((1, 2, 1), ZERO)
+    count = bb.count_nonzero()
+    if lam:
+        rng = range(1, r.n + 1)
+        for a in rng:
+            for b in rng:
+                for c in rng:
+                    if a == b == c:
+                        continue
+                    col = cols.get((a, b, c))
+                    if col is None:
+                        count += 2
+                        continue
+                    v = col.get((c, a, b))
+                    if v is None:
+                        count += 1
+                    elif v == lam:
+                        count -= 1
+                    v = col.get((b, c, a))
+                    if v is None:
+                        count += 1
+                    elif v == -lam:
+                        count -= 1
     if count == 0 and lam != 0:
         return CybReport(lam, 0, QUASITRIANGULAR)
     return CybReport(None, count, NOT_R_MATRIX)

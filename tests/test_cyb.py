@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -106,15 +107,32 @@ def test_double_bracket_matches_fraction_oracle(ops):
     assert all(type(v) is Fraction for _, _, v in db.entries())
 
 
-def _conjugate_by_cyclic_shift(op):
-    """s op s^-1 for the leg shift s with s r12 s^-1 = r23, built as an operator:
-    s^-1 sends e_x (x) e_y (x) e_z to e_y (x) e_z (x) e_x."""
+# The six permutations of three tensor legs, each as the positions p with
+# e_u -> e_(u[p0], u[p1], u[p2]), and its sign.
+LEG_PERMUTATIONS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                    ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
+
+
+def _conjugate_by_leg_permutation(op, p):
+    """sigma op sigma^-1 for sigma e_u = e_(u[p0], u[p1], u[p2]), with sigma and
+    sigma^-1 built as operators."""
     rng = range(1, op.n + 1)
-    s_inv = SparseOp(op.n, {(x, y, z): {(y, z, x): Fraction(1)}
-                            for x in rng for y in rng for z in rng})
-    s = SparseOp(op.n, {(y, z, x): {(x, y, z): Fraction(1)}
-                        for x in rng for y in rng for z in rng})
-    return s @ op @ s_inv
+    triples = [(x, y, z) for x in rng for y in rng for z in rng]
+    sigma = SparseOp(op.n, {u: {tuple(u[i] for i in p): Fraction(1)} for u in triples})
+    sigma_inv = SparseOp(op.n, {tuple(u[i] for i in p): {u: Fraction(1)} for u in triples})
+    return sigma @ op @ sigma_inv
+
+
+def _conjugate_by_cyclic_shift(op):
+    """s op s^-1 for the leg shift s with s r12 s^-1 = r23:
+    s sends e_x (x) e_y (x) e_z to e_z (x) e_x (x) e_y."""
+    return _conjugate_by_leg_permutation(op, (2, 0, 1))
+
+
+def _is_alternating(op):
+    """sigma op sigma^-1 = sgn(sigma) op for all six leg permutations sigma."""
+    return all(_conjugate_by_leg_permutation(op, p) == sign * op
+               for p, sign in LEG_PERMUTATIONS)
 
 
 def _cyclic_sum_of_one_bracket(r):
@@ -152,17 +170,39 @@ def test_skew_double_bracket_examples():
         assert r.is_antisymmetric()
         _assert_skew_path_exact(r)
         assert cyb.double_bracket(r, r) == _cyclic_sum_of_one_bracket(r)
+        assert _is_alternating(cyb.double_bracket(r, r))
 
 
-def test_skew_path_runs_one_bracket(monkeypatch):
+def test_skew_path_runs_no_operator_bracket(monkeypatch):
     calls = []
     bracket = SparseOp.bracket
     monkeypatch.setattr(SparseOp, "bracket", lambda x, y: calls.append(1) or bracket(x, y))
     r = closed_form.cg_closed_form(2, 5)
     cyb.double_bracket(r, r)
-    assert len(calls) == 1
+    assert len(calls) == 0
     cyb.double_bracket(r, SparseOp(r.n, r.cols))
-    assert len(calls) == 4
+    assert len(calls) == 3
+
+
+# Its double bracket has nonzero columns at (x, x, y) and (x, x, x) orbits.
+REPEATED_INDEX_WEDGE = WedgeElement.from_terms(3, [((1, 2), (3, 3), -3), ((2, 2), (3, 2), -2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: wedge_elements(n, max_terms=6)))
+@example(REPEATED_INDEX_WEDGE)
+def test_skew_double_bracket_is_alternating(w):
+    """For a skew r, [[r, r]] lies in the third exterior power: conjugating by
+    a leg permutation multiplies it by the permutation's sign.  The skew path
+    fills five of the six columns of each orbit from this."""
+    r = wedge_to_op(w)
+    assert _is_alternating(_double_bracket_over_fractions(r, r))
+    assert _is_alternating(cyb.double_bracket(r, r))
+
+
+def test_repeated_index_orbits_are_covered():
+    r = wedge_to_op(REPEATED_INDEX_WEDGE)
+    assert {len(set(t)) for t in cyb.double_bracket(r, r).cols} == {1, 2}
 
 
 def test_non_skew_operator_takes_the_general_path():
@@ -176,6 +216,7 @@ def test_non_skew_operator_takes_the_general_path():
     db = cyb.double_bracket(bent, bent)
     assert db == _double_bracket_over_fractions(bent, bent)
     assert db != _cyclic_sum_of_one_bracket(bent)
+    assert not _is_alternating(db)
     assert cyb.find_lambda(bent).classification == cyb.NOT_R_MATRIX
 
 
@@ -279,6 +320,42 @@ def test_find_lambda_agrees_with_general_search():
         assert report.to_json_obj() == _find_lambda_by_search(r).to_json_obj()
         kinds.add(report.classification)
     assert kinds == {cyb.TRIANGULAR, cyb.QUASITRIANGULAR, cyb.NOT_R_MATRIX}
+
+
+def closed_form_multiples():
+    pairs = [(m, n) for n in range(2, 8) for m in range(1, n) if gcd(m, n) == 1]
+    return st.tuples(st.sampled_from(pairs), scalars).map(
+        lambda t: t[1] * closed_form.cg_closed_form(*t[0]))
+
+
+def perturbed_closed_forms():
+    """A closed-form multiple plus a few arbitrary entries: mostly not a
+    solution, with many residual entries that still cancel."""
+    return closed_form_multiples().flatmap(
+        lambda r: two_leg_ops(r.n, max_terms=2).map(lambda e: r + e))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.integers(min_value=1, max_value=4).flatmap(lambda n: wedge_elements(n, max_terms=6)).map(
+        wedge_to_op),
+    st.integers(min_value=1, max_value=4).flatmap(two_leg_ops),
+    closed_form_multiples(),
+    perturbed_closed_forms()))
+@example(Fraction(-3, 2) * closed_form.cg_closed_form(2, 5))
+@example(closed_form.cg_closed_form(3, 5) + SparseOp.from_entries(5, [((1, 2), (2, 1), 1)]))
+@example(wedge_to_op(WedgeElement.single(3, 1, 2, 2, 3, Fraction(3, 4))))
+def test_find_lambda_matches_search_with_z(r):
+    """The inline residual count equals (bb - lambda Z).count_nonzero() with Z
+    built as an operator, for solutions, non-solutions and lambda = 0."""
+    assert cyb.find_lambda(r).to_json_obj() == _find_lambda_by_search(r).to_json_obj()
+
+
+@pytest.mark.parametrize("m", [2, 16])
+def test_find_lambda_at_the_cli_cap(m):
+    report = cyb.find_lambda(closed_form.cg_closed_form(m, 31))
+    assert report.to_json_obj() == {"classification": cyb.QUASITRIANGULAR,
+                                    "lambda": "1/4", "residual_nonzero_count": 0}
 
 
 def test_orbit_equivariance():
