@@ -1,23 +1,23 @@
 """End-to-end acceptance checks; every identity is exact, tolerance zero.
 
 Each criterion is a function returning a CheckResult so the CLI and the test
-suite share one implementation.  Randomized criteria draw from a seeded
-generator over small rationals.
+suite share one implementation.  A claim whose two sides are polynomials of
+total degree <= d in k parameters holds for all of them once it holds at the
+C(k + d, d) points polynomial_monomials(k, d), the a in N^k with |a| <= d: no
+nonzero polynomial of that degree vanishes on all of them.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import bd, closed_form, cyb, dunkl, frobenius, wheels
 from .linalg import rank
-from .scalars import format_scalar, random_rational
+from .polyops import check_poly_cyb, laurent_window, polynomial_monomials
+from .scalars import format_scalar
 from .tensorops import wedge_to_op
-
-DEFAULT_SEED = 0
 
 
 @dataclass
@@ -33,7 +33,7 @@ def coprime_pairs(n_max, n_min=2):
             for m in range(1, n) if gcd(m, n) == 1]
 
 
-def criterion_1(seed=DEFAULT_SEED):
+def criterion_1():
     """Cross-construction equality of the root-data and closed-form routes."""
     pairs = coprime_pairs(12)
     oks = [wedge_to_op(bd.bd_r_matrix(n - m, n)) == closed_form.cg_closed_form(m, n)
@@ -52,7 +52,7 @@ PAPER_STRINGS_12_31 = [
 ]
 
 
-def criterion_2(seed=DEFAULT_SEED):
+def criterion_2():
     """Closed-form index sets agree with the partial-order brute force."""
     pairs = coprime_pairs(20) + [(12, 31)]
     ok = True
@@ -72,7 +72,7 @@ def criterion_2(seed=DEFAULT_SEED):
                        ok and frozen, "%d coprime pairs, all positions" % len(pairs))
 
 
-def criterion_3(seed=DEFAULT_SEED):
+def criterion_3():
     """Every closed-form solution certifies as quasitriangular; lambda = 1/4 at m = 2."""
     pairs = coprime_pairs(9, n_min=3)
     passed = True
@@ -90,45 +90,50 @@ def criterion_3(seed=DEFAULT_SEED):
     return CheckResult(3, "CYB certification for 3 <= n <= 9", passed, detail)
 
 
-def criterion_4(seed=DEFAULT_SEED):
-    """Both Dunkl realizations reproduce the closed form exactly."""
-    rng = random.Random(seed)
+def dunkl_m2_failure(n, target):
+    """The first basis point (kappa, c0, c1) at which r_via_dunkl_m2 differs from
+    target.  c0 (window - target) is linear and homogeneous in the parameters,
+    so None proves window = target for every c0 != 0."""
+    return next((p for p in ((0, 1, 0), (1, 1, 0), (0, 1, 1))
+                 if dunkl.r_via_dunkl_m2(n, dunkl.CherednikParams(*p)) != target), None)
+
+
+def params_failure(m, holds):
+    """The first point of the degree-2 grid in (kappa, c0, c1), or in (kappa, c0)
+    at m = 1 where c1 does not enter, at which holds(params) is false."""
+    grid = polynomial_monomials(2 if m == 1 else 3, 2)
+    return next((p for p in grid if not holds(dunkl.CherednikParams(*p, m=m))), None)
+
+
+def lemma_failure(lam):
+    """The first point of the degree-2 grid in (a1, a2) at which CYB_lam of the
+    lemma expression, which is affine in them, is nonzero on the window of bound 5."""
+    window = laurent_window(3, 5)
+    return next((a for a in polynomial_monomials(2, 2)
+                 if not check_poly_cyb(dunkl.lemma_expression(*a), lam, window)), None)
+
+
+def criterion_4():
+    """Both Dunkl realizations reproduce the closed form exactly, m = 2 for every c0 != 0."""
     ok = all(dunkl.r_via_dunkl_m1(n) == closed_form.cg_closed_form(1, n)
              for n in range(2, 13))
-    trials = 0
-    for n in (3, 5, 7, 9):
-        target = closed_form.cg_closed_form(2, n)
-        for _ in range(5):
-            params = dunkl.CherednikParams(
-                kappa=random_rational(rng), c0=random_rational(rng),
-                c1=random_rational(rng), m=2)
-            trials += 1
-            if dunkl.r_via_dunkl_m2(n, params) != target:
-                ok = False
-    return CheckResult(4, "Dunkl realizations (m = 1 for n <= 12; m = 2, 5 random params)",
-                       ok, "%d randomized m = 2 trials" % trials)
+    ok = ok and all(dunkl_m2_failure(n, closed_form.cg_closed_form(2, n)) is None
+                    for n in (3, 5, 7, 9))
+    return CheckResult(4, "Dunkl realizations (m = 1 for n <= 12; m = 2 for all c0 != 0)",
+                       ok, "m = 2 linear in (kappa, c0, c1): 3 basis points at n in {3, 5, 7, 9}")
 
 
-def criterion_5(seed=DEFAULT_SEED):
-    """Operator algebra relations and graded CYB identities on polynomials."""
-    from .polyops import check_poly_cyb, polynomial_monomials
-    rng = random.Random(seed)
-    ok = True
-    for m in (1, 2):
-        params = dunkl.CherednikParams(kappa=random_rational(rng), c0=random_rational(rng),
-                                       c1=random_rational(rng), m=m)
-        ok = ok and dunkl.verify_relations(params, degree_bound=8)
-    deg10 = polynomial_monomials(3, 10)
-    for _ in range(3):
-        params = dunkl.CherednikParams(kappa=random_rational(rng), c0=random_rational(rng),
-                                       c1=random_rational(rng), m=2)
-        ok = ok and check_poly_cyb(dunkl.element_e(params), 4 * params.c0 ** 2, deg10)
-    lemma_pairs = [(Fraction(1), Fraction(2, 5)), (Fraction(0), Fraction(0))]
-    lemma_pairs += [(random_rational(rng), random_rational(rng)) for _ in range(5)]
-    for a1, a2 in lemma_pairs:
-        ok = ok and dunkl.lemma_cyb4(a1, a2, bound=5)
-    return CheckResult(5, "operator relations and graded CYB identities", ok,
-                       "relations to degree 8, CYB to degree 10, %d lemma pairs" % len(lemma_pairs))
+def criterion_5():
+    """Operator relations and graded CYB identities for all parameters, each of degree 2
+    in them: the y's and element_e are linear, and a relation multiplies at most two y's."""
+    ok = (params_failure(1, lambda p: dunkl.verify_relations(p, 8)) is None
+          and params_failure(2, lambda p: dunkl.verify_relations(p, 8)) is None
+          and params_failure(2, lambda p: check_poly_cyb(
+              dunkl.element_e(p), 4 * p.c0 ** 2, polynomial_monomials(3, 10))) is None
+          and lemma_failure(4) is None)
+    return CheckResult(5, "operator relations and graded CYB identities for all parameters", ok,
+                       "degree-2 grids: relations to degree 8 at 6 + 10 points, element_e CYB "
+                       "to degree 10 at 10 points, lemma CYB at 6 points")
 
 
 def nonvanishing_piece(ops):
@@ -154,9 +159,8 @@ def nonvanishing_piece(ops):
     return None
 
 
-def criterion_6(seed=DEFAULT_SEED):
+def criterion_6():
     """Module structure over the Heisenberg pair and triangularity of combinations."""
-    rng = random.Random(seed)
     ok = all(dunkl.module_structure_check(n) for n in (5, 7, 9))
     vs = {n: dunkl.elements_v(n) for n in (5, 7, 9)}
     for n in (5, 7, 9):
@@ -164,22 +168,16 @@ def criterion_6(seed=DEFAULT_SEED):
         ok = ok and rank([_op_vector(op) for op in (r,) + vs[n]]) == 5
     for n in (5, 7):
         ok = ok and nonvanishing_piece(vs[n]) is None
-        for _ in range(10):
-            combo = None
-            for v in vs[n]:
-                term = random_rational(rng) * v
-                combo = term if combo is None else combo + term
-            ok = ok and cyb.double_bracket(combo, combo).is_zero()
     return CheckResult(6, "module structure, rank 5, triangular combinations", ok,
-                       "n in {5, 7, 9}; all combinations of v1..v4 by their 10 symmetric "
-                       "pieces, and 10 random combinations, at n in {5, 7}")
+                       "n in {5, 7, 9}; all combinations of v1..v4 by bilinearity, "
+                       "their 10 symmetric pieces zero at n in {5, 7}")
 
 
 def _op_vector(op):
     return {(inp, out): v for out, inp, v in op.entries()}
 
 
-def criterion_7(seed=DEFAULT_SEED):
+def criterion_7():
     """Boundary family: orbit identity, carrier, Frobenius structure, Jordanian."""
     ok = True
     details = []
@@ -212,7 +210,7 @@ def criterion_7(seed=DEFAULT_SEED):
     return CheckResult(7, "boundary family and Jordanian instances", ok, "; ".join(details))
 
 
-def criterion_8(seed=DEFAULT_SEED):
+def criterion_8():
     """The diagonal variety is the advertised singleton for every coprime pair."""
     ok = True
     pairs = coprime_pairs(12)
@@ -236,5 +234,5 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
                 criterion_5, criterion_6, criterion_7, criterion_8)
 
 
-def run_all(seed=DEFAULT_SEED):
-    return [c(seed=seed) for c in ALL_CRITERIA]
+def run_all():
+    return [c() for c in ALL_CRITERIA]

@@ -174,14 +174,14 @@ def cmd_bd(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    results = acceptance.run_all(seed=args.seed)
+    results = acceptance.run_all()
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print("%s  criterion %d: %s  [%s]" % (status, res.cid, res.name, res.detail))
         if not res.passed:
             failed += 1
-    print("%d/%d criteria passed (seed %d)" % (len(results) - failed, len(results), args.seed))
+    print("%d/%d criteria passed" % (len(results) - failed, len(results)))
     return 0 if failed == 0 else 1
 
 
@@ -245,8 +245,7 @@ def build_parser():
     p.add_argument("--part", choices=("alpha", "beta", "gamma", "r"), default="r")
     p.add_argument("--out")
 
-    p = sub.add_parser("acceptance", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    sub.add_parser("acceptance", help="run the acceptance suite")
     return parser
 
 

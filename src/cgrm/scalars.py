@@ -59,8 +59,3 @@ def scaled_to_int(entries, d: int) -> dict:
         out[key] = v.numerator * q
     return out
 
-
-def random_rational(rng) -> Fraction:
-    """Random nonzero rational with numerator and denominator drawn from [-9, 9] \\ {0}."""
-    nonzero = [k for k in range(-9, 10) if k != 0]
-    return Fraction(rng.choice(nonzero), rng.choice(nonzero))

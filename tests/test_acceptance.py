@@ -5,20 +5,73 @@ run with `pytest -s tests/test_acceptance.py` (or via `cgrm acceptance`).
 """
 
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
 from cgrm import acceptance, closed_form, cyb, dunkl, frobenius
+from cgrm.linalg import rank
+from cgrm.polyops import Partial, check_poly_cyb, polynomial_monomials
 from cgrm.tensorops import SparseOp
 
 
 @pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA,
                          ids=lambda c: c.__name__)
 def test_criterion(criterion):
-    result = criterion(seed=acceptance.DEFAULT_SEED)
+    result = criterion()
     print("%s  criterion %d: %s  [%s]"
           % ("PASS" if result.passed else "FAIL", result.cid, result.name, result.detail))
     assert result.passed, "criterion %d failed: %s (%s)" % (result.cid, result.name, result.detail)
+
+
+@pytest.mark.parametrize("k, d", [(2, 2), (3, 2)])
+def test_parameter_grid_is_unisolvent(k, d):
+    """The C(k + d, d) grid points are the exponents of the monomials of degree
+    <= d, and those monomials evaluated at them are linearly independent, so
+    only the zero polynomial of that degree vanishes on the grid."""
+    points = polynomial_monomials(k, d)
+    assert len(points) == comb(k + d, d) and all(min(a) >= 0 and sum(a) <= d for a in points)
+    rows = [{e: prod(a ** x for a, x in zip(point, e)) for e in points} for point in points]
+    assert rank(rows) == comb(k + d, d)
+
+
+def test_dunkl_m2_certificate_rejects_a_changed_entry():
+    n = 5
+    target = closed_form.cg_closed_form(2, n)
+    assert acceptance.dunkl_m2_failure(n, target) is None
+    cols = {inp: dict(col) for inp, col in target.cols.items()}
+    col = next(iter(cols.values()))
+    col[next(iter(col))] *= 2
+    assert acceptance.dunkl_m2_failure(n, SparseOp(n, cols)) == (0, 1, 0)
+
+
+def test_element_e_certificate_rejects_a_c0_c1_term_in_lambda():
+    """lambda = 4 c0^2 + c0 c1 is right at every grid point but (0, 1, 1)."""
+    monos = polynomial_monomials(3, 3)
+    assert acceptance.params_failure(2, lambda p: check_poly_cyb(
+        dunkl.element_e(p), 4 * p.c0 ** 2 + p.c0 * p.c1, monos)) == (0, 1, 1)
+
+
+def test_lemma_certificate_rejects_lambda_5_and_an_a1_a2_term(monkeypatch):
+    """An a1 a2 multiple of Delta vanishes at every grid point but (1, 1)."""
+    assert acceptance.lemma_failure(5) == (0, 0)
+    lemma_expression = dunkl.lemma_expression
+    monkeypatch.setattr(dunkl, "lemma_expression", lambda a1, a2: lemma_expression(a1, a2)
+                        + (a1 * a2) * dunkl.divided_difference())
+    assert acceptance.lemma_failure(4) == (1, 1)
+
+
+def test_relations_certificate_sees_a_c0_c1_term(monkeypatch):
+    """c0 c1 d/dx1 added to y1 vanishes at every grid point but (0, 1, 1),
+    where it adds c0 c1 to [y1, x1]."""
+    dunkl_y = dunkl.dunkl_y
+
+    def bent(params, i):
+        y = dunkl_y(params, i)
+        return y + (params.c0 * params.c1) * Partial(0) if i == 1 else y
+
+    monkeypatch.setattr(dunkl, "dunkl_y", bent)
+    assert acceptance.params_failure(2, lambda p: dunkl.verify_relations(p, 3)) == (0, 1, 1)
 
 
 def test_v_span_certificate_fails_when_one_generator_is_perturbed():

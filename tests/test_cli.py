@@ -343,9 +343,9 @@ TEMPLATES = {
     "verify": ["--in", VALID_FILE, "--lambda", "1/4"],
     "compare": [VALID_FILE, VALID_FILE],
     "carrier": ["--in", VALID_FILE],
-    "acceptance": ["--seed", "0"],
+    "acceptance": [],
 }
-INT_FLAGS = ("--m", "--n", "--pair", "--seed")
+INT_FLAGS = ("--m", "--n", "--pair")
 RATIONAL_FLAGS = ("--kappa", "--c0", "--c1", "--u", "--t", "--lambda")
 CHOICE_FLAGS = {"--construction": ("closed", "bd", "dunkl"),
                 "--part": ("alpha", "beta", "gamma", "r")}
@@ -364,7 +364,7 @@ def malformed_argv(draw):
     command = draw(st.sampled_from(sorted(TEMPLATES)))
     argv = list(TEMPLATES[command])
     flags = [i for i, a in enumerate(argv) if a.startswith("--")]
-    kinds = ["unknown flag", "missing value", "bad command"]
+    kinds = ["unknown flag", "bad command"] + (["missing value"] if argv else [])
     if any(argv[i] in INT_FLAGS for i in flags):
         kinds.append("non-integer")
     if any(argv[i] in RATIONAL_FLAGS for i in flags):
@@ -404,6 +404,14 @@ def malformed_argv(draw):
         k, a, b = draw(st.integers(2, 4)), draw(st.integers(1, 4)), draw(st.integers(5, 8))
         argv[argv.index("--m") + 1], argv[argv.index("--n") + 1] = str(k * a), str(k * b)
     return [command] + argv
+
+
+def test_acceptance_takes_no_seed():
+    """The acceptance suite is deterministic and has no --seed flag."""
+    code, out = _call(["acceptance", "--seed", "0"])
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from cgrm import bd, closed_form, cyb
 from cgrm.frobenius import jordanian, jordanian_x, nilpotent_exp_action
-from cgrm.scalars import random_rational
 from cgrm.tensorops import (MatrixN, SparseOp, SparseOp2, WedgeElement, kron,
                             permutation_op, wedge_to_op)
+
+from conftest import random_rational
 
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 

@@ -8,8 +8,9 @@ import pytest
 from cgrm import bd, closed_form, cyb, dunkl
 from cgrm.polyops import (ExponentSign, LaurentPoly, check_poly_cyb, op_equal_on,
                           polynomial_monomials, window_matrix)
-from cgrm.scalars import random_rational
 from cgrm.tensorops import kron_sum2, op_to_wedge, wedge_to_op
+
+from conftest import random_rational
 
 PARAMS_M1 = dunkl.CherednikParams(kappa=Fraction(1, 2), c0=Fraction(3, 4), m=1)
 PARAMS_M2 = dunkl.CherednikParams(kappa=Fraction(2, 3), c0=Fraction(5, 7),
