@@ -161,8 +161,8 @@ def nonvanishing_piece(ops):
 
 def criterion_6():
     """Module structure over the Heisenberg pair and triangularity of combinations."""
-    ok = all(dunkl.module_structure_check(n) for n in (5, 7, 9))
     vs = {n: dunkl.elements_v(n) for n in (5, 7, 9)}
+    ok = all(dunkl._module_relations_hold(n, vs[n]) for n in (5, 7, 9))
     for n in (5, 7, 9):
         r = closed_form.cg_closed_form(2, n)
         ok = ok and rank([_op_vector(op) for op in (r,) + vs[n]]) == 5

@@ -463,10 +463,14 @@ def operator_degree(op: PolyOp, samples):
 def module_structure_check(n: int) -> bool:
     """All ten adjoint-action relations tying the solution to the module
     generators, using the matrix forms of the two Heisenberg generators."""
+    return _module_relations_hold(n, elements_v(n))
+
+
+def _module_relations_hold(n: int, vs) -> bool:
+    """The ten relations of module_structure_check for generators vs = elements_v(n)."""
     from .closed_form import cg_closed_form
-    require_odd_n(n)
     r = cg_closed_form(2, n)
-    v1, v2, v3, v4 = elements_v(n)
+    v1, v2, v3, v4 = vs
     e1, e2 = e1_matrix(n), e2_matrix(n)
     checks = [
         ad_action(e1, r) == v1,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
-from .linalg import add_scaled, expand_in_rref, invert, rref, solve_affine
+from .linalg import add_scaled, expand_in_rref, invert, rank, rref, solve_affine
 from .tensorops import MatrixN, SparseOp, ad_action, kron_sum2, wedge_to_op
 
 ZERO = Fraction(0)
@@ -53,10 +53,23 @@ class LieSubalgebra:
         return self.n == other.n and self._rows == other._rows
 
     def _check_closure(self) -> bool:
+        """Expand [x_i, x_j], i < j, for the pairs that interact: a column index
+        of one is a row index of the other.  Otherwise both products in
+        x_i x_j - x_j x_i are zero, so the bracket is exactly zero and in the
+        span.  Pairs run in (i, j) order, as over all pairs."""
+        by_row, by_col = {}, {}
+        for i, x in enumerate(self.basis):
+            for (a, b) in x.entries:
+                by_row.setdefault(a, set()).add(i)
+                by_col.setdefault(b, set()).add(i)
         brackets = {}
-        for i, a in enumerate(self.basis):
-            for j in range(i + 1, len(self.basis)):
-                coords = self.coordinates(a.bracket(self.basis[j]))
+        for i, x in enumerate(self.basis):
+            partners = set()
+            for (a, b) in x.entries:
+                partners.update(by_row.get(b, ()))
+                partners.update(by_col.get(a, ()))
+            for j in sorted(j for j in partners if j > i):
+                coords = self.coordinates(x.bracket(self.basis[j]))
                 if coords is None:
                     return False
                 if coords:
@@ -215,25 +228,27 @@ def frobenius_functional_check(fd: FrobeniusData, eta) -> bool:
     nondegenerate.  (The two orders of the pairing differ by the skew sign;
     this orientation is the one the computed map satisfies.)
 
-    eta([X, X]) = 0 and eta([Y, X]) = -eta([X, Y]) exactly, so the brackets are
-    evaluated for i < j only, against a zero diagonal and the skew entry; the
-    form then equals the Gram matrix of eta([., .]), whose inverse is tested.
     eta([x_i, x_j]) is sum_s c_s eta(x_s) over the bracket expansions kept by
-    the closure check, so a span that is not bracket closed fails.
+    the closure check, so a span that is not bracket closed fails.  Those are
+    all the nonzero brackets, so the Gram matrix G of eta([., .]) is built on
+    its nonzeros, G_ij for i < j and G_ji = -G_ij, and its diagonal is zero.
+    The form equals G when the two have equally many nonzero entries and each
+    nonzero entry of the form equals G's entry at the same position.  It is
+    then nondegenerate when its sparse rows have full rank.
     """
     f = fd.subalgebra
     if not fd.invertible or not f.bracket_closed:
         return False
     values = [eval_functional(eta, x) for x in f.basis]
-    form = fd.form
-    for i in range(len(values)):
-        if form[i][i] != 0:
-            return False
-        for j in range(i + 1, len(values)):
-            value = sum((c * values[s] for s, c in f._brackets.get((i, j), {}).items()), ZERO)
-            if value != form[i][j] or -value != form[j][i]:
-                return False
-    return invert(form) is not None
+    gram = {}
+    for (i, j), coeffs in f._brackets.items():
+        value = sum((c * values[s] for s, c in coeffs.items() if values[s]), ZERO)
+        if value:
+            gram[(i, j)], gram[(j, i)] = value, -value
+    rows = [{j: v for j, v in enumerate(row) if v} for row in fd.form]
+    return (sum(map(len, rows)) == len(gram)
+            and all(v == gram.get((i, j)) for i, row in enumerate(rows) for j, v in row.items())
+            and rank(rows) == len(rows))
 
 
 def cg_boundary_functional(n: int, u, t):

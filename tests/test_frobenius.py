@@ -280,6 +280,88 @@ def test_displayed_functional_regression():
     assert not frobenius.frobenius_functional_check(fd, displayed)
 
 
+def dense_functional_check(fd, eta):
+    """eta([x_i, x_j]) against the form over every basis pair i <= j, then the
+    form's inverse for nondegeneracy: the oracle for the check on G's nonzeros."""
+    f = fd.subalgebra
+    if not fd.invertible or not f.bracket_closed:
+        return False
+    values = [frobenius.eval_functional(eta, x) for x in f.basis]
+    form = fd.form
+    for i in range(len(values)):
+        if form[i][i] != 0:
+            return False
+        for j in range(i + 1, len(values)):
+            value = sum((c * values[s] for s, c in f._brackets.get((i, j), {}).items()),
+                        Fraction(0))
+            if value != form[i][j] or -value != form[j][i]:
+                return False
+    return invert(form) is not None
+
+
+def _boundary_frobenius(n, u=Fraction(2), t=Fraction(3)):
+    b = dunkl.b_cg(n, u, t)
+    return frobenius.r_check(b, frobenius.carrier(b)), frobenius.cg_boundary_functional(n, u, t)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_functional_check_matches_dense_oracle(n):
+    u, t = Fraction(2), Fraction(3)
+    fd, eta = _boundary_frobenius(n, u, t)
+    doubled = {pos: 2 * v for pos, v in eta.items()}
+    displayed = frobenius.cg_boundary_functional_displayed(n, u, t)
+    for functional, holds in ((eta, True), (doubled, False), (displayed, False)):
+        assert frobenius.frobenius_functional_check(fd, functional) is holds
+        assert dense_functional_check(fd, functional) is holds
+
+
+def _mutations(form):
+    """Single-entry changes of a skew form, each paired with its name."""
+    k = len(form)
+    zero = next((i, j) for i in range(k) for j in range(k) if i != j and not form[i][j])
+    i, j = next((i, j) for i in range(k) for j in range(i + 1, k) if form[i][j])
+    return [("zero set off the support", zero, Fraction(1)),
+            ("nonzero entry changed", (i, j), 2 * form[i][j]),
+            ("nonzero entry set to zero", (i, j), Fraction(0)),
+            ("diagonal entry", (i, i), Fraction(1)),
+            ("transposed entry only", (j, i), -2 * form[j][i])]
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_functional_check_rejects_single_entry_mutations(n):
+    fd, eta = _boundary_frobenius(n)
+    form = fd.form
+    for name, (i, j), value in _mutations(form):
+        fd.form = [list(row) for row in form]
+        fd.form[i][j] = value
+        assert not frobenius.frobenius_functional_check(fd, eta), name
+        assert not dense_functional_check(fd, eta), name
+
+
+def test_functional_check_fails_on_rank_alone(monkeypatch):
+    """eta = 0 against a zero form: every entry matches G, and only the rank fails."""
+    fd, _ = _boundary_frobenius(5)
+    k = len(fd.form)
+    fd.form = [[Fraction(0)] * k for _ in range(k)]
+    assert not frobenius.frobenius_functional_check(fd, {})
+    assert not dense_functional_check(fd, {})
+    monkeypatch.setattr(frobenius, "rank", len)
+    assert frobenius.frobenius_functional_check(fd, {})
+
+
+def test_boundary_chain_at_n_21():
+    """Carrier, parabolic, invertible skew form, cocycle and functional at n = 21."""
+    n, u, t = 21, Fraction(-1, 2), Fraction(3)
+    b = dunkl.b_cg(n, u, t)
+    car = frobenius.carrier(b)
+    assert car.bracket_closed and car.dimension == 402
+    assert car.same_span(frobenius.parabolic(n - 2, n))
+    fd = frobenius.r_check(b, car)
+    assert fd.invertible and fd.skew
+    assert frobenius.cocycle_check(fd)
+    assert frobenius.frobenius_functional_check(fd, frobenius.cg_boundary_functional(n, u, t))
+
+
 def test_nilpotent_exp_action():
     n = 4
     r = closed_form.cg_closed_form(1, n)

@@ -1,6 +1,6 @@
 """Sparse exact elimination against a dense Gauss-Jordan oracle, and the
-span queries built on it (structure constants, the Frobenius functional check,
-the carrier's trace check)."""
+span queries built on it (the closure check, structure constants, the
+Frobenius functional check, the carrier's trace check)."""
 
 import copy
 from fractions import Fraction
@@ -171,15 +171,72 @@ def test_rref_leaves_inputs_alone():
 
 
 def _direct_structure_constants(f):
+    """Expansions of [x_i, x_j] over every ordered pair i != j of basis elements,
+    or None when one of them leaves the span."""
     consts = {}
     for i, a in enumerate(f.basis):
         for j, b in enumerate(f.basis):
             if i != j:
                 coeffs = f.coordinates(a.bracket(b))
+                if coeffs is None:
+                    return None
                 assert all(coeffs.values())
                 if coeffs:
                     consts[(i, j)] = coeffs
     return consts
+
+
+def _assert_closure_matches_all_pairs(f):
+    """bracket_closed, and the kept expansions in (i, j) order, as every pair gives them."""
+    consts = _direct_structure_constants(f)
+    assert f.bracket_closed == (consts is not None)
+    if consts is not None:
+        assert list(f._brackets.items()) == [(key, c) for key, c in consts.items()
+                                             if key[0] < key[1]]
+
+
+def _lie_closure(n, mats):
+    """A reduced basis of the Lie subalgebra that mats generate."""
+    while True:
+        basis = [MatrixN(n, row) for row in rref([m.entries for m in mats])[0]]
+        mats = basis + [a.bracket(b) for i, a in enumerate(basis) for b in basis[i + 1:]]
+        if rank([m.entries for m in mats]) == len(basis):
+            return basis
+
+
+@st.composite
+def sparse_spans(draw, close):
+    """Up to five sparse n x n matrices, n <= 4, or the Lie subalgebra they generate."""
+    n = draw(st.integers(1, 4))
+    pos = st.tuples(st.integers(1, n), st.integers(1, n))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    mats = [MatrixN(n, m) for m in draw(st.lists(st.dictionaries(pos, value, max_size=3),
+                                                 max_size=5))]
+    return n, _lie_closure(n, mats) if close else mats
+
+
+@pytest.mark.parametrize("close", [True, False], ids=["closed", "drawn"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_closure_matches_all_pairs_on_drawn_spans(close, data):
+    n, mats = data.draw(sparse_spans(close))
+    f = frobenius.LieSubalgebra.from_matrices(n, mats)
+    assert f.bracket_closed or not close
+    _assert_closure_matches_all_pairs(f)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for n in range(2, 7) for m in range(1, n)])
+def test_closure_matches_all_pairs_on_parabolics(m, n):
+    f = frobenius.parabolic(m, n)
+    assert f.bracket_closed
+    _assert_closure_matches_all_pairs(f)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_closure_matches_all_pairs_on_boundary_carriers(n):
+    f = frobenius.carrier(dunkl.b_cg(n, 2, Fraction(-1, 3)))
+    assert f.bracket_closed
+    _assert_closure_matches_all_pairs(f)
 
 
 @pytest.mark.parametrize("make", [
@@ -196,6 +253,7 @@ def test_structure_constants_match_direct_expansion(make):
 def test_structure_constants_require_closed_span():
     f = frobenius.LieSubalgebra.from_matrices(2, [MatrixN.unit(2, 1, 2), MatrixN.unit(2, 2, 1)])
     assert not f.bracket_closed  # [e_12, e_21] = e_11 - e_22
+    _assert_closure_matches_all_pairs(f)
     with pytest.raises(ValueError, match="closed"):
         frobenius.structure_constants(f)
 
