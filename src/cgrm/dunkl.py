@@ -445,21 +445,6 @@ def r_m2_poly_op(n: int) -> PolyOp:
     return Fraction(1, 4) * lemma_expression(4, Fraction(-2, n))
 
 
-def operator_degree(op: PolyOp, samples):
-    """The common total-degree shift of op on the sample monomials, or None if mixed."""
-    shifts = set()
-    for exps in samples:
-        image = op.apply(LaurentPoly.monomial(exps))
-        base = sum(exps)
-        for key in image.terms:
-            shifts.add(sum(key) - base)
-    if not shifts:
-        return None
-    if len(shifts) > 1:
-        raise ValueError("operator is not homogeneous on the samples: %r" % sorted(shifts))
-    return shifts.pop()
-
-
 def module_structure_check(n: int) -> bool:
     """All ten adjoint-action relations tying the solution to the module
     generators, using the matrix forms of the two Heisenberg generators."""

@@ -117,15 +117,26 @@ def parabolic(m: int, n: int) -> LieSubalgebra:
     return LieSubalgebra.from_matrices(n, mats)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrobeniusData:
     """Matrix of the contraction isomorphism in the reduced dual basis, together
-    with its inverse and the induced two-form."""
+    with its inverse and the induced two-form.
+
+    form_rows holds the form's nonzero entries as sparse rows {j: form[i][j]},
+    read once from the dense form; the checks below read only those.  The data
+    is frozen, so the two cannot drift apart: a changed form is a new instance
+    (dataclasses.replace)."""
 
     subalgebra: LieSubalgebra
     r_check_matrix: list
     r_check_inverse: list = None
     form: list = None
+    form_rows: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = (None if self.form is None
+                else [{j: v for j, v in enumerate(row) if v} for row in self.form])
+        object.__setattr__(self, "form_rows", rows)
 
     @property
     def invertible(self):
@@ -133,14 +144,18 @@ class FrobeniusData:
 
     @property
     def skew(self):
-        """A zero diagonal and form[j][i] = -form[i][j] for each i < j, compared by
-        numerator and denominator so that no entry is negated."""
-        form = self.form
-        if form is None or any(row[i] for i, row in enumerate(form)):
+        """form[j][i] = -form[i][j] at every nonzero form[i][j], compared by
+        numerator and denominator so that no entry is negated; at i = j this
+        rejects every nonzero diagonal entry."""
+        rows = self.form_rows
+        if rows is None:
             return False
-        return all(a.numerator == -b.numerator and a.denominator == b.denominator
-                   for i, row in enumerate(form)
-                   for a, b in zip(row[i + 1:], (below[i] for below in form[i + 1:])))
+        for i, row in enumerate(rows):
+            for j, a in row.items():
+                b = rows[j].get(i)
+                if b is None or a.numerator != -b.numerator or a.denominator != b.denominator:
+                    return False
+        return True
 
 
 def r_check(r: SparseOp, f: LieSubalgebra) -> FrobeniusData:
@@ -196,7 +211,7 @@ def cocycle_check(fd: FrobeniusData) -> bool:
     """
     if not fd.invertible or not fd.skew:
         return False
-    form_rows = [{l: v for l, v in enumerate(row) if v} for row in fd.form]
+    form_rows = fd.form_rows
     totals = {}
     for (a, b), coeffs in structure_constants(fd.subalgebra).items():
         if a > b:
@@ -245,7 +260,7 @@ def frobenius_functional_check(fd: FrobeniusData, eta) -> bool:
         value = sum((c * values[s] for s, c in coeffs.items() if values[s]), ZERO)
         if value:
             gram[(i, j)], gram[(j, i)] = value, -value
-    rows = [{j: v for j, v in enumerate(row) if v} for row in fd.form]
+    rows = fd.form_rows
     return (sum(map(len, rows)) == len(gram)
             and all(v == gram.get((i, j)) for i, row in enumerate(rows) for j, v in row.items())
             and rank(rows) == len(rows))

@@ -1,10 +1,14 @@
 """Laurent polynomials over Q and the compositional operators acting on them.
 
-Operators act on two-variable polynomials.  The polynomial Yang-Baxter check
+Operators act on two-variable polynomials, and they evaluate on integer
+numerators only.  op._apply(terms) takes int coefficients and returns
+D * op(terms) with int coefficients, where D = op.denominator() clears every
+rational coefficient in the operator tree.  Each consumer divides by D once:
+apply (after scaling its input by the input's common denominator),
+window_matrix per entry, op_equal_on not at all (it compares cross-multiplied
+images), and the polynomial Yang-Baxter check at the very end.  That check
 lifts an operator to legs (1,2), (1,3), (2,3) of three-variable monomials in
-one place, from a memo of its two-variable images.  The memo holds them as
-integer numerators over the operator's common denominator, so the lift adds
-ints; poly_cyb_residual divides once, at the end.
+one place, from a memo of the int images.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import add_scaled
-from .scalars import scaled_to_int
+from .scalars import NonIntegralError, common_denominator
 from .tensorops import SparseOp
 
 ZERO = Fraction(0)
@@ -91,7 +95,8 @@ class LaurentPoly:
 
 
 def divide_linear(terms, sign):
-    """Exact division of a two-variable terms-dict by (x + sign * y); raises on remainder."""
+    """Exact division of a two-variable terms-dict by (x + sign * y); raises on
+    remainder.  The divisor is monic in x, so int terms give int quotients."""
     if not terms:
         return {}
     shift = min(p for p, _ in terms)
@@ -106,7 +111,7 @@ def divide_linear(terms, sign):
         coeff = work.pop(key)
         quotient[(p - 1 + shift, q)] = coeff
         tkey = (p - 1, q + 1)
-        nv = work.get(tkey, ZERO) - sign * coeff
+        nv = work.get(tkey, 0) - sign * coeff
         if nv == 0:
             work.pop(tkey, None)
         else:
@@ -116,13 +121,18 @@ def divide_linear(terms, sign):
 
 class PolyOp:
     """Base for operators on two-variable polynomials; subclasses implement
-    _apply(terms) on {(p, q): coefficient} dicts with no zero coefficients."""
+    _apply(terms), which maps {(p, q): int} dicts with no zero coefficients to
+    D * op(terms) in the same form, with D = denominator()."""
 
     def apply(self, poly: LaurentPoly) -> LaurentPoly:
         if poly.nvars != 2:
             raise ValueError("operators act on two-variable polynomials, got %d variables"
                              % poly.nvars)
-        return LaurentPoly(2, self._apply(poly.terms))
+        d = common_denominator(poly.terms.values())
+        image = self._apply({k: v.numerator * (d // v.denominator)
+                             for k, v in poly.terms.items()})
+        d *= self.denominator()
+        return LaurentPoly(2, {k: Fraction(v, d) for k, v in image.items()})
 
     def _apply(self, terms):
         raise NotImplementedError
@@ -158,9 +168,10 @@ class Const(PolyOp):
         return self.c.denominator
 
     def _apply(self, terms):
-        if self.c == 1:
+        c = self.c.numerator
+        if c == 1:
             return dict(terms)
-        return {k: self.c * v for k, v in terms.items()} if self.c else {}
+        return {k: c * v for k, v in terms.items()} if c else {}
 
 
 class Mono(PolyOp):
@@ -231,43 +242,58 @@ class ExponentSign(PolyOp):
 
 class OpSum(PolyOp):
     """Linear combination sum c * op over (c, op) pairs.  A nested sum is
-    flattened with its coefficients multiplied in, and zero terms are dropped."""
+    flattened with its coefficients multiplied in, and zero terms are dropped.
+
+    D is the lcm of the summands' c.denominator * D_op, so summand op enters
+    _apply with the int multiplier D c / D_op, fixed here once."""
 
     def __init__(self, summands):
         self.summands = []
         for c, op in summands:
-            inner = op.summands if isinstance(op, OpSum) else [(ONE, op)]
-            self.summands.extend((c * d, atom) for d, atom in inner if c * d)
+            for d, atom in op.summands if isinstance(op, OpSum) else [(ONE, op)]:
+                cd = c * d
+                if cd:
+                    self.summands.append((cd, atom))
+        scales = [c.denominator * op.denominator() for c, op in self.summands]
+        self.d = lcm(*scales)
+        self._scaled = [(c.numerator * (self.d // s), op)
+                        for (c, op), s in zip(self.summands, scales)]
 
     def denominator(self):
-        return lcm(*(c.denominator * op.denominator() for c, op in self.summands))
+        return self.d
 
     def _apply(self, terms):
         out = {}
-        for c, op in self.summands:
+        for c, op in self._scaled:
             add_scaled(out, c, op._apply(terms))
         return out
 
 
 class OpCompose(PolyOp):
-    """f * g applies g first, then f."""
+    """f * g applies g first, then f, so D is D_f D_g."""
 
     def __init__(self, f, g):
         self.f = f
         self.g = g
+        self.d = f.denominator() * g.denominator()
 
     def denominator(self):
-        return self.f.denominator() * self.g.denominator()
+        return self.d
 
     def _apply(self, terms):
         return self.f._apply(self.g._apply(terms))
 
 
 def op_equal_on(op_a: PolyOp, op_b: PolyOp, monomials) -> bool:
-    """Operator equality tested monomial-by-monomial."""
+    """Operator equality tested monomial-by-monomial, as D_b * (D_a a) = D_a *
+    (D_b b) on the int images."""
+    da, db = op_a.denominator(), op_b.denominator()
     for exps in monomials:
-        p = LaurentPoly.monomial(exps)
-        if op_a.apply(p) != op_b.apply(p):
+        a, b = op_a._apply({exps: 1}), op_b._apply({exps: 1})
+        if da != db:
+            a = {k: db * v for k, v in a.items()}
+            b = {k: da * v for k, v in b.items()}
+        if a != b:
             return False
     return True
 
@@ -303,13 +329,18 @@ def restrict_to_window(images, n: int) -> SparseOp:
 
 
 def window_matrix(op: PolyOp, n: int) -> SparseOp:
-    """The window restriction of a two-variable operator."""
-    return restrict_to_window(lambda p, q: op._apply({(p, q): ONE}), n)
+    """The window restriction of a two-variable operator: each int image entry
+    divided by D once."""
+    d = op.denominator()
+    return restrict_to_window(
+        lambda p, q: {k: Fraction(v, d) for k, v in op._apply({(p, q): 1}).items()}, n)
 
 
 class _Images(dict):
-    """Memo of the integer images (p, q) -> D * op._apply({(p, q): 1}), with
-    D = op.denominator(); an image that D does not clear raises NonIntegralError."""
+    """Memo of the integer images (p, q) -> op._apply({(p, q): 1}), that is D
+    times the image with D = op.denominator().  An operator whose _apply gives a
+    value that is not an int has a denominator it does not declare, and raises
+    NonIntegralError."""
 
     def __init__(self, op):
         super().__init__()
@@ -317,7 +348,12 @@ class _Images(dict):
         self.d = op.denominator()
 
     def __missing__(self, pair):
-        image = self[pair] = scaled_to_int(self.op._apply({pair: ONE}), self.d)
+        image = self.op._apply({pair: 1})
+        for v in image.values():
+            if type(v) is not int:
+                raise NonIntegralError("image of %r has the coefficient %r, not an integer "
+                                       "over the declared denominator %d" % (pair, v, self.d))
+        self[pair] = image
         return image
 
 

@@ -1,6 +1,7 @@
 """Carriers, parabolic subalgebras, the quasi-Frobenius structure, and the
 Jordanian boundary family."""
 
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,19 @@ def test_r_check_structure():
     assert frobenius.cocycle_check(fd)
 
 
+def test_form_rows_follow_the_form():
+    """The sparse rows are read from the dense form once; the data is frozen, so a
+    changed form is a new instance with its own rows."""
+    fd, _ = _boundary_frobenius(5)
+    assert fd.form_rows == [{j: v for j, v in enumerate(row) if v} for row in fd.form]
+    with pytest.raises(FrozenInstanceError):
+        fd.form = None
+    form = [list(row) for row in fd.form]
+    form[0][1] += 1
+    assert replace(fd, form=form).form_rows[0][1] == fd.form[0][1] + 1
+    assert frobenius.FrobeniusData(None, []).form_rows is None
+
+
 def test_skew_rejects_a_diagonal_entry_or_an_asymmetric_pair():
     def skew(form):
         return frobenius.FrobeniusData(None, [], form=form).skew
@@ -67,6 +81,8 @@ def test_skew_rejects_a_diagonal_entry_or_an_asymmetric_pair():
     assert not skew([[0, h, 0], [-h, Fraction(1, 5), 0], [0, 0, 0]])
     assert not skew([[0, h, 0], [-h, 0, Fraction(-3)], [0, Fraction(3, 2), 0]])
     assert not skew([[0, h], [h, 0]])
+    assert not skew([[0, h], [0, 0]])
+    assert not skew([[0, 0, 0], [0, 0, 0], [h, 0, 0]])
 
 
 def test_r_check_reconstructs_solution():
@@ -330,19 +346,19 @@ def _mutations(form):
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_functional_check_rejects_single_entry_mutations(n):
     fd, eta = _boundary_frobenius(n)
-    form = fd.form
-    for name, (i, j), value in _mutations(form):
-        fd.form = [list(row) for row in form]
-        fd.form[i][j] = value
-        assert not frobenius.frobenius_functional_check(fd, eta), name
-        assert not dense_functional_check(fd, eta), name
+    for name, (i, j), value in _mutations(fd.form):
+        form = [list(row) for row in fd.form]
+        form[i][j] = value
+        mutated = replace(fd, form=form)
+        assert not frobenius.frobenius_functional_check(mutated, eta), name
+        assert not dense_functional_check(mutated, eta), name
 
 
 def test_functional_check_fails_on_rank_alone(monkeypatch):
     """eta = 0 against a zero form: every entry matches G, and only the rank fails."""
     fd, _ = _boundary_frobenius(5)
     k = len(fd.form)
-    fd.form = [[Fraction(0)] * k for _ in range(k)]
+    fd = replace(fd, form=[[Fraction(0)] * k for _ in range(k)])
     assert not frobenius.frobenius_functional_check(fd, {})
     assert not dense_functional_check(fd, {})
     monkeypatch.setattr(frobenius, "rank", len)

@@ -3,6 +3,7 @@ span queries built on it (the closure check, structure constants, the
 Frobenius functional check, the carrier's trace check)."""
 
 import copy
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -268,18 +269,18 @@ def _boundary_frobenius_data():
 def test_functional_check_rejects_nonzero_diagonal():
     fd, eta = _boundary_frobenius_data()
     assert frobenius.frobenius_functional_check(fd, eta)
-    fd.form = copy.deepcopy(fd.form)
-    fd.form[2][2] = Fraction(1)
-    assert not frobenius.frobenius_functional_check(fd, eta)
+    form = copy.deepcopy(fd.form)
+    form[2][2] = Fraction(1)
+    assert not frobenius.frobenius_functional_check(replace(fd, form=form), eta)
 
 
 def test_functional_check_rejects_non_skew_form():
     fd, eta = _boundary_frobenius_data()
     i, j = next((i, j) for i in range(len(fd.form)) for j in range(i + 1, len(fd.form))
                 if fd.form[i][j] != 0)
-    fd.form = copy.deepcopy(fd.form)
-    fd.form[j][i] = -2 * fd.form[j][i]  # the upper entry still matches eta
-    assert not frobenius.frobenius_functional_check(fd, eta)
+    form = copy.deepcopy(fd.form)
+    form[j][i] = -2 * form[j][i]  # the upper entry still matches eta
+    assert not frobenius.frobenius_functional_check(replace(fd, form=form), eta)
 
 
 def test_carrier_rejects_slice_with_nonzero_trace():
@@ -329,7 +330,8 @@ def test_cocycle_check_matches_bruteforce(eta, perturbations):
 def test_cocycle_check_of_boundary_form_matches_bruteforce():
     fd, _ = _boundary_frobenius_data()
     assert frobenius.cocycle_check(fd) and _cocycle_bruteforce(fd)
-    fd.form = copy.deepcopy(fd.form)
-    fd.form[0][1] += 1
-    fd.form[1][0] -= 1
+    form = copy.deepcopy(fd.form)
+    form[0][1] += 1
+    form[1][0] -= 1
+    fd = replace(fd, form=form)
     assert not frobenius.cocycle_check(fd) and not _cocycle_bruteforce(fd)

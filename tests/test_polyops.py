@@ -7,11 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgrm import dunkl
+from cgrm.linalg import add_scaled
 from cgrm.polyops import (BRACKETS, Const, DivDiff, DivSum, ExactDivisionError,
-                          ExponentSign, LaurentPoly, Mono, OpSum, Partial, PolyOp,
-                          Sigma, Xi, WindowStabilityError, _Images, check_poly_cyb,
-                          divide_linear, laurent_window, poly_cyb_residual,
-                          polynomial_monomials, window_matrix)
+                          ExponentSign, LaurentPoly, Mono, OpCompose, OpSum, Partial,
+                          PolyOp, Sigma, Xi, WindowStabilityError, _Images,
+                          check_poly_cyb, divide_linear, laurent_window, op_equal_on,
+                          poly_cyb_residual, polynomial_monomials, restrict_to_window,
+                          window_matrix)
 from cgrm.scalars import NonIntegralError, scaled_to_int
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -193,13 +195,71 @@ def _lift_over_fractions(images, legs, terms, out):
     return out
 
 
+def _divide_linear_over_fractions(terms, sign):
+    if not terms:
+        return {}
+    shift = min(p for p, _ in terms)
+    work = {(p - shift, q): v for (p, q), v in terms.items()}
+    quotient = {}
+    while work:
+        key = max(work)
+        p, q = key
+        if p == 0:
+            raise ExactDivisionError("nonzero remainder in linear division")
+        coeff = work.pop(key)
+        quotient[(p - 1 + shift, q)] = coeff
+        tkey = (p - 1, q + 1)
+        nv = work.get(tkey, Fraction(0)) - sign * coeff
+        if nv == 0:
+            work.pop(tkey, None)
+        else:
+            work[tkey] = nv
+    return quotient
+
+
+def fraction_apply(op, terms):
+    """op on {(p, q): Fraction} terms, evaluated atom by atom in Fraction
+    arithmetic with the rational coefficients of the tree: the oracle for the
+    int kernel op._apply, which returns D * op(terms) on int numerators."""
+    if isinstance(op, OpSum):
+        out = {}
+        for c, sub in op.summands:
+            add_scaled(out, c, fraction_apply(sub, terms))
+        return out
+    if isinstance(op, OpCompose):
+        return fraction_apply(op.f, fraction_apply(op.g, terms))
+    if isinstance(op, Const):
+        if op.c == 1:
+            return dict(terms)
+        return {k: op.c * v for k, v in terms.items()} if op.c else {}
+    if isinstance(op, Mono):
+        return {(a + op.p, b + op.q): v for (a, b), v in terms.items()}
+    if isinstance(op, Partial):
+        if op.i == 0:
+            return {(a - 1, b): a * v for (a, b), v in terms.items() if a}
+        return {(a, b - 1): b * v for (a, b), v in terms.items() if b}
+    if isinstance(op, Sigma):
+        return {(b, a): v for (a, b), v in terms.items()}
+    if isinstance(op, Xi):
+        if op.omega == 1:
+            return dict(terms)
+        return {k: -v if k[op.i] % 2 else v for k, v in terms.items()}
+    if isinstance(op, DivDiff):
+        return _divide_linear_over_fractions(terms, -1)
+    if isinstance(op, DivSum):
+        return _divide_linear_over_fractions(terms, 1)
+    if isinstance(op, ExponentSign):
+        return {(a, b): v if a > b else -v for (a, b), v in terms.items() if a != b}
+    raise TypeError("no Fraction evaluation for %r" % (op,))
+
+
 class _FractionImages(dict):
     def __init__(self, op):
         super().__init__()
         self.op = op
 
     def __missing__(self, pair):
-        image = self[pair] = self.op._apply({pair: Fraction(1)})
+        image = self[pair] = fraction_apply(self.op, {pair: Fraction(1)})
         return image
 
 
@@ -249,6 +309,78 @@ def test_lift_matches_fraction_oracle(op, monomials, lam, k, off_grid):
         residual = poly_cyb_residual(op, lam, exps_)
         assert residual == _poly_cyb_residual_over_fractions(op, lam, exps_)
         assert all(type(v) is Fraction for v in residual.terms.values())
+
+
+m1_params = st.builds(dunkl.CherednikParams, small, small, small, st.just(1))
+kernel_ops = st.one_of(
+    st.builds(dunkl.dunkl_y, st.one_of(m1_params, m2_params), st.sampled_from([1, 2])),
+    st.builds(dunkl.v_operator, st.integers(min_value=1, max_value=4), odd_n),
+    st.builds(dunkl.lemma_expression, small, small),
+    st.builds(dunkl.element_e, m2_params),
+    st.builds(dunkl.dunkl_m2_combo, odd_n, m2_params),
+)
+
+
+def _outcome(compute):
+    """compute() or the type of the exception it raised, so that the kernel and
+    the oracle can be compared also where the window is left."""
+    try:
+        return compute()
+    except (ExactDivisionError, WindowStabilityError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_ops, st.sampled_from([2, 3, 4, 5, 7]), st.lists(polys(), min_size=1, max_size=3))
+@example(dunkl.dunkl_y(dunkl.CherednikParams(Fraction(1, 3), Fraction(-5, 2), m=1), 1), 4,
+         [mono(-2, 3, Fraction(3, 7)) + mono(1, -1, Fraction(-1, 2))])
+def test_int_kernel_matches_fraction_oracle(op, n, inputs):
+    """window_matrix and PolyOp.apply, which run the int kernel and divide once,
+    equal the atom-by-atom Fraction evaluation, on the window and on Laurent
+    polynomials with negative exponents and rational coefficients."""
+    oracle = _outcome(lambda: restrict_to_window(
+        lambda p, q: fraction_apply(op, {(p, q): Fraction(1)}), n))
+    assert _outcome(lambda: window_matrix(op, n)) == oracle
+    for poly in inputs + [mono(-3, 1), mono(2, -4), mono(-1, -2)]:
+        got = op.apply(poly)
+        assert got == LaurentPoly(2, fraction_apply(op, poly.terms))
+        assert all(type(v) is Fraction for v in got.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_ops, kernel_ops, small.filter(bool),
+       st.lists(st.tuples(exps, exps), min_size=1, max_size=4))
+def test_op_equal_on_matches_fraction_oracle(op_a, op_b, c, samples):
+    """op_equal_on compares cross-multiplied int images; an operator and a
+    rescaled copy (another denominator) are equal, other pairs as the oracle says."""
+    assert op_equal_on(c * op_a, Const(Fraction(1, 7)) * ((7 * c) * op_a), samples)
+    want = all(fraction_apply(op_a, {e: Fraction(1)}) == fraction_apply(op_b, {e: Fraction(1)})
+               for e in samples)
+    assert op_equal_on(op_a, op_b, samples) is want
+
+
+def test_op_equal_on_across_denominators():
+    x = Mono(1, 0)
+    # D = 3 against D = 6
+    assert op_equal_on(Const(Fraction(2, 3)) * x, Fraction(1, 6) * x + Fraction(1, 2) * x,
+                       [(0, 0), (2, -1)])
+    assert not op_equal_on(Const(Fraction(1, 3)) * x, Fraction(1, 2) * x, [(0, 0)])
+    assert not op_equal_on(Const(Fraction(1, 3)) * x, Fraction(1, 3) * Sigma(), [(1, 2)])
+
+
+def test_division_atoms_raise_on_an_int_remainder():
+    """The int kernel keeps the exact-division check: a remainder raises, both on
+    int numerators and through apply."""
+    for atom, terms in ((DivDiff(), {(1, 0): 3}), (DivDiff(), {(2, 0): 1, (0, 0): -5}),
+                        (DivSum(), {(0, 3): 2}), (DivSum(), {(1, 1): 4, (-1, 2): 1})):
+        with pytest.raises(ExactDivisionError):
+            atom._apply(terms)
+        with pytest.raises(ExactDivisionError):
+            atom.apply(LaurentPoly(2, {k: Fraction(v, 3) for k, v in terms.items()}))
+    # (x^2 - y^2) / (x - y) = x + y, with int quotients
+    quotient = DivDiff()._apply({(2, 0): 5, (0, 2): -5})
+    assert quotient == {(1, 0): 5, (0, 1): 5}
+    assert all(type(v) is int for v in quotient.values())
 
 
 def test_operator_denominators():
