@@ -19,7 +19,7 @@ from .frobenius import (FrobeniusData, LieSubalgebra, carrier,
 from .polyops import (ExactDivisionError, LaurentPoly, PolyOp,
                       WindowStabilityError, window_matrix)
 from .tensorops import (MatrixN, SparseOp, SparseOp2, SparseOp3, WedgeElement,
-                        op_to_wedge, wedge_to_op)
+                        wedge_to_op)
 from .wheels import (WheelData, euclid_sequence, func_a, func_b, func_c,
                      func_d, func_j, sbar_bruteforce, sbar_closed, strings,
                      wheel)

@@ -160,9 +160,12 @@ def nonvanishing_piece(ops):
 
 
 def criterion_6():
-    """Module structure over the Heisenberg pair and triangularity of combinations."""
+    """Module structure over the Heisenberg pair and triangularity of combinations;
+    the operator form of each generator equals its monomial and wedge forms."""
     vs = {n: dunkl.elements_v(n) for n in (5, 7, 9)}
-    ok = all(dunkl._module_relations_hold(n, vs[n]) for n in (5, 7, 9))
+    ok = all(vs[n][k - 1] == dunkl.v_matrix_from_monomials(k, n)
+             == wedge_to_op(dunkl.v_wedge(k, n)) for n in (5, 7, 9) for k in range(1, 5))
+    ok = ok and all(dunkl._module_relations_hold(n, vs[n]) for n in (5, 7, 9))
     for n in (5, 7, 9):
         r = closed_form.cg_closed_form(2, n)
         ok = ok and rank([_op_vector(op) for op in (r,) + vs[n]]) == 5

@@ -159,11 +159,6 @@ def alpha_part(m: int, n: int) -> WedgeElement:
                                        for rho in all_pos_roots(n) for mu in orbit(t, rho)))
 
 
-def strict_pair_count(m: int, n: int) -> int:
-    t = cg_triple(m, n)
-    return sum(len(orbit(t, rho)) for rho in all_pos_roots(n))
-
-
 def beta_part(m: int, n: int) -> WedgeElement:
     """The diagonal part: sum over j < l of (-1 + (2/n)[(j-l) m^{-1} mod n]) e_jj ^ e_ll."""
     require_coprime(m, n)

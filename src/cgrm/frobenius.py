@@ -7,11 +7,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
-from .linalg import add_scaled, expand_in_rref, invert, rank, rref, solve_affine
+from .linalg import add_scaled, expand_in_rref, invert, rank, rref
 from .tensorops import MatrixN, SparseOp, ad_action, kron_sum2, wedge_to_op
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -291,29 +290,6 @@ def cg_boundary_functional_displayed(n: int, u, t):
     eta[(n - 1, n - 1)] = Fraction(2)
     eta[(n, n)] = Fraction(-2)
     return eta
-
-
-def dual_functional(f: LieSubalgebra, basis_list, index):
-    """Elementary-dual coordinates of the functional dual to basis_list[index],
-    where basis_list spans f; off-diagonal duals are coordinate functionals and
-    the diagonal block is solved exactly."""
-    n = f.n
-    rows = [{(a - 1) * n + b - 1: v for (a, b), v in mat.entries.items()}
-            for mat in basis_list]
-    rhs = [ONE if k == index else ZERO for k in range(len(basis_list))]
-    solved = solve_affine(rows, rhs, n * n)
-    if solved is None:
-        raise ValueError("dual functional system is inconsistent")
-    particular, _ = solved
-    return {(c // n + 1, c % n + 1): v for c, v in sorted(particular.items())}
-
-
-def apply_r_check(r: SparseOp, eta) -> MatrixN:
-    """(eta (x) 1) r for a functional in elementary-dual coordinates."""
-    out = {}
-    for pos, entries in _first_leg_slices(r).items():
-        add_scaled(out, eta.get(pos, ZERO), entries)
-    return MatrixN(r.n, out)
 
 
 def nilpotent_exp_action(x: MatrixN, s, r: SparseOp) -> SparseOp:

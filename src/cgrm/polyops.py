@@ -378,12 +378,6 @@ def _lift(images, legs, terms, out):
 BRACKETS = (((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)))
 
 
-def poly_cyb_residual(op: PolyOp, lam, exps):
-    """CYB_lambda of a two-variable operator evaluated on one three-variable monomial."""
-    total, scale = _poly_cyb_residual(_Images(op), lam, exps)
-    return LaurentPoly(3, {k: Fraction(v, scale) for k, v in total.items()})
-
-
 def _poly_cyb_residual(images, lam, exps):
     """(scale * CYB_lambda on exps as an int dict, scale), with scale = s D^2 and
     s the denominator of lambda D^2, so that the Z term is integral too."""

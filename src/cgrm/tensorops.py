@@ -131,22 +131,6 @@ class MatrixN:
             power = power @ self
         return power.is_zero()
 
-    def exp_nilpotent(self, s=1):
-        """exp(s X) as a finite sum; requires X nilpotent."""
-        if not self.is_nilpotent():
-            raise ValueError("matrix is not nilpotent")
-        s = Fraction(s)
-        total = MatrixN.identity(self.n)
-        term = MatrixN.identity(self.n)
-        k = 1
-        while True:
-            term = Fraction(s, k) * (term @ self)
-            if term.is_zero():
-                break
-            total = total + term
-            k += 1
-        return total
-
     def __repr__(self):
         return "MatrixN(%d, %r)" % (self.n, self.entries)
 
@@ -430,45 +414,18 @@ def wedge_to_op(w: WedgeElement) -> SparseOp:
     return SparseOp(w.n, cols)
 
 
-def op_to_wedge(op: SparseOp) -> WedgeElement:
-    """Inverse of wedge_to_op on antisymmetric operators; raises on anything else.
-
-    The entry of e_i (x) e_j in column (k, l) is the coefficient of
-    e_{ik} (x) e_{jl}; antisymmetry pairs it with the negated entry of
-    e_{jl} (x) e_{ik}, so the earlier pair of each two carries the wedge term.
-    """
-    if not op.is_antisymmetric():
-        raise ValueError("operator is not antisymmetric; no wedge form exists")
-    n = op.n
-    out = WedgeElement(n)
-    for (i, j), (k, l), v in op.entries():
-        if _flat(n, i, k) < _flat(n, j, l):
-            out._accumulate((i, k), (j, l), 2 * v)
-    return out
-
-
-def permutation_op(n) -> SparseOp:
-    """P(u (x) v) = v (x) u."""
-    return SparseOp(n, {(k, l): {(l, k): Fraction(1)}
-                        for k in range(1, n + 1) for l in range(1, n + 1)})
-
-
-def kron(*factors: MatrixN) -> SparseOp:
-    """factors[0] (x) factors[1] (x) ... as an operator on the matching tensor power of V."""
-    cols = {(): {(): Fraction(1)}}
-    for g in factors:
-        bycol = {}
-        for (i, k), v in g.entries.items():
-            bycol.setdefault(k, []).append((i, v))
-        cols = {inp + (k,): {out + (i,): x * y for out, x in col.items() for i, y in images}
-                for inp, col in cols.items() for k, images in sorted(bycol.items())}
-    return SparseOp(factors[0].n, cols)
-
-
 def kron_sum2(x: MatrixN) -> SparseOp:
-    """X (x) 1 + 1 (x) X (the two-fold diagonal action)."""
-    ident = MatrixN.identity(x.n)
-    return kron(x, ident) + kron(ident, x)
+    """X (x) 1 + 1 (x) X (the two-fold diagonal action).  Column (k, l) holds
+    x_ik at (i, l) and x_il at (k, i); at (k, l) itself they add to x_kk + x_ll."""
+    n = x.n
+    cols = {}
+    for (i, k), v in x.entries.items():
+        for l in range(1, n + 1):
+            first = cols.setdefault((k, l), {})
+            first[(i, l)] = first.get((i, l), ZERO) + v
+            second = cols.setdefault((l, k), {})
+            second[(l, i)] = second.get((l, i), ZERO) + v
+    return SparseOp(n, cols)
 
 
 def ad_action(x: MatrixN, op: SparseOp) -> SparseOp:

@@ -1,9 +1,105 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules: random draws, and the oracles and
+constructions that only tests use, so src/cgrm keeps production paths."""
 
 from fractions import Fraction
+
+from cgrm.bd import all_pos_roots, cg_triple, orbit
+from cgrm.frobenius import LieSubalgebra, _first_leg_slices
+from cgrm.linalg import add_scaled, solve_affine
+from cgrm.polyops import LaurentPoly, PolyOp, _Images, _poly_cyb_residual
+from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, _flat
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def random_rational(rng) -> Fraction:
     """Random nonzero rational with numerator and denominator drawn from [-9, 9] \\ {0}."""
     nonzero = [k for k in range(-9, 10) if k != 0]
     return Fraction(rng.choice(nonzero), rng.choice(nonzero))
+
+
+def kron(*factors: MatrixN) -> SparseOp:
+    """factors[0] (x) factors[1] (x) ... as an operator on the matching tensor power of V."""
+    cols = {(): {(): Fraction(1)}}
+    for g in factors:
+        bycol = {}
+        for (i, k), v in g.entries.items():
+            bycol.setdefault(k, []).append((i, v))
+        cols = {inp + (k,): {out + (i,): x * y for out, x in col.items() for i, y in images}
+                for inp, col in cols.items() for k, images in sorted(bycol.items())}
+    return SparseOp(factors[0].n, cols)
+
+
+def permutation_op(n) -> SparseOp:
+    """P(u (x) v) = v (x) u."""
+    return SparseOp(n, {(k, l): {(l, k): Fraction(1)}
+                        for k in range(1, n + 1) for l in range(1, n + 1)})
+
+
+def exp_nilpotent(x: MatrixN, s=1) -> MatrixN:
+    """exp(s X) as a finite sum; requires X nilpotent."""
+    if not x.is_nilpotent():
+        raise ValueError("matrix is not nilpotent")
+    s = Fraction(s)
+    total = MatrixN.identity(x.n)
+    term = MatrixN.identity(x.n)
+    k = 1
+    while True:
+        term = Fraction(s, k) * (term @ x)
+        if term.is_zero():
+            break
+        total = total + term
+        k += 1
+    return total
+
+
+def op_to_wedge(op: SparseOp) -> WedgeElement:
+    """Inverse of wedge_to_op on antisymmetric operators; raises on anything else.
+
+    The entry of e_i (x) e_j in column (k, l) is the coefficient of
+    e_{ik} (x) e_{jl}; antisymmetry pairs it with the negated entry of
+    e_{jl} (x) e_{ik}, so the earlier pair of each two carries the wedge term.
+    """
+    if not op.is_antisymmetric():
+        raise ValueError("operator is not antisymmetric; no wedge form exists")
+    n = op.n
+    out = WedgeElement(n)
+    for (i, j), (k, l), v in op.entries():
+        if _flat(n, i, k) < _flat(n, j, l):
+            out._accumulate((i, k), (j, l), 2 * v)
+    return out
+
+
+def poly_cyb_residual(op: PolyOp, lam, exps):
+    """CYB_lambda of a two-variable operator evaluated on one three-variable monomial."""
+    total, scale = _poly_cyb_residual(_Images(op), lam, exps)
+    return LaurentPoly(3, {k: Fraction(v, scale) for k, v in total.items()})
+
+
+def dual_functional(f: LieSubalgebra, basis_list, index):
+    """Elementary-dual coordinates of the functional dual to basis_list[index],
+    where basis_list spans f; off-diagonal duals are coordinate functionals and
+    the diagonal block is solved exactly."""
+    n = f.n
+    rows = [{(a - 1) * n + b - 1: v for (a, b), v in mat.entries.items()}
+            for mat in basis_list]
+    rhs = [ONE if k == index else ZERO for k in range(len(basis_list))]
+    solved = solve_affine(rows, rhs, n * n)
+    if solved is None:
+        raise ValueError("dual functional system is inconsistent")
+    particular, _ = solved
+    return {(c // n + 1, c % n + 1): v for c, v in sorted(particular.items())}
+
+
+def apply_r_check(r: SparseOp, eta) -> MatrixN:
+    """(eta (x) 1) r for a functional in elementary-dual coordinates."""
+    out = {}
+    for pos, entries in _first_leg_slices(r).items():
+        add_scaled(out, eta.get(pos, ZERO), entries)
+    return MatrixN(r.n, out)
+
+
+def strict_pair_count(m: int, n: int) -> int:
+    t = cg_triple(m, n)
+    return sum(len(orbit(t, rho)) for rho in all_pos_roots(n))

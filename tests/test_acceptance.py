@@ -74,6 +74,23 @@ def test_relations_certificate_sees_a_c0_c1_term(monkeypatch):
     assert acceptance.params_failure(2, lambda p: dunkl.verify_relations(p, 3)) == (0, 1, 1)
 
 
+@pytest.mark.parametrize("form", ["v_wedge", "v_monomial_action"])
+def test_criterion_6_fails_without_raising_when_one_realization_differs(monkeypatch, form):
+    """One coefficient of v3 doubled, in its wedge form or in its image of x y,
+    makes the three realizations disagree: criterion 6 fails and raises nothing."""
+    original = getattr(dunkl, form)
+
+    def bent(k, n, *monomial):
+        out = original(k, n, *monomial)
+        if k == 3 and monomial in ((), (1, 1)):
+            key = next(iter(out.terms))
+            out.terms[key] *= 2
+        return out
+
+    monkeypatch.setattr(dunkl, form, bent)
+    assert not acceptance.criterion_6().passed
+
+
 def test_v_span_certificate_fails_when_one_generator_is_perturbed():
     """Every combination of v1..v4 is triangular; moving one generator off the
     module makes one of the pieces that involve it nonzero."""

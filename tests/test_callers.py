@@ -1,0 +1,37 @@
+"""Code in src/cgrm serves the library, the CLI or the benchmark: every
+module-level function and class has a caller in src/ or bench/, except the
+paper's displayed-formula oracles, which only tests reach.  Test-only helpers
+live in tests/conftest.py."""
+
+import ast
+import pathlib
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+PAPER_ORACLES = {
+    "closed_form.cg_m2_display", "closed_form.phi_twist",
+    "dunkl.dunkl_monomial_formula", "dunkl.element_e_wedge", "dunkl.elements_e1_e2",
+    "dunkl.alpha_poly_op", "dunkl.beta_poly_op", "dunkl.gamma_poly_op",
+    "dunkl.r_m2_poly_op", "frobenius.cg_boundary_functional_displayed",
+    "wheels.func_a", "wheels.func_b", "wheels.func_c", "wheels.func_d",
+}
+
+
+def _references(tree):
+    """How often each name is used as a Name or as an Attribute under tree.
+    A syntax tree, not a text search: a name inside a string is no caller."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_definitions_without_a_caller_are_the_paper_oracles():
+    # __init__.py re-exports names without calling them
+    modules = [p for p in sorted((ROOT / "src" / "cgrm").glob("*.py")) if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text()) for p in modules + sorted((ROOT / "bench").glob("*.py"))}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    uncalled = {"%s.%s" % (p.stem, node.name)
+                for p in modules for node in trees[p].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and total[node.name] == _references(node)[node.name]}
+    assert uncalled == PAPER_ORACLES

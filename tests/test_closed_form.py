@@ -7,7 +7,9 @@ import pytest
 
 from cgrm import bd, closed_form, wheels
 from cgrm.scalars import sgn
-from cgrm.tensorops import (MatrixN, permutation_op, wedge_to_op)
+from cgrm.tensorops import MatrixN, wedge_to_op
+
+from conftest import permutation_op
 
 
 def coprime_pairs(n_max):

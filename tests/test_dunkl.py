@@ -8,9 +8,9 @@ import pytest
 from cgrm import bd, closed_form, cyb, dunkl
 from cgrm.polyops import (ExponentSign, LaurentPoly, check_poly_cyb, op_equal_on,
                           polynomial_monomials, window_matrix)
-from cgrm.tensorops import kron_sum2, op_to_wedge, wedge_to_op
+from cgrm.tensorops import kron_sum2, wedge_to_op
 
-from conftest import random_rational
+from conftest import op_to_wedge, random_rational
 
 PARAMS_M1 = dunkl.CherednikParams(kappa=Fraction(1, 2), c0=Fraction(3, 4), m=1)
 PARAMS_M2 = dunkl.CherednikParams(kappa=Fraction(2, 3), c0=Fraction(5, 7),
@@ -208,8 +208,13 @@ def test_heisenberg():
 
 
 def test_elements_v_triple_agreement():
-    for n in (5, 7):
-        dunkl.elements_v(n)  # raises on any disagreement
+    """The operator window, the displayed monomial action and the displayed
+    wedge form give the same v1..v4 at every odd n up to the CLI cap."""
+    for n in range(3, 32, 2):
+        vs = dunkl.elements_v(n)
+        for k in range(1, 5):
+            assert (vs[k - 1] == dunkl.v_matrix_from_monomials(k, n)
+                    == wedge_to_op(dunkl.v_wedge(k, n))), (k, n)
 
 
 def test_v4_wedge_is_4_eplus_eminus():

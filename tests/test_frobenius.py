@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from cgrm import bd, closed_form, cyb, dunkl, frobenius
 from cgrm.linalg import invert
-from cgrm.tensorops import MatrixN, SparseOp2, WedgeElement, kron, wedge_to_op
+from cgrm.tensorops import MatrixN, SparseOp2, WedgeElement, wedge_to_op
+
+from conftest import apply_r_check, dual_functional, exp_nilpotent, kron
 
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -116,7 +118,7 @@ def test_r_check_table_spot_checks():
 
     # rcheck(e*_{j,j+2}) = u h_j
     for j in (1, 2, 3):
-        got = frobenius.apply_r_check(b, {(j, j + 2): Fraction(1)})
+        got = apply_r_check(b, {(j, j + 2): Fraction(1)})
         assert got == dunkl.h_matrix(j, n)
 
     # rcheck(h*_{n-1}) = -t E^- - 2 t u E^+ in the off-diagonal + h basis
@@ -126,8 +128,8 @@ def test_r_check_table_spot_checks():
             if j != l and (j <= n - 2 or l > n - 2):
                 basis_list.append(MatrixN.unit(n, j, l))
     basis_list += [dunkl.h_matrix(j, n) for j in range(1, n)]
-    hdual = frobenius.dual_functional(car, basis_list, len(basis_list) - 1)
-    got = frobenius.apply_r_check(b, hdual)
+    hdual = dual_functional(car, basis_list, len(basis_list) - 1)
+    got = apply_r_check(b, hdual)
     want = (Fraction(-t) * dunkl.e2_matrix(n)
             + Fraction(-2 * t * u) * dunkl.eplus_matrix(n))
     assert got == want
@@ -183,7 +185,7 @@ def test_contraction_table_all_cases(n, u, t):
     eminus, eplus = dunkl.e2_matrix(n), dunkl.eplus_matrix(n)
     hm1 = dunkl.h_matrix(n - 1, n)
     for (j, l) in offdiag:
-        got = frobenius.apply_r_check(b, {(j, l): Fraction(1)})
+        got = apply_r_check(b, {(j, l): Fraction(1)})
         jeven = j % 2 == 0
         if l > j + 2 or (jeven and l == j + 1):
             want = u * _descending(n, l, j)
@@ -200,8 +202,8 @@ def test_contraction_table_all_cases(n, u, t):
             want = u * dunkl.h_matrix(j, n)
         assert got == want, (j, l)
     for j in range(1, n):
-        eta = frobenius.dual_functional(car, basis_list, len(offdiag) + j - 1)
-        got = frobenius.apply_r_check(b, eta)
+        eta = dual_functional(car, basis_list, len(offdiag) + j - 1)
+        got = apply_r_check(b, eta)
         if j != n - 1:
             want = Fraction(-1) * u * MatrixN.unit(n, j, j + 2)
         else:
@@ -220,7 +222,7 @@ def test_inverse_contraction_table_all_cases(n, u, t):
     offdiag, basis_list = _table_basis(n)
     duals = {('e', j, l): {(j, l): Fraction(1)} for (j, l) in offdiag}
     for j in range(1, n):
-        duals[('h', j)] = frobenius.dual_functional(car, basis_list,
+        duals[('h', j)] = dual_functional(car, basis_list,
                                                     len(offdiag) + j - 1)
 
     def inverse_values(x):
@@ -390,7 +392,7 @@ def test_nilpotent_exp_action():
 def conjugated_by_kron(x, s, r):
     """kron(g, g) @ r @ kron(g^-1, g^-1) with g = exp(sX): the oracle for
     nilpotent_exp_action, which sums the adjoint series of X (x) 1 + 1 (x) X."""
-    g, g_inv = x.exp_nilpotent(s), x.exp_nilpotent(-Fraction(s))
+    g, g_inv = exp_nilpotent(x, s), exp_nilpotent(x, -Fraction(s))
     return kron(g, g) @ r @ kron(g_inv, g_inv)
 
 

@@ -12,9 +12,10 @@ from cgrm.polyops import (BRACKETS, Const, DivDiff, DivSum, ExactDivisionError,
                           ExponentSign, LaurentPoly, Mono, OpCompose, OpSum, Partial,
                           PolyOp, Sigma, Xi, WindowStabilityError, _Images,
                           check_poly_cyb, divide_linear, laurent_window, op_equal_on,
-                          poly_cyb_residual, polynomial_monomials, restrict_to_window,
-                          window_matrix)
+                          polynomial_monomials, restrict_to_window, window_matrix)
 from cgrm.scalars import NonIntegralError, scaled_to_int
+
+from conftest import poly_cyb_residual
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 exps = st.integers(min_value=-4, max_value=4)

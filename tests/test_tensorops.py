@@ -11,8 +11,9 @@ from cgrm import bd
 from cgrm.frobenius import LieSubalgebra
 from cgrm.polyops import LaurentPoly
 from cgrm.tensorops import (MatrixN, SparseOp2, WedgeElement, canonical_json,
-                            kron, kron_sum2, op_to_wedge, permutation_op,
-                            wedge_of_matrices, wedge_to_op)
+                            kron_sum2, wedge_of_matrices, wedge_to_op)
+
+from conftest import exp_nilpotent, kron, op_to_wedge, permutation_op
 
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -341,13 +342,18 @@ def test_kron_sum_is_derivation_shape():
     x = MatrixN.unit(3, 1, 2)
     d = kron_sum2(x)
     assert d.column(2, 2) == {(1, 2): Fraction(1), (2, 1): Fraction(1)}
+    # x_11 + x_22 cancels at (1, 2) in column (1, 2); x_11 + x_33 does not
+    h = MatrixN(3, {(1, 1): 1, (2, 2): -1})
+    d = kron_sum2(h)
+    assert d.column(1, 2) == {} and d.column(1, 3) == {(1, 3): Fraction(1)}
+    assert d == kron(h, MatrixN.identity(3)) + kron(MatrixN.identity(3), h)
 
 
 def test_matrix_exp_nilpotent():
     x = MatrixN.unit(3, 1, 2) + MatrixN.unit(3, 2, 3)
-    g = x.exp_nilpotent(1)
+    g = exp_nilpotent(x, 1)
     expected = (MatrixN.identity(3) + x
                 + Fraction(1, 2) * MatrixN.unit(3, 1, 3))
     assert g == expected
     with pytest.raises(ValueError):
-        MatrixN.unit(2, 1, 1).exp_nilpotent(1)
+        exp_nilpotent(MatrixN.unit(2, 1, 1), 1)

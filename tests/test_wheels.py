@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
-from cgrm import bd, wheels
+from cgrm import wheels
+
+from conftest import strict_pair_count
 
 
 def coprime_pairs(n_max):
@@ -120,7 +122,7 @@ def test_strict_pair_count_matches_strict_sets():
             for lp in range(1, n + 1):
                 sbar = wheels.sbar_closed(w, jp, lp)
                 total += len(sbar) - (1 if jp < lp else 0)
-        assert total == bd.strict_pair_count(m, n)
+        assert total == strict_pair_count(m, n)
 
 
 def test_wheel_invariants_raise_without_assert():
