@@ -12,7 +12,7 @@ from .polyops import (Const, DivDiff, DivSum, ExponentSign, LaurentPoly, Mono,
                       Partial, PolyOp, Sigma, Xi, restrict_to_window,
                       window_matrix)
 from .tensorops import (MatrixN, SparseOp, WedgeElement, ad_action,
-                        wedge_of_matrices)
+                        wedge_of_matrices, wedge_to_op)
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -394,7 +394,8 @@ def v_matrix_from_monomials(k: int, n: int) -> SparseOp:
 
 def elements_v(n: int):
     """The four module generators as operators on the window, restricted from
-    v_operator; criterion 6 checks them against v_monomial_action and v_wedge."""
+    v_operator; module_structure_check compares them with v_wedge, and
+    criterion 6 also with v_monomial_action."""
     require_odd_n(n)
     return tuple(window_matrix(v_operator(k, n), n) for k in range(1, 5))
 
@@ -439,14 +440,13 @@ def r_m2_poly_op(n: int) -> PolyOp:
 
 
 def module_structure_check(n: int) -> bool:
-    """All ten adjoint-action relations tying the solution to the module
-    generators, using the matrix forms of the two Heisenberg generators."""
-    return _module_relations_hold(n, elements_v(n))
-
-
-def _module_relations_hold(n: int, vs) -> bool:
-    """The ten relations of module_structure_check for generators vs = elements_v(n)."""
+    """The module structure as displayed: v1..v4 from elements_v equal their
+    displayed wedge forms, and all ten adjoint-action relations tie them to the
+    solution through the matrix forms of the two Heisenberg generators."""
     from .closed_form import cg_closed_form
+    vs = elements_v(n)
+    if any(v != wedge_to_op(v_wedge(k, n)) for k, v in enumerate(vs, 1)):
+        return False
     r = cg_closed_form(2, n)
     v1, v2, v3, v4 = vs
     e1, e2 = e1_matrix(n), e2_matrix(n)
