@@ -118,28 +118,33 @@ def parabolic(m: int, n: int) -> LieSubalgebra:
 
 @dataclass(frozen=True)
 class FrobeniusData:
-    """Matrix of the contraction isomorphism in the reduced dual basis, together
-    with its inverse and the induced two-form.
-
-    form_rows holds the form's nonzero entries as sparse rows {j: form[i][j]},
-    read once from the dense form; the checks below read only those.  The data
-    is frozen, so the two cannot drift apart: a changed form is a new instance
-    (dataclasses.replace)."""
+    """The two-form induced by the contraction on the reduced carrier basis,
+    stored once as sparse rows {j: F[i][j]}, or None when the contraction is
+    singular.  The data is frozen: a changed form is a new instance
+    (dataclasses.replace).  form and r_check_inverse are dense k x k views,
+    built anew on each access."""
 
     subalgebra: LieSubalgebra
-    r_check_matrix: list
-    r_check_inverse: list = None
-    form: list = None
-    form_rows: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rows = (None if self.form is None
-                else [{j: v for j, v in enumerate(row) if v} for row in self.form])
-        object.__setattr__(self, "form_rows", rows)
+    form_rows: list = None
 
     @property
     def invertible(self):
-        return self.r_check_inverse is not None
+        return self.form_rows is not None
+
+    @property
+    def form(self):
+        rows = self.form_rows
+        if rows is None:
+            return None
+        return [[row.get(j, ZERO) for j in range(len(rows))] for row in rows]
+
+    @property
+    def r_check_inverse(self):
+        """The inverse contraction matrix: the form's transpose."""
+        rows = self.form_rows
+        if rows is None:
+            return None
+        return [[row.get(i, ZERO) for row in rows] for i in range(len(rows))]
 
     @property
     def skew(self):
@@ -158,29 +163,23 @@ class FrobeniusData:
 
 
 def r_check(r: SparseOp, f: LieSubalgebra) -> FrobeniusData:
-    """Matrix of xi -> (xi (x) 1) r on the dual of the reduced carrier basis.
+    """The contraction xi -> (xi (x) 1) r on the dual of the reduced carrier
+    basis, and the form it induces.
 
     Because the basis is row reduced, the dual basis extends to coordinate
     functionals at the pivot positions, and the contraction against a pivot
-    functional is exactly the corresponding first-leg slice.
+    functional is exactly the corresponding first-leg slice.  The slice's
+    coordinates are column i of the contraction matrix M, so row i of M^T, and
+    the form (M^-1)^T = (M^T)^-1 is the inverse of those rows.
     """
-    n = r.n
-    k = f.dimension
     slices = _first_leg_slices(r)
-    columns = []
+    rows = []
     for pivot in f._pivots:
-        image = MatrixN(n, slices.get(pivot, {}))
-        coords = f.coordinates(image)
+        coords = f.coordinates(MatrixN(r.n, slices.get(pivot, {})))
         if coords is None:
             raise ValueError("contraction image leaves the carrier")
-        columns.append(coords)
-    matrix = [[columns[i].get(j, ZERO) for i in range(k)] for j in range(k)]
-    inverse = invert(matrix)
-    if inverse is None:
-        return FrobeniusData(subalgebra=f, r_check_matrix=matrix)
-    form = [[inverse[j][i] for j in range(k)] for i in range(k)]
-    return FrobeniusData(subalgebra=f, r_check_matrix=matrix,
-                         r_check_inverse=inverse, form=form)
+        rows.append(coords)
+    return FrobeniusData(subalgebra=f, form_rows=invert(rows))
 
 
 def structure_constants(f: LieSubalgebra):

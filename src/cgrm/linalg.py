@@ -16,7 +16,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -118,9 +117,10 @@ def solve_affine(a_rows, b_col, ncols):
 
 
 def invert(a_rows):
-    """Exact inverse of a square matrix given as dense rows, or None when singular."""
+    """Exact inverse of a square matrix given as sparse rows over the columns
+    0..n-1, as sparse rows, or None when singular."""
     n = len(a_rows)
-    reduced, pivots = rref([{**dict(enumerate(r)), n + i: ONE} for i, r in enumerate(a_rows)])
+    reduced, pivots = rref([{**row, n + i: ONE} for i, row in enumerate(a_rows)])
     if pivots != list(range(n)):
         return None
-    return [[row.get(n + j, ZERO) for j in range(n)] for row in reduced]
+    return [{j - n: v for j, v in row.items() if j >= n} for row in reduced]

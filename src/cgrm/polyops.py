@@ -374,13 +374,13 @@ def _lift(images, legs, terms, out):
     return out
 
 
-# [r12, r13] + [r12, r23] + [r13, r23], each bracket as its two leg pairs
-BRACKETS = (((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)))
-
-
 def _poly_cyb_residual(images, lam, exps):
     """(scale * CYB_lambda on exps as an int dict, scale), with scale = s D^2 and
-    s the denominator of lambda D^2, so that the Z term is integral too."""
+    s the denominator of lambda D^2, so that the Z term is integral too.
+
+    [r12, r13] + [r12, r23] + [r13, r23]
+    = r12 (r13 + r23) - r13 (r12 - r23) - r23 (r12 + r13),
+    so each leg pair acts once on the monomial and once on a sum."""
     d2 = images.d ** 2
     lam_d2 = Fraction(lam) * d2
     s = lam_d2.denominator
@@ -388,10 +388,11 @@ def _poly_cyb_residual(images, lam, exps):
     a, b, c = exps
     # -s lambda D^2 Z, with Z x^a y^b z^c = x^c y^a z^b - x^b y^c z^a
     total = {(c, a, b): -z, (b, c, a): z} if z and not a == b == c else {}
-    plus, minus = {exps: s}, {exps: -s}
-    for la, lb in BRACKETS:
-        _lift(images, la, _lift(images, lb, plus, {}), total)
-        _lift(images, lb, _lift(images, la, minus, {}), total)
+    m = {exps: s}
+    r12, r13, r23 = (_lift(images, legs, m, {}) for legs in ((0, 1), (0, 2), (1, 2)))
+    _lift(images, (0, 1), add_scaled(dict(r13), 1, r23), total)
+    _lift(images, (0, 2), add_scaled(r23, -1, r12), total)
+    _lift(images, (1, 2), add_scaled(add_scaled({}, -1, r12), -1, r13), total)
     return total, s * d2
 
 

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: random draws, and the oracles and
 constructions that only tests use, so src/cgrm keeps production paths."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 from cgrm.bd import all_pos_roots, cg_triple, orbit
@@ -98,6 +99,18 @@ def apply_r_check(r: SparseOp, eta) -> MatrixN:
     for pos, entries in _first_leg_slices(r).items():
         add_scaled(out, eta.get(pos, ZERO), entries)
     return MatrixN(r.n, out)
+
+
+def sparse_rows(dense):
+    """Rows {j: v} of a dense matrix, without its zeros; None stays None."""
+    if dense is None:
+        return None
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+def with_dense_form(fd, form):
+    """fd with its form replaced by a dense k x k form (or None)."""
+    return replace(fd, form_rows=sparse_rows(form))
 
 
 def strict_pair_count(m: int, n: int) -> int:

@@ -1,7 +1,7 @@
 """Carriers, parabolic subalgebras, the quasi-Frobenius structure, and the
 Jordanian boundary family."""
 
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -12,7 +12,9 @@ from cgrm import bd, closed_form, cyb, dunkl, frobenius
 from cgrm.linalg import invert
 from cgrm.tensorops import MatrixN, SparseOp2, WedgeElement, wedge_to_op
 
-from conftest import apply_r_check, dual_functional, exp_nilpotent, kron
+from conftest import (apply_r_check, dual_functional, exp_nilpotent, kron, sparse_rows,
+                      with_dense_form)
+from test_linalg import oracle_rref
 
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -61,21 +63,30 @@ def test_r_check_structure():
 
 
 def test_form_rows_follow_the_form():
-    """The sparse rows are read from the dense form once; the data is frozen, so a
+    """form and r_check_inverse are dense views of form_rows, built anew on each
+    access; the data is frozen, so assigning raises FrozenInstanceError and a
     changed form is a new instance with its own rows."""
     fd, _ = _boundary_frobenius(5)
-    assert fd.form_rows == [{j: v for j, v in enumerate(row) if v} for row in fd.form]
-    with pytest.raises(FrozenInstanceError):
-        fd.form = None
-    form = [list(row) for row in fd.form]
+    dense, inverse = fd.form, fd.r_check_inverse
+    assert fd.form_rows == [{j: v for j, v in enumerate(row) if v} for row in dense]
+    assert inverse == [list(col) for col in zip(*dense)]
+    assert fd.form is not dense and fd.form == dense
+    for name in ("form", "form_rows", "r_check_inverse"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(fd, name, None)
+    form = [list(row) for row in dense]
     form[0][1] += 1
-    assert replace(fd, form=form).form_rows[0][1] == fd.form[0][1] + 1
-    assert frobenius.FrobeniusData(None, []).form_rows is None
+    changed = with_dense_form(fd, form)
+    assert changed.form_rows[0][1] == dense[0][1] + 1
+    assert changed.form == form and fd.form == dense
+    singular = frobenius.FrobeniusData(None)
+    assert singular.form_rows is None and singular.form is None
+    assert singular.r_check_inverse is None and not singular.invertible
 
 
 def test_skew_rejects_a_diagonal_entry_or_an_asymmetric_pair():
     def skew(form):
-        return frobenius.FrobeniusData(None, [], form=form).skew
+        return with_dense_form(frobenius.FrobeniusData(None), form).skew
     h = Fraction(1, 2)
     assert skew([[0, h, 0], [-h, 0, Fraction(-3)], [0, 3, 0]])
     assert skew([])
@@ -93,20 +104,46 @@ def test_r_check_reconstructs_solution():
     b = dunkl.b_cg(n, u, t)
     car = frobenius.carrier(b)
     fd = frobenius.r_check(b, car)
-    finv = invert(fd.form)
+    finv = invert(fd.form_rows)
     cols = {}
-    k = car.dimension
-    for i in range(k):
-        for j in range(k):
-            c = finv[i][j]
-            if c == 0:
-                continue
+    for i, row in enumerate(finv):
+        for j, c in row.items():
             for (a, bb), x in car.basis[i].entries.items():
                 for (cc, d), y in car.basis[j].entries.items():
                     col = cols.setdefault((bb, d), {})
                     key = (a, cc)
                     col[key] = col.get(key, Fraction(0)) + c * x * y
     assert SparseOp2(n, cols) == b
+
+
+def dense_form(r, car):
+    """The contraction matrix M built densely, column i the coordinates of the
+    slice at pivot i, inverted by dense Gauss-Jordan and transposed: the oracle
+    for r_check, which inverts the coordinate rows (the rows of M^T) directly.
+    M must be invertible: a singular M leaves fewer than k reduced rows."""
+    slices = frobenius._first_leg_slices(r)
+    k = car.dimension
+    columns = [car.coordinates(MatrixN(r.n, slices.get(p, {}))) for p in car._pivots]
+    matrix = [[columns[i].get(j, Fraction(0)) for i in range(k)] for j in range(k)]
+    identity = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    reduced, _ = oracle_rref([row + e for row, e in zip(matrix, identity)], 2 * k)
+    inverse = [row[k:] for row in reduced]
+    return [[inverse[j][i] for j in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("u,t", [(2, 3), (1, -2), (Fraction(-1, 2), 3)])
+def test_r_check_form_matches_dense_oracle_on_boundary_family(n, u, t):
+    b = dunkl.b_cg(n, u, t)
+    car = frobenius.carrier(b)
+    assert frobenius.r_check(b, car).form == dense_form(b, car)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_r_check_form_matches_dense_oracle_on_jordanian(n):
+    j = frobenius.jordanian(n)
+    car = frobenius.carrier(j)
+    assert frobenius.r_check(j, car).form == dense_form(j, car)
 
 
 def test_r_check_table_spot_checks():
@@ -136,9 +173,10 @@ def test_r_check_table_spot_checks():
 
     # rcheck^{-1}(h_j) = u^{-1} e*_{j,j+2} for j != n-1: compare as functionals on
     # the carrier by evaluating both sides on every basis element
+    inverse = fd.r_check_inverse
     for j in (1, 2, 3):
         coords = car.coordinates(dunkl.h_matrix(j, n))
-        image = [sum((fd.r_check_inverse[s][i] * c for i, c in coords.items()),
+        image = [sum((inverse[s][i] * c for i, c in coords.items()),
                      Fraction(0)) for s in range(car.dimension)]
         for k, mat in enumerate(car.basis):
             lhs = image[k]
@@ -225,9 +263,11 @@ def test_inverse_contraction_table_all_cases(n, u, t):
         duals[('h', j)] = dual_functional(car, basis_list,
                                                     len(offdiag) + j - 1)
 
+    inverse = fd.r_check_inverse
+
     def inverse_values(x):
         coords = car.coordinates(x)
-        return [sum((fd.r_check_inverse[s][i] * c for i, c in coords.items()),
+        return [sum((inverse[s][i] * c for i, c in coords.items()),
                     Fraction(0)) for s in range(k)]
 
     def combo_values(terms):
@@ -314,7 +354,7 @@ def dense_functional_check(fd, eta):
                         Fraction(0))
             if value != form[i][j] or -value != form[j][i]:
                 return False
-    return invert(form) is not None
+    return invert(sparse_rows(form)) is not None
 
 
 def _boundary_frobenius(n, u=Fraction(2), t=Fraction(3)):
@@ -348,10 +388,11 @@ def _mutations(form):
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_functional_check_rejects_single_entry_mutations(n):
     fd, eta = _boundary_frobenius(n)
-    for name, (i, j), value in _mutations(fd.form):
-        form = [list(row) for row in fd.form]
+    dense = fd.form
+    for name, (i, j), value in _mutations(dense):
+        form = [list(row) for row in dense]
         form[i][j] = value
-        mutated = replace(fd, form=form)
+        mutated = with_dense_form(fd, form)
         assert not frobenius.frobenius_functional_check(mutated, eta), name
         assert not dense_functional_check(mutated, eta), name
 
@@ -360,7 +401,7 @@ def test_functional_check_fails_on_rank_alone(monkeypatch):
     """eta = 0 against a zero form: every entry matches G, and only the rank fails."""
     fd, _ = _boundary_frobenius(5)
     k = len(fd.form)
-    fd = replace(fd, form=[[Fraction(0)] * k for _ in range(k)])
+    fd = with_dense_form(fd, [[Fraction(0)] * k for _ in range(k)])
     assert not frobenius.frobenius_functional_check(fd, {})
     assert not dense_functional_check(fd, {})
     monkeypatch.setattr(frobenius, "rank", len)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cgrm import dunkl
 from cgrm.linalg import add_scaled
-from cgrm.polyops import (BRACKETS, Const, DivDiff, DivSum, ExactDivisionError,
+from cgrm.polyops import (Const, DivDiff, DivSum, ExactDivisionError,
                           ExponentSign, LaurentPoly, Mono, OpCompose, OpSum, Partial,
                           PolyOp, Sigma, Xi, WindowStabilityError, _Images,
                           check_poly_cyb, divide_linear, laurent_window, op_equal_on,
@@ -264,9 +264,14 @@ class _FractionImages(dict):
         return image
 
 
+# [r12, r13] + [r12, r23] + [r13, r23], each bracket as its two leg pairs
+BRACKETS = (((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)))
+
+
 def _poly_cyb_residual_over_fractions(op, lam, exps):
     """CYB_lambda on one monomial lifted in Fraction throughout, from unscaled
-    images: the oracle for poly_cyb_residual, which lifts integer numerators."""
+    images, as the six products of the three brackets: the oracle for
+    poly_cyb_residual, which lifts integer numerators through three sums."""
     lam = Fraction(lam)
     images = _FractionImages(op)
     a, b, c = exps
