@@ -140,20 +140,19 @@ def nonvanishing_piece(ops):
     """The first (i, j), i <= j, at which the double bracket of the span of ops
     has a nonzero piece; None when every combination of ops is triangular.
 
-    The double bracket is bilinear, so DB(sum c_i v_i, sum c_i v_i) equals
-    sum_i c_i^2 DB(v_i, v_i) + sum_{i<j} c_i c_j (DB(v_i, v_j) + DB(v_j, v_i)),
+    The double bracket DB(r) is the diagonal of the bilinear form
+    B(a, b) = [a12, b13] + [a12, b23] + [a13, b23], so DB(sum c_i v_i) equals
+    sum_i c_i^2 DB(v_i) + sum_{i<j} c_i c_j (B(v_i, v_j) + B(v_j, v_i)),
     and it vanishes for all coefficients exactly when each piece does.  Each
-    cross piece is found by polarization, DB(v_i + v_j, v_i + v_j) - DB(v_i, v_i)
-    - DB(v_j, v_j), so every double bracket here is of one operator with itself.
+    cross piece is found by polarization, DB(v_i + v_j) - DB(v_i) - DB(v_j).
     """
-    diagonal = [cyb.double_bracket(v, v) for v in ops]
+    diagonal = [cyb.double_bracket(v) for v in ops]
     for i, vi in enumerate(ops):
         for j in range(i, len(ops)):
             if j == i:
                 piece = diagonal[i]
             else:
-                both = vi + ops[j]
-                piece = cyb.double_bracket(both, both) - diagonal[i] - diagonal[j]
+                piece = cyb.double_bracket(vi + ops[j]) - diagonal[i] - diagonal[j]
             if not piece.is_zero():
                 return i, j
     return None
@@ -196,7 +195,7 @@ def criterion_7():
                 e2m, t, frobenius.nilpotent_exp_action(e1m, u, r))
             b = dunkl.b_cg(n, u, t)
             ok = ok and moved == r + b
-            ok = ok and cyb.double_bracket(b, b).is_zero()
+            ok = ok and cyb.double_bracket(b).is_zero()
             car = frobenius.carrier(b)
             ok = ok and car.bracket_closed and car.same_span(par)
             ok = ok and car.dimension == n * n - 1 - 2 * (n - 2)
@@ -207,7 +206,7 @@ def criterion_7():
             ok = ok and frobenius.frobenius_functional_check(fd, eta)
     for n in range(2, 8):
         j = frobenius.jordanian(n)
-        ok = ok and cyb.double_bracket(j, j).is_zero()
+        ok = ok and cyb.double_bracket(j).is_zero()
         ok = ok and frobenius.carrier(j).same_span(frobenius.parabolic(1, n))
     details.append("n in {5, 7, 9} x 3 parameter pairs, each boundary solution triangular; "
                    "Jordanian n <= 7")

@@ -126,28 +126,22 @@ def _skew_double_bracket(a: SparseOp, d: int) -> SparseOp:
     return result
 
 
-def double_bracket(a: SparseOp, b: SparseOp) -> SparseOp:
-    """[a12, b13] + [a12, b23] + [a13, b23].
+def double_bracket(r: SparseOp) -> SparseOp:
+    """[r12, r13] + [r12, r23] + [r13, r23].
 
-    Bilinear, so it is computed on the integer operators D_a a and D_b b and
-    divided by D_a D_b once at the end.  For a skew r (P r P = -r) the cyclic
-    leg shift s sends r12 to r23 and r13 to -r12, so [r12, r23] and
-    [r13, r23] are the s- and s^2-conjugates of [r12, r13], and
-    double_bracket(r, r) is (1 + s + s^2)[r12, r13], summed one S3 orbit of
-    columns at a time with no operator bracket.
+    Quadratic in r, so it is computed on the integer operator D r and divided
+    by D^2 once at the end.  For a skew r (P r P = -r) the cyclic leg shift s
+    sends r12 to r23 and r13 to -r12, so [r12, r23] and [r13, r23] are the s-
+    and s^2-conjugates of [r12, r13], and the sum is (1 + s + s^2)[r12, r13],
+    summed one S3 orbit of columns at a time with no operator bracket.
     """
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    same = a is b
-    d, a = _integral(a)
-    db, b = (d, a) if same else _integral(b)
-    if same and a.is_antisymmetric():
-        return _skew_double_bracket(a, d * d)
-    a12, a13 = embed(a, 12), embed(a, 13)
-    b13, b23 = embed(b, 13), embed(b, 23)
-    ints = a12.bracket(b13) + a12.bracket(b23) + a13.bracket(b23)
-    d *= db
-    result = SparseOp(a.n)
+    d, r = _integral(r)
+    d *= d
+    if r.is_antisymmetric():
+        return _skew_double_bracket(r, d)
+    r12, r13, r23 = embed(r, 12), embed(r, 13), embed(r, 23)
+    ints = r12.bracket(r13) + r12.bracket(r23) + r13.bracket(r23)
+    result = SparseOp(r.n)
     result.cols = {inp: {out: Fraction(v, d) for out, v in col.items()}
                    for inp, col in ints.cols.items()}
     return result
@@ -155,7 +149,7 @@ def double_bracket(a: SparseOp, b: SparseOp) -> SparseOp:
 
 def cyb_lambda(r: SparseOp, lam) -> SparseOp:
     """[r12, r13] + [r12, r23] + [r13, r23] - lambda Z, in one merge."""
-    return double_bracket(r, r).__add__(z_op(r.n), -Fraction(lam))
+    return double_bracket(r).__add__(z_op(r.n), -Fraction(lam))
 
 
 @dataclass
@@ -182,7 +176,7 @@ def find_lambda(r: SparseOp) -> CybReport:
     the columns, with Z e_abc = e_cab - e_bca read inline: each of those two
     entries of bb is compared with +-lambda, and Z is never built.
     """
-    bb = double_bracket(r, r)
+    bb = double_bracket(r)
     if bb.is_zero():
         return CybReport(Fraction(0), 0, TRIANGULAR)
     cols = bb.cols

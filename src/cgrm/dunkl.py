@@ -8,9 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bd import require_coprime
-from .polyops import (Const, DivDiff, DivSum, ExponentSign, LaurentPoly, Mono,
-                      Partial, PolyOp, Sigma, Xi, restrict_to_window,
-                      window_matrix)
+from .polyops import (Const, DivDiff, DivSum, ExponentSign, Mono, Partial, PolyOp,
+                      Sigma, Xi, restrict_to_window, window_matrix)
 from .tensorops import (MatrixN, SparseOp, WedgeElement, ad_action,
                         wedge_of_matrices, wedge_to_op)
 
@@ -76,17 +75,18 @@ def dunkl_y(params: CherednikParams, i: int) -> PolyOp:
             - c1 * (Mono(0, -1) * _one_minus(xi2)))
 
 
-def dunkl_monomial_formula(params: CherednikParams, i: int, j: int, l: int) -> LaurentPoly:
-    """The displayed closed form of y_i acting on x^j y^l (independent oracle
-    for dunkl_y)."""
+def dunkl_monomial_formula(params: CherednikParams, i: int, j: int, l: int) -> dict:
+    """The displayed closed form of y_i acting on x^j y^l, as a zero-free dict
+    {(p, q): c} (independent oracle for dunkl_y)."""
     kappa, c0 = params.kappa, params.c0
     m = params.m
     terms = {}
 
     def add(a, b, v):
-        if v:
-            key = (a, b)
-            terms[key] = terms.get(key, ZERO) + v
+        # terms can cancel: at m = 1, kappa = c0 = 1, y_1 sends x to 0
+        total = terms.pop((a, b), ZERO) + v
+        if total:
+            terms[(a, b)] = total
 
     def omega_pow(k):
         # omega is 1 or -1, so omega^k only depends on the parity of k
@@ -108,7 +108,7 @@ def dunkl_monomial_formula(params: CherednikParams, i: int, j: int, l: int) -> L
             add(j + big_n * m, l - 1 - big_n * m, -m * c0)
         for big_n in range(1, m):
             add(j, l - 1, -params.c1 * (1 - omega_pow(-big_n * l)))
-    return LaurentPoly(2, terms)
+    return terms
 
 
 def group_relations(params: CherednikParams):
@@ -326,8 +326,9 @@ def v_operator(k: int, n: int) -> PolyOp:
     raise ValueError("k must be 1..4")
 
 
-def v_monomial_action(k: int, n: int, j: int, l: int) -> LaurentPoly:
-    """Displayed per-monomial formulas for the module generators (oracle)."""
+def v_monomial_action(k: int, n: int, j: int, l: int) -> dict:
+    """Displayed per-monomial formulas for the module generators, as a dict
+    {(p, q): c} (oracle)."""
     terms = {}
 
     def add(a, b, v):
@@ -361,7 +362,7 @@ def v_monomial_action(k: int, n: int, j: int, l: int) -> LaurentPoly:
             add(j + 1, l - 1, Fraction(-2))
     else:
         raise ValueError("k must be 1..4")
-    return LaurentPoly(2, terms)
+    return terms
 
 
 def v_wedge(k: int, n: int) -> WedgeElement:
@@ -389,7 +390,7 @@ def v_wedge(k: int, n: int) -> WedgeElement:
 
 def v_matrix_from_monomials(k: int, n: int) -> SparseOp:
     """The window matrix of v_monomial_action (oracle for elements_v)."""
-    return restrict_to_window(lambda p, q: v_monomial_action(k, n, p, q).terms, n)
+    return restrict_to_window(lambda p, q: v_monomial_action(k, n, p, q), n)
 
 
 def elements_v(n: int):

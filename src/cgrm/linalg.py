@@ -7,8 +7,8 @@ pivots are taken in increasing column order, so the reduced rows are those of
 the dense matrix with its columns sorted the same way.
 
 add_scaled owns that rule: the rows here, and the sums of matrices, operator
-columns, wedge elements, Laurent polynomials and polynomial-operator images
-elsewhere, all merge through it.
+columns, wedge elements and polynomial-operator images elsewhere, all merge
+through it.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""Laurent polynomials over Q and the compositional operators acting on them.
+"""Compositional operators on two-variable Laurent polynomials over Q.
 
-Operators act on two-variable polynomials, and they evaluate on integer
-numerators only.  op._apply(terms) takes int coefficients and returns
-D * op(terms) with int coefficients, where D = op.denominator() clears every
-rational coefficient in the operator tree.  Each consumer divides by D once:
-apply (after scaling its input by the input's common denominator),
-window_matrix per entry, op_equal_on not at all (it compares cross-multiplied
-images), and the polynomial Yang-Baxter check at the very end.  That check
-lifts an operator to legs (1,2), (1,3), (2,3) of three-variable monomials in
-one place, from a memo of the int images.
+A polynomial is a dict {(p, q): c} that stores no zeros, for the terms
+c x^p y^q.  Operators evaluate on integer numerators only.  op._apply(terms)
+takes int coefficients and returns D * op(terms) with int coefficients, where
+D = op.denominator() clears every rational coefficient in the operator tree.
+Each consumer divides by D once: apply (after scaling its input by the input's
+common denominator), which window_matrix runs per monomial, op_equal_on not at
+all (it compares cross-multiplied images), and the polynomial Yang-Baxter check
+at the very end.  That check lifts an operator to legs (1,2), (1,3), (2,3) of
+three-variable monomials in one place, from a memo of the int images.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .linalg import add_scaled
 from .scalars import NonIntegralError, common_denominator
 from .tensorops import SparseOp
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -32,66 +31,6 @@ class ExactDivisionError(ArithmeticError):
 
 class WindowStabilityError(ValueError):
     """An operator expected to preserve the truncated monomial window left it."""
-
-
-class LaurentPoly:
-    """Finite-support map from integer exponent tuples to rational coefficients."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
-
-    @classmethod
-    def monomial(cls, exps, coeff=1):
-        return cls(len(exps), {tuple(exps): Fraction(coeff)})
-
-    @classmethod
-    def one(cls, nvars=2):
-        return cls.monomial((0,) * nvars)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch: %d vs %d" % (self.nvars, other.nvars))
-
-    def __add__(self, other, c=1):
-        """self + c * other; same nvars and no zeros, so no cleaning pass."""
-        self._check(other)
-        out = LaurentPoly(self.nvars)
-        out.terms = add_scaled(dict(self.terms), c, other.terms)
-        return out
-
-    def __neg__(self):
-        return LaurentPoly(self.nvars, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __rmul__(self, scalar):
-        s = Fraction(scalar)
-        return LaurentPoly(self.nvars, {k: s * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        out = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                out[key] = out.get(key, ZERO) + va * vb
-        return LaurentPoly(self.nvars, out)
-
-    def __repr__(self):
-        return "LaurentPoly(%d, %r)" % (self.nvars, self.terms)
 
 
 def divide_linear(terms, sign):
@@ -124,15 +63,18 @@ class PolyOp:
     _apply(terms), which maps {(p, q): int} dicts with no zero coefficients to
     D * op(terms) in the same form, with D = denominator()."""
 
-    def apply(self, poly: LaurentPoly) -> LaurentPoly:
-        if poly.nvars != 2:
-            raise ValueError("operators act on two-variable polynomials, got %d variables"
-                             % poly.nvars)
-        d = common_denominator(poly.terms.values())
-        image = self._apply({k: v.numerator * (d // v.denominator)
-                             for k, v in poly.terms.items()})
+    def apply(self, terms):
+        """op(terms) for a zero-free dict {(p, q): rational}, as a zero-free dict
+        of Fractions: the input is scaled to int numerators by its common
+        denominator d, run through _apply, and divided by d D once."""
+        for key in terms:
+            if type(key) is not tuple or len(key) != 2:
+                raise ValueError("operators act on two-variable polynomials, got the key %r"
+                                 % (key,))
+        d = common_denominator(terms.values())
+        image = self._apply({k: v.numerator * (d // v.denominator) for k, v in terms.items()})
         d *= self.denominator()
-        return LaurentPoly(2, {k: Fraction(v, d) for k, v in image.items()})
+        return {k: Fraction(v, d) for k, v in image.items()}
 
     def _apply(self, terms):
         raise NotImplementedError
@@ -329,11 +271,8 @@ def restrict_to_window(images, n: int) -> SparseOp:
 
 
 def window_matrix(op: PolyOp, n: int) -> SparseOp:
-    """The window restriction of a two-variable operator: each int image entry
-    divided by D once."""
-    d = op.denominator()
-    return restrict_to_window(
-        lambda p, q: {k: Fraction(v, d) for k, v in op._apply({(p, q): 1}).items()}, n)
+    """The window restriction of a two-variable operator, one apply per monomial."""
+    return restrict_to_window(lambda p, q: op.apply({(p, q): ONE}), n)
 
 
 class _Images(dict):

@@ -73,10 +73,6 @@ class MatrixN:
     def unit(cls, n, i, j, coeff=1):
         return cls(n, {(i, j): Fraction(coeff)})
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, {(i, i): Fraction(1) for i in range(1, n + 1)})
-
     def __eq__(self, other):
         return isinstance(other, MatrixN) and self.n == other.n and self.entries == other.entries
 
@@ -158,12 +154,6 @@ class SparseOp:
     @classmethod
     def zero(cls, n):
         return cls(n)
-
-    @classmethod
-    def identity(cls, n):
-        """The identity of V (x) V."""
-        return cls(n, {(k, l): {(k, l): Fraction(1)}
-                       for k in range(1, n + 1) for l in range(1, n + 1)})
 
     @classmethod
     def from_entries(cls, n, entries):
@@ -346,11 +336,6 @@ class WedgeElement:
     @classmethod
     def zero(cls, n):
         return cls(n)
-
-    @classmethod
-    def single(cls, n, a, b, c, d, coeff=1):
-        """coeff * e_{ab} ^ e_{cd}."""
-        return cls(n, {((a, b), (c, d)): Fraction(coeff)})
 
     @classmethod
     def from_terms(cls, n, triples):

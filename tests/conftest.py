@@ -4,10 +4,11 @@ constructions that only tests use, so src/cgrm keeps production paths."""
 from dataclasses import replace
 from fractions import Fraction
 
+from cgrm import cyb
 from cgrm.bd import all_pos_roots, cg_triple, orbit
 from cgrm.frobenius import LieSubalgebra, _first_leg_slices
 from cgrm.linalg import add_scaled, solve_affine
-from cgrm.polyops import LaurentPoly, PolyOp, _Images, _poly_cyb_residual
+from cgrm.polyops import PolyOp, _Images, _poly_cyb_residual
 from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, _flat
 
 ZERO = Fraction(0)
@@ -18,6 +19,16 @@ def random_rational(rng) -> Fraction:
     """Random nonzero rational with numerator and denominator drawn from [-9, 9] \\ {0}."""
     nonzero = [k for k in range(-9, 10) if k != 0]
     return Fraction(rng.choice(nonzero), rng.choice(nonzero))
+
+
+def identity(n) -> MatrixN:
+    """The identity of V."""
+    return MatrixN(n, {(i, i): ONE for i in range(1, n + 1)})
+
+
+def identity_op(n) -> SparseOp:
+    """The identity of V (x) V."""
+    return SparseOp(n, {(k, l): {(k, l): ONE} for k in range(1, n + 1) for l in range(1, n + 1)})
 
 
 def kron(*factors: MatrixN) -> SparseOp:
@@ -43,8 +54,8 @@ def exp_nilpotent(x: MatrixN, s=1) -> MatrixN:
     if not x.is_nilpotent():
         raise ValueError("matrix is not nilpotent")
     s = Fraction(s)
-    total = MatrixN.identity(x.n)
-    term = MatrixN.identity(x.n)
+    total = identity(x.n)
+    term = identity(x.n)
     k = 1
     while True:
         term = Fraction(s, k) * (term @ x)
@@ -73,9 +84,19 @@ def op_to_wedge(op: SparseOp) -> WedgeElement:
 
 
 def poly_cyb_residual(op: PolyOp, lam, exps):
-    """CYB_lambda of a two-variable operator evaluated on one three-variable monomial."""
+    """CYB_lambda of a two-variable operator evaluated on one three-variable
+    monomial, as a zero-free dict {(a, b, c): Fraction}."""
     total, scale = _poly_cyb_residual(_Images(op), lam, exps)
-    return LaurentPoly(3, {k: Fraction(v, scale) for k, v in total.items()})
+    return {k: Fraction(v, scale) for k, v in total.items()}
+
+
+def double_bracket_over_fractions(a: SparseOp, b: SparseOp) -> SparseOp:
+    """The bilinear form [a12, b13] + [a12, b23] + [a13, b23] in Fraction
+    throughout: the oracle for cyb.double_bracket(r), which is its value at
+    a = b = r on integer numerators."""
+    a12, a13 = cyb.embed(a, 12), cyb.embed(a, 13)
+    b13, b23 = cyb.embed(b, 13), cyb.embed(b, 23)
+    return a12.bracket(b13) + a12.bracket(b23) + a13.bracket(b23)
 
 
 def dual_functional(f: LieSubalgebra, basis_list, index):

@@ -76,7 +76,7 @@ def test_precedes_strict_partial_order():
 
 def test_alpha_part_examples():
     assert bd.alpha_part(1, 2).is_zero()
-    assert bd.alpha_part(1, 3) == Fraction(2) * WedgeElement.single(3, 1, 2, 3, 2)
+    assert bd.alpha_part(1, 3) == Fraction(2) * WedgeElement(3, {((1, 2), (3, 2)): 1})
 
 
 def test_beta_part_examples():
@@ -87,7 +87,7 @@ def test_beta_part_examples():
 
 def test_gamma_part_examples():
     g2 = bd.gamma_part(2)
-    assert g2 == WedgeElement.single(2, 1, 2, 2, 1)
+    assert g2 == WedgeElement(2, {((1, 2), (2, 1)): 1})
     assert len(bd.gamma_part(3).terms) == 3
 
 
@@ -119,20 +119,20 @@ def test_verify_beta_variety():
 def test_verify_beta_variety_rejects_non_diagonal():
     t = bd.cg_triple(1, 3)
     with pytest.raises(ValueError):
-        bd.verify_beta_variety(t, WedgeElement.single(3, 1, 2, 2, 1))
+        bd.verify_beta_variety(t, WedgeElement(3, {((1, 2), (2, 1)): 1}))
 
 
 def test_verify_beta_variety_rejects_outside_hwedgeh():
     t = bd.cg_triple(1, 3)
     with pytest.raises(ValueError, match="h \\^ h"):
-        bd.verify_beta_variety(t, WedgeElement.single(3, 1, 1, 2, 2))
+        bd.verify_beta_variety(t, WedgeElement(3, {((1, 1), (2, 2)): 1}))
 
 
 def test_verify_beta_variety_rejects_other_points_of_hwedgeh():
     """The variety is the single solved point, so a shift inside h ^ h leaves it."""
     for (m, n) in ((1, 4), (3, 5), (2, 7)):
         t = bd.cg_triple(m, n)
-        e = {(a, c): WedgeElement.single(n, a, a, c, c) for a in (1, 2) for c in (3, 4)}
+        e = {(a, c): WedgeElement(n, {((a, a), (c, c)): 1}) for a in (1, 2) for c in (3, 4)}
         # (e_11 - e_22) ^ (e_33 - e_44): both legs diagonal and traceless
         shift = e[(1, 3)] - e[(1, 4)] - e[(2, 3)] + e[(2, 4)]
         solution, _ = bd.solve_beta_variety(t)

@@ -12,7 +12,8 @@ from cgrm import bd, closed_form, cyb
 from cgrm.frobenius import jordanian, jordanian_x, nilpotent_exp_action
 from cgrm.tensorops import MatrixN, SparseOp, SparseOp2, WedgeElement, wedge_to_op
 
-from conftest import exp_nilpotent, kron, permutation_op, random_rational
+from conftest import (double_bracket_over_fractions, exp_nilpotent, identity, identity_op, kron,
+                      permutation_op, random_rational)
 
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -25,7 +26,7 @@ def wedge_elements(n=2, max_terms=4):
 
 
 def test_embed_identity():
-    ident = SparseOp2.identity(2)
+    ident = identity_op(2)
     emb = cyb.embed(ident, 12)
     for col, out in emb.cols.items():
         assert out == {col: Fraction(1)}
@@ -67,20 +68,12 @@ def test_z_is_invariant_under_diagonal_action():
             entries[(n, n)] = entries.get((n, n), Fraction(0)) - v
         x = MatrixN(n, entries)
         assert x.trace() == 0
-        ident = MatrixN.identity(n)
+        ident = identity(n)
         d3 = None
         for legs in ((x, ident, ident), (ident, x, ident), (ident, ident, x)):
             term = kron(*legs)
             d3 = term if d3 is None else d3 + term
         assert (d3 @ z - z @ d3).is_zero()
-
-
-def _double_bracket_over_fractions(a, b):
-    """The double bracket computed in Fraction throughout: the oracle for
-    cyb.double_bracket, which works on integer numerators."""
-    a12, a13 = cyb.embed(a, 12), cyb.embed(a, 13)
-    b13, b23 = cyb.embed(b, 13), cyb.embed(b, 23)
-    return a12.bracket(b13) + a12.bracket(b23) + a13.bracket(b23)
 
 
 def two_leg_ops(n, max_terms=6):
@@ -92,18 +85,17 @@ def two_leg_ops(n, max_terms=6):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.tuples(two_leg_ops(n), two_leg_ops(n))))
-@example((SparseOp.from_entries(2, [((1, 2), (2, 1), Fraction(1, 2)), ((2, 1), (1, 2), 3)]),
-          SparseOp.from_entries(2, [((1, 1), (1, 2), Fraction(-2, 3)),
-                                    ((2, 1), (2, 2), Fraction(5, 9))])))
-@example((SparseOp.zero(3), SparseOp.from_entries(3, [((1, 3), (2, 1), Fraction(7, 5))])))
-@example((SparseOp.from_entries(3, [((2, 3), (3, 1), Fraction(-1, 4))]),
-          SparseOp.from_entries(3, [((3, 1), (2, 3), Fraction(2, 7))])))
-def test_double_bracket_matches_fraction_oracle(ops):
-    a, b = ops
-    db = cyb.double_bracket(a, b)
-    assert db == _double_bracket_over_fractions(a, b)
+@given(st.integers(min_value=1, max_value=4).flatmap(two_leg_ops))
+@example(SparseOp.from_entries(2, [((1, 2), (2, 1), Fraction(1, 2)), ((2, 1), (1, 2), 3)]))
+@example(SparseOp.from_entries(2, [((1, 1), (1, 2), Fraction(-2, 3)),
+                                   ((2, 1), (2, 2), Fraction(5, 9))]))
+@example(SparseOp.zero(3))
+@example(SparseOp.from_entries(3, [((1, 3), (2, 1), Fraction(7, 5))]))
+@example(SparseOp.from_entries(3, [((2, 3), (3, 1), Fraction(-1, 4))]))
+@example(SparseOp.from_entries(3, [((3, 1), (2, 3), Fraction(2, 7))]))
+def test_double_bracket_matches_fraction_oracle(r):
+    db = cyb.double_bracket(r)
+    assert db == double_bracket_over_fractions(r, r)
     assert all(type(v) is Fraction for _, _, v in db.entries())
 
 
@@ -143,22 +135,19 @@ def _cyclic_sum_of_one_bracket(r):
 
 
 def _assert_skew_path_exact(r):
-    copy = SparseOp(r.n, r.cols)
-    assert copy == r and copy is not r
-    db = cyb.double_bracket(r, r)
-    assert db == _double_bracket_over_fractions(r, r)
-    assert db == cyb.double_bracket(r, copy)  # the three-bracket path
+    db = cyb.double_bracket(r)
+    assert db == double_bracket_over_fractions(r, r)
     assert all(type(v) is Fraction for _, _, v in db.entries())
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: wedge_elements(n, max_terms=6)))
-@example(WedgeElement.single(3, 1, 2, 2, 3, Fraction(3, 4)))
+@example(WedgeElement(3, {((1, 2), (2, 3)): Fraction(3, 4)}))
 @example(WedgeElement.from_terms(2, [((1, 2), (2, 1), Fraction(1, 2)),
                                      ((1, 1), (2, 2), Fraction(-2, 3))]))
 def test_skew_double_bracket_matches_fraction_oracle(w):
-    """A wedge is skew, so double_bracket(r, r) takes the cyclic path; it equals
-    the Fraction oracle and the general path on an equal copy of r."""
+    """A wedge is skew, so double_bracket(r) takes the cyclic path; it equals
+    the Fraction oracle, which forms the three brackets."""
     r = wedge_to_op(w)
     assert r.is_antisymmetric()
     _assert_skew_path_exact(r)
@@ -169,8 +158,15 @@ def test_skew_double_bracket_examples():
     for r in (closed_form.cg_closed_form(2, 7), dunkl.b_cg(7, 2, 3), jordanian(4)):
         assert r.is_antisymmetric()
         _assert_skew_path_exact(r)
-        assert cyb.double_bracket(r, r) == _cyclic_sum_of_one_bracket(r)
-        assert _is_alternating(cyb.double_bracket(r, r))
+        assert cyb.double_bracket(r) == _cyclic_sum_of_one_bracket(r)
+        assert _is_alternating(cyb.double_bracket(r))
+
+
+def _bent(r):
+    """r with 1/3 added at one entry of column (2, 3), which breaks skewness."""
+    col = dict(r.column(2, 3))
+    col[(3, 2)] = col.get((3, 2), Fraction(0)) + Fraction(1, 3)
+    return SparseOp(r.n, {**r.cols, (2, 3): col})
 
 
 def test_skew_path_runs_no_operator_bracket(monkeypatch):
@@ -178,9 +174,9 @@ def test_skew_path_runs_no_operator_bracket(monkeypatch):
     bracket = SparseOp.bracket
     monkeypatch.setattr(SparseOp, "bracket", lambda x, y: calls.append(1) or bracket(x, y))
     r = closed_form.cg_closed_form(2, 5)
-    cyb.double_bracket(r, r)
+    cyb.double_bracket(r)
     assert len(calls) == 0
-    cyb.double_bracket(r, SparseOp(r.n, r.cols))
+    cyb.double_bracket(_bent(r))
     assert len(calls) == 3
 
 
@@ -196,50 +192,45 @@ def test_skew_double_bracket_is_alternating(w):
     a leg permutation multiplies it by the permutation's sign.  The skew path
     fills five of the six columns of each orbit from this."""
     r = wedge_to_op(w)
-    assert _is_alternating(_double_bracket_over_fractions(r, r))
-    assert _is_alternating(cyb.double_bracket(r, r))
+    assert _is_alternating(double_bracket_over_fractions(r, r))
+    assert _is_alternating(cyb.double_bracket(r))
 
 
 def test_repeated_index_orbits_are_covered():
     r = wedge_to_op(REPEATED_INDEX_WEDGE)
-    assert {len(set(t)) for t in cyb.double_bracket(r, r).cols} == {1, 2}
+    assert {len(set(t)) for t in cyb.double_bracket(r).cols} == {1, 2}
 
 
 def test_non_skew_operator_takes_the_general_path():
     """One perturbed entry breaks skewness; the result still matches the oracle,
     while the cyclic sum of [r12, r13] no longer equals the double bracket."""
-    r = closed_form.cg_closed_form(2, 5)
-    col = dict(r.column(2, 3))
-    col[(3, 2)] = col.get((3, 2), Fraction(0)) + Fraction(1, 3)
-    bent = SparseOp(r.n, {**r.cols, (2, 3): col})
+    bent = _bent(closed_form.cg_closed_form(2, 5))
     assert not bent.is_antisymmetric()
-    db = cyb.double_bracket(bent, bent)
-    assert db == _double_bracket_over_fractions(bent, bent)
+    db = cyb.double_bracket(bent)
+    assert db == double_bracket_over_fractions(bent, bent)
     assert db != _cyclic_sum_of_one_bracket(bent)
     assert not _is_alternating(db)
     assert cyb.find_lambda(bent).classification == cyb.NOT_R_MATRIX
 
 
 @settings(max_examples=25, deadline=None)
-@given(wedge_elements(), wedge_elements())
-def test_double_bracket_bilinear(w1, w2):
-    a = wedge_to_op(w1)
-    b = wedge_to_op(w2)
-    two_a = Fraction(2) * a
-    assert cyb.double_bracket(two_a, b) == Fraction(2) * cyb.double_bracket(a, b)
-    assert cyb.double_bracket(b, two_a) == Fraction(2) * cyb.double_bracket(b, a)
+@given(wedge_elements().map(wedge_to_op),
+       two_leg_ops(2).filter(lambda r: not r.is_antisymmetric()), scalars)
+def test_double_bracket_bilinear(skew, other, c):
+    """The double bracket is a bilinear form on the diagonal, so DB(c r) = c^2 DB(r),
+    on the skew path and on the three-bracket path."""
+    assert skew.is_antisymmetric()
+    for r in (skew, other):
+        assert cyb.double_bracket(c * r) == c * c * cyb.double_bracket(r)
 
 
 def test_double_bracket_zero():
-    z2 = SparseOp2.zero(2)
-    r = wedge_to_op(bd.bd_r_matrix(1, 2))
-    assert cyb.double_bracket(z2, r).is_zero()
-    assert cyb.double_bracket(r, z2).is_zero()
+    assert cyb.double_bracket(SparseOp2.zero(2)).is_zero()
 
 
 def test_double_bracket_is_cyb0():
     r = closed_form.cg_closed_form(1, 3)
-    assert cyb.cyb_lambda(r, 0) == cyb.double_bracket(r, r)
+    assert cyb.cyb_lambda(r, 0) == cyb.double_bracket(r)
 
 
 def test_quarter_lambda_for_m2():
@@ -285,7 +276,7 @@ def test_find_lambda_rejects_random_wedge():
 
 def _find_lambda_by_search(r):
     """The general rule: lambda from the first nonzero entry of Z in sorted order."""
-    bb = cyb.double_bracket(r, r)
+    bb = cyb.double_bracket(r)
     if bb.is_zero():
         return cyb.CybReport(Fraction(0), 0, cyb.TRIANGULAR)
     z = cyb.z_op(r.n)
@@ -344,7 +335,7 @@ def perturbed_closed_forms():
     perturbed_closed_forms()))
 @example(Fraction(-3, 2) * closed_form.cg_closed_form(2, 5))
 @example(closed_form.cg_closed_form(3, 5) + SparseOp.from_entries(5, [((1, 2), (2, 1), 1)]))
-@example(wedge_to_op(WedgeElement.single(3, 1, 2, 2, 3, Fraction(3, 4))))
+@example(wedge_to_op(WedgeElement(3, {((1, 2), (2, 3)): Fraction(3, 4)})))
 def test_find_lambda_matches_search_with_z(r):
     """The inline residual count equals (bb - lambda Z).count_nonzero() with Z
     built as an operator, for solutions, non-solutions and lambda = 0."""
@@ -367,8 +358,8 @@ def test_orbit_equivariance():
     g, g_inv = exp_nilpotent(x, t), exp_nilpotent(x, -t)
     g3 = kron(g, g, g)
     g3_inv = kron(g_inv, g_inv, g_inv)
-    lhs = cyb.double_bracket(moved, moved)
-    rhs = g3 @ cyb.double_bracket(r, r) @ g3_inv
+    lhs = cyb.double_bracket(moved)
+    rhs = g3 @ cyb.double_bracket(r) @ g3_inv
     assert lhs == rhs
     assert cyb.find_lambda(moved).lambda_ == cyb.find_lambda(r).lambda_
 
@@ -380,10 +371,10 @@ def test_boundary_top_coefficient_is_triangular():
     x = jordanian_x(n)
     for t in (Fraction(1), Fraction(-2)):
         rt = nilpotent_exp_action(x, t, r)
-        assert cyb.double_bracket(rt, rt) == cyb.double_bracket(r, r)
+        assert cyb.double_bracket(rt) == cyb.double_bracket(r)
         # degree-one family: top coefficient is (r_t - r)/t
         top = Fraction(1, t) * (rt - r)
-        assert cyb.double_bracket(top, top).is_zero()
+        assert cyb.double_bracket(top).is_zero()
 
 
 def test_boundary_top_coefficient_quadratic_family():
@@ -399,7 +390,7 @@ def test_boundary_top_coefficient_quadratic_family():
         return act(e2m, t, act(e1m, u, r))
 
     r0, r1, rm1 = family(Fraction(0)), family(Fraction(1)), family(Fraction(-1))
-    assert cyb.double_bracket(r1, r1) == cyb.double_bracket(r, r)
+    assert cyb.double_bracket(r1) == cyb.double_bracket(r)
     top = Fraction(1, 2) * (r1 + rm1 - Fraction(2) * r0)
     assert top == Fraction(1, 2) * u * dunkl.elements_v(n)[3]
-    assert cyb.double_bracket(top, top).is_zero()
+    assert cyb.double_bracket(top).is_zero()

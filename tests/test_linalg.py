@@ -288,7 +288,7 @@ def test_functional_check_rejects_non_skew_form():
 
 def test_carrier_rejects_slice_with_nonzero_trace():
     # e_11 ^ e_12 = e_11 (x) e_12 - e_12 (x) e_11; the first-leg slice at (1, 2) is -e_11.
-    r = wedge_to_op(WedgeElement.single(3, 1, 1, 1, 2))
+    r = wedge_to_op(WedgeElement(3, {((1, 1), (1, 2)): 1}))
     assert r.is_antisymmetric()
     with pytest.raises(ValueError, match="trace"):
         frobenius.carrier(r)

@@ -1,4 +1,5 @@
-"""Laurent arithmetic, division kernels, operator atoms, and window restriction."""
+"""Division kernels, operator atoms, and window restriction, on polynomials stored
+as zero-free dicts {(p, q): c}."""
 
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from cgrm import dunkl
 from cgrm.linalg import add_scaled
 from cgrm.polyops import (Const, DivDiff, DivSum, ExactDivisionError,
-                          ExponentSign, LaurentPoly, Mono, OpCompose, OpSum, Partial,
+                          ExponentSign, Mono, OpCompose, OpSum, Partial,
                           PolyOp, Sigma, Xi, WindowStabilityError, _Images,
                           check_poly_cyb, divide_linear, laurent_window, op_equal_on,
                           polynomial_monomials, restrict_to_window, window_matrix)
@@ -17,50 +18,44 @@ from cgrm.scalars import NonIntegralError, scaled_to_int
 
 from conftest import poly_cyb_residual
 
+ONE = Fraction(1)
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 exps = st.integers(min_value=-4, max_value=4)
 
 
-def polys(nvars=2, max_terms=4):
-    key = st.tuples(*([exps] * nvars))
-    return st.dictionaries(key, coeffs, max_size=max_terms).map(
-        lambda d: LaurentPoly(nvars, d))
+def polys(max_terms=4):
+    return st.dictionaries(st.tuples(exps, exps), coeffs, max_size=max_terms).map(
+        lambda d: {k: v for k, v in d.items() if v})
 
 
 def mono(a, b, c=1):
-    return LaurentPoly.monomial((a, b), c)
+    return {(a, b): Fraction(c)}
 
 
-def test_variable_count_mismatch_raises():
-    a, b = LaurentPoly.monomial((1, 0)), LaurentPoly.monomial((1, 0, 2))
-    for x, y in ((a, b), (b, a)):
-        for combine in (lambda: x + y, lambda: x - y, lambda: x * y):
-            with pytest.raises(ValueError, match="variable count mismatch"):
-                combine()
-
-
-def test_poly_arithmetic():
-    p = mono(1, 0) + mono(0, 1)
-    q = mono(1, 0) - mono(0, 1)
-    assert p * q == mono(2, 0) - mono(0, 2)
-    assert (p - p).is_zero()
-    assert 2 * mono(1, 1, Fraction(1, 2)) == mono(1, 1)
+def _times(f, g):
+    """The product of two polynomials, with no zeros stored."""
+    out = {}
+    for (a, b), u in f.items():
+        for (c, d), v in g.items():
+            key = (a + c, b + d)
+            out[key] = out.get(key, 0) + u * v
+    return {k: v for k, v in out.items() if v}
 
 
 @settings(max_examples=50)
 @given(polys(), polys())
 def test_division_inverts_multiplication(p, q):
-    diff = mono(1, 0) - mono(0, 1)
-    total = mono(1, 0) + mono(0, 1)
-    assert LaurentPoly(2, divide_linear((p * diff).terms, -1)) == p
-    assert LaurentPoly(2, divide_linear((q * total).terms, 1)) == q
+    diff = {(1, 0): ONE, (0, 1): -ONE}
+    total = {(1, 0): ONE, (0, 1): ONE}
+    assert divide_linear(_times(p, diff), -1) == p
+    assert divide_linear(_times(q, total), 1) == q
 
 
 def test_division_remainder_raises():
     with pytest.raises(ExactDivisionError):
-        divide_linear(mono(1, 0).terms, -1)
+        divide_linear(mono(1, 0), -1)
     with pytest.raises(ExactDivisionError):
-        divide_linear(mono(0, 3).terms, 1)
+        divide_linear(mono(0, 3), 1)
 
 
 def test_divdiff_on_symmetric_difference():
@@ -69,23 +64,23 @@ def test_divdiff_on_symmetric_difference():
     num = one_minus_sigma.apply(f)
     quotient = DivDiff().apply(num)
     # (x^3 y - x y^3)/(x - y) = x^2 y + x y^2
-    assert quotient == mono(2, 1) + mono(1, 2)
+    assert quotient == {(2, 1): ONE, (1, 2): ONE}
 
 
 def test_atoms():
     f = mono(2, 3)
     assert Mono(1, -1).apply(f) == mono(3, 2)
     assert Partial(0).apply(f) == mono(1, 3, 2)
-    assert Partial(1).apply(mono(2, 0)).is_zero()
+    assert Partial(1).apply(mono(2, 0)) == {}
     assert Sigma().apply(f) == mono(3, 2)
     assert Xi(0, -1).apply(f) == mono(2, 3)
     assert Xi(0, -1).apply(mono(1, 2)) == mono(1, 2, -1)
     assert Xi(1, 1).apply(f) == f
     assert Xi(1, Fraction(-1)).apply(mono(0, 1)) == mono(0, 1, -1)
-    assert ExponentSign().apply(mono(1, 1)).is_zero()
+    assert ExponentSign().apply(mono(1, 1)) == {}
     assert ExponentSign().apply(mono(2, 1)) == mono(2, 1)
     assert ExponentSign().apply(mono(0, 1)) == mono(0, 1, -1)
-    assert DivSum().apply(mono(1, 0) + mono(0, 1)) == LaurentPoly.one()
+    assert DivSum().apply({(1, 0): ONE, (0, 1): ONE}) == {(0, 0): ONE}
 
 
 @pytest.mark.parametrize("omega", [2, Fraction(1, 2), 0, Fraction(-1, 2), -2])
@@ -100,7 +95,7 @@ def test_operator_algebra():
     f = mono(1, 0)
     op = 2 * Mono(1, 0) - Mono(0, 1) * Sigma()
     # sigma sends x to y, then multiply by y: y^2 ; first term 2x^2
-    assert op.apply(f) == mono(2, 0, 2) - mono(0, 2)
+    assert op.apply(f) == {(2, 0): Fraction(2), (0, 2): -ONE}
 
 
 atoms = st.one_of(
@@ -121,8 +116,10 @@ def test_combination_node_is_linear(a, b, c, x, y, z, samples):
     assert all(isinstance(op, (Mono, Partial, Sigma, Xi, ExponentSign))
                for _, op in combo.summands)
     for exps_ in samples:
-        f = LaurentPoly.monomial(exps_)
-        want = a * x.apply(f) + b * (y.apply(f) - c * z.apply(f))
+        f = {exps_: ONE}
+        want = {}
+        for coeff, atom in ((a, x), (b, y), (-b * c, z)):
+            add_scaled(want, coeff, atom.apply(f))
         assert combo.apply(f) == want
 
 
@@ -137,9 +134,9 @@ def test_combination_node_flattens_and_drops_zeros():
 
 
 def test_apply_rejects_other_variable_counts():
-    for exps in ((1, 2, 3), (1,)):
+    for terms in ({(1, 2, 3): ONE}, {(1,): ONE}, {(0, 1): ONE, (1, 2, 3): ONE}):
         with pytest.raises(ValueError, match="two-variable"):
-            Const(1).apply(LaurentPoly.monomial(exps))
+            Const(1).apply(terms)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -155,7 +152,7 @@ def test_lift_matches_window_cyb(n):
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                residual = poly_cyb_residual(op, lam, (a, b, c)).terms
+                residual = poly_cyb_residual(op, lam, (a, b, c))
                 expected = {tuple(e - 1 for e in k): v
                             for k, v in window.column(a + 1, b + 1, c + 1).items()}
                 assert residual == expected
@@ -280,7 +277,7 @@ def _poly_cyb_residual_over_fractions(op, lam, exps):
     for la, lb in BRACKETS:
         _lift_over_fractions(images, la, _lift_over_fractions(images, lb, plus, {}), total)
         _lift_over_fractions(images, lb, _lift_over_fractions(images, la, minus, {}), total)
-    return LaurentPoly(3, total)
+    return total
 
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=7)
@@ -314,7 +311,7 @@ def test_lift_matches_fraction_oracle(op, monomials, lam, k, off_grid):
     for exps_ in monomials:
         residual = poly_cyb_residual(op, lam, exps_)
         assert residual == _poly_cyb_residual_over_fractions(op, lam, exps_)
-        assert all(type(v) is Fraction for v in residual.terms.values())
+        assert all(type(v) is Fraction for v in residual.values())
 
 
 m1_params = st.builds(dunkl.CherednikParams, small, small, small, st.just(1))
@@ -339,7 +336,7 @@ def _outcome(compute):
 @settings(max_examples=80, deadline=None)
 @given(kernel_ops, st.sampled_from([2, 3, 4, 5, 7]), st.lists(polys(), min_size=1, max_size=3))
 @example(dunkl.dunkl_y(dunkl.CherednikParams(Fraction(1, 3), Fraction(-5, 2), m=1), 1), 4,
-         [mono(-2, 3, Fraction(3, 7)) + mono(1, -1, Fraction(-1, 2))])
+         [{(-2, 3): Fraction(3, 7), (1, -1): Fraction(-1, 2)}])
 def test_int_kernel_matches_fraction_oracle(op, n, inputs):
     """window_matrix and PolyOp.apply, which run the int kernel and divide once,
     equal the atom-by-atom Fraction evaluation, on the window and on Laurent
@@ -349,8 +346,8 @@ def test_int_kernel_matches_fraction_oracle(op, n, inputs):
     assert _outcome(lambda: window_matrix(op, n)) == oracle
     for poly in inputs + [mono(-3, 1), mono(2, -4), mono(-1, -2)]:
         got = op.apply(poly)
-        assert got == LaurentPoly(2, fraction_apply(op, poly.terms))
-        assert all(type(v) is Fraction for v in got.terms.values())
+        assert got == fraction_apply(op, poly)
+        assert all(type(v) is Fraction for v in got.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,7 +379,7 @@ def test_division_atoms_raise_on_an_int_remainder():
         with pytest.raises(ExactDivisionError):
             atom._apply(terms)
         with pytest.raises(ExactDivisionError):
-            atom.apply(LaurentPoly(2, {k: Fraction(v, 3) for k, v in terms.items()}))
+            atom.apply({k: Fraction(v, 3) for k, v in terms.items()})
     # (x^2 - y^2) / (x - y) = x + y, with int quotients
     quotient = DivDiff()._apply({(2, 0): 5, (0, 2): -5})
     assert quotient == {(1, 0): 5, (0, 1): 5}
@@ -468,6 +465,6 @@ def test_poly_cyb_detects_non_solutions():
     """The three-leg checker is not vacuous: the bare divided difference fails."""
     from cgrm.dunkl import divided_difference, lemma_expression
     delta = divided_difference()
-    assert not poly_cyb_residual(delta, 4, (1, 0, 0)).is_zero()
+    assert poly_cyb_residual(delta, 4, (1, 0, 0))
     assert not check_poly_cyb(delta, 4, laurent_window(3, 1))
-    assert poly_cyb_residual(lemma_expression(1, 0), 4, (1, 0, 0)).is_zero()
+    assert poly_cyb_residual(lemma_expression(1, 0), 4, (1, 0, 0)) == {}
