@@ -3,7 +3,7 @@ roots, and the alpha/beta/gamma pieces of the quasitriangular construction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -11,16 +11,18 @@ from .linalg import ONE, add_scaled, rref, solve_affine
 from .tensorops import WedgeElement
 
 
-@dataclass(frozen=True, order=True)
-class PosRoot:
-    """The positive root e_i - e_j (i < j), with root vector e_{ij}."""
+class PosRoot(namedtuple("PosRoot", "i j")):
+    """The positive root e_i - e_j (i < j), with root vector e_{ij}.
 
-    i: int
-    j: int
+    An (i, j) tuple, so hashing, equality and order are the tuple's.
+    """
 
-    def __post_init__(self):
-        if not 1 <= self.i < self.j:
-            raise ValueError("not a positive root: (%d, %d)" % (self.i, self.j))
+    __slots__ = ()
+
+    def __new__(cls, i, j):
+        if not 1 <= i < j:
+            raise ValueError("not a positive root: (%d, %d)" % (i, j))
+        return tuple.__new__(cls, (i, j))
 
     def simples(self):
         """Indices of the simple roots in the decomposition e_i - e_j = a_i + ... + a_{j-1}."""

@@ -8,6 +8,7 @@ by index tuple) so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -192,7 +193,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process: parse_args keeps no state between calls."""
     parser = _Parser(prog="cgrm")
     sub = parser.add_subparsers(dest="command", required=True)
 

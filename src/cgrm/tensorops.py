@@ -169,7 +169,8 @@ class SparseOp:
                 if not 1 <= idx <= n:
                     raise ValueError("index out of range: %r" % ((out, inp),))
             col = cols.setdefault(inp, {})
-            col[out] = col.get(out, ZERO) + Fraction(v)
+            v = Fraction(v)
+            col[out] = col[out] + v if out in col else v
         return cls(n, cols)
 
     def entries(self):
@@ -276,6 +277,7 @@ class SparseOp:
         if not isinstance(raw, list):
             raise ValueError("entries must be a list, not %r" % (raw,))
         entries = []
+        parsed = {}  # one parse per distinct value string
         for entry in raw:
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise ValueError("an entry must be a list [out, inp, value], not %r" % (entry,))
@@ -283,7 +285,13 @@ class SparseOp:
             if not (isinstance(out, list) and isinstance(inp, list)
                     and {int}.issuperset(map(type, out + inp))):
                 raise ValueError("indices must be lists of integers, not %r" % ((out, inp),))
-            entries.append((tuple(out), tuple(inp), parse_scalar(s)))
+            if isinstance(s, str):
+                v = parsed.get(s)
+                if v is None:
+                    v = parsed[s] = parse_scalar(s)
+            else:
+                v = parse_scalar(s)
+            entries.append((tuple(out), tuple(inp), v))
         n = obj["n"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError("n must be an integer >= 1, not %r" % (n,))

@@ -47,6 +47,8 @@ class WheelData:
     seq: list = field(default_factory=list)
     strings: list = field(default_factory=list)
     minimal_elements: list = field(default_factory=list)
+    # nested[t][v] = v mod i_0 .. mod i_t for t < L and 0 <= v < n.
+    nested: list = field(default_factory=list)
 
     @property
     def L(self):
@@ -57,7 +59,8 @@ class WheelData:
         seq = euclid_sequence(m, n)
         chains = strings(m, n)
         minimal = [chain[0] for chain in chains]
-        w = cls(m=m, n=n, seq=seq, strings=chains, minimal_elements=minimal)
+        nested = [[_nested_mod(v, seq, t) for v in range(n)] for t in range(len(seq) - 1)]
+        w = cls(m=m, n=n, seq=seq, strings=chains, minimal_elements=minimal, nested=nested)
         w._validate()
         return w
 
@@ -114,8 +117,10 @@ def func_d(t: int, l: int, w: WheelData) -> int:
 
 
 def func_j(t: int, j: int, l: int, w: WheelData) -> int:
-    """1 - i_t + [(n-l) mod i_0 .. mod i_t] + [(j-1) mod i_0 .. mod i_t]."""
-    return 1 - w.seq[t] + _nested_mod(w.n - l, w.seq, t) + _nested_mod(j - 1, w.seq, t)
+    """1 - i_t + [(n-l) mod i_0 .. mod i_t] + [(j-1) mod i_0 .. mod i_t], read
+    from the wheel's nested table (1 <= j, l <= n)."""
+    row = w.nested[t]
+    return 1 - w.seq[t] + row[w.n - l] + row[j - 1]
 
 
 def sbar_closed(w: WheelData, jp: int, lp: int):

@@ -36,6 +36,44 @@ def test_cg_triple_rejects_non_coprime():
         bd.cg_triple(2, 4)
 
 
+@pytest.mark.parametrize("i, j", [(2, 1), (0, 1), (3, 3)])
+def test_pos_root_rejects_non_positive_pairs(i, j):
+    with pytest.raises(ValueError, match=r"^not a positive root: \(%d, %d\)$" % (i, j)):
+        bd.PosRoot(i, j)
+
+
+def test_pos_root_is_an_immutable_pair():
+    r = bd.PosRoot(3, 5)
+    assert (r.i, r.j) == tuple(r) == (3, 5)
+    assert list(r.simples()) == [3, 4]
+    assert repr(r) == "PosRoot(i=3, j=5)"
+    assert bd.PosRoot(j=5, i=3) == r and hash(r) == hash((3, 5))
+    with pytest.raises(AttributeError):
+        r.i = 1
+
+
+def test_pos_root_order_is_the_pair_order():
+    roots = bd.all_pos_roots(7)[::-1]
+    assert [(r.i, r.j) for r in sorted(roots)] == sorted((r.i, r.j) for r in roots)
+
+
+def test_orbit_and_precedes_match_iterated_zeta_hat():
+    for (m, n) in coprime_pairs(9):
+        t = bd.cg_triple(m, n)
+        roots = bd.all_pos_roots(n)
+        for rho in roots:
+            chain = []
+            cur = bd.zeta_hat(t, rho)
+            while cur is not None:
+                chain.append(cur)
+                cur = bd.zeta_hat(t, cur)
+            assert bd.orbit(t, rho) == tuple(chain), (m, n, rho)
+            for mu in roots:
+                assert bd.precedes(t, rho, mu) == (mu in chain), (m, n, rho, mu)
+                assert (bd.precedes(t, rho, mu, allow_equal=True)
+                        == (mu == rho or mu in chain)), (m, n, rho, mu)
+
+
 def test_zeta_hat_examples():
     t = bd.cg_triple(12, 31)
     assert bd.zeta_hat(t, bd.PosRoot(15, 19)) == bd.PosRoot(27, 31)

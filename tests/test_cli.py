@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from cgrm.cli import MAX_N, main
 from cgrm.scalars import parse_scalar
+from cgrm.tensorops import SparseOp, canonical_json
 
 
 def run_cli(capsys, *argv):
@@ -514,3 +518,88 @@ def test_fuzzed_operator_files_give_json_error(valid_file, text):
         for argv in (("verify", "--in", path), ("verify", "--in", path, "--lambda", "1/4"),
                      ("compare", path, valid_file), ("carrier", "--in", path)):
             assert_json_error(argv)
+
+
+@pytest.mark.parametrize("value, reason", [
+    (1, "expected a rational as a string, got 1"),
+    ([1], "expected a rational as a string, got [1]"),
+    (None, "expected a rational as a string, got None"),
+    (True, "expected a rational as a string, got True"),
+    ({}, "expected a rational as a string, got {}"),
+    ("1/0", "Invalid literal for Fraction: '1/0'"),
+    ("0.5", "Invalid literal for Fraction: '0.5'"),
+])
+def test_entry_values_are_read_strictly(tmp_path, value, reason):
+    """A value must be a "p" or "p/q" string.  The error is the same whether the
+    value comes first or after a valid string that the reader has already parsed."""
+    path = tmp_path / "bad.json"
+    for entries in ([[[1, 2], [2, 1], value]],
+                    [[[1, 2], [2, 1], "1/2"], [[2, 1], [1, 2], "1/2"], [[2, 3], [3, 2], value]]):
+        path.write_text(json.dumps({"n": 3, "entries": entries}))
+        for argv in (("verify", "--in", str(path)), ("compare", str(path), str(path))):
+            assert _call(argv) == (2, canonical_json(
+                {"error": "cannot read operator file %r: %s" % (str(path), reason)})), argv
+
+
+def test_duplicate_entries_add_and_cancel(tmp_path):
+    """One (out, inp) listed twice adds its values; "1/2" and "-1/2" leave no entry."""
+    twice = {"n": 3, "entries": [[[1, 2], [2, 1], "1/2"], [[2, 3], [3, 2], "1/2"],
+                                 [[1, 2], [2, 1], "-1/2"]]}
+    once = {"n": 3, "entries": [[[2, 3], [3, 2], "1/2"]]}
+    op = SparseOp.from_json_obj(twice)
+    assert op.cols == {(3, 2): {(2, 3): parse_scalar("1/2")}}
+    assert op == SparseOp.from_json_obj(once)
+    paths = []
+    for name, obj in (("twice.json", twice), ("once.json", once)):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(json.dumps(obj))
+    assert _call(["compare", *paths]) == (0, '{"differences":[],"equal":true}\n')
+
+
+# A mixed command sequence, repeated in one process: options given by one call
+# (--construction, --lambda, --part, --kappa) must not leak into the next.
+MIXED_ARGVS = [
+    ["gen", "--m", "2", "--n", "5", "--construction", "dunkl", "--kappa", "3/2",
+     "--c0=-2/7", "--c1", "5/3", "--out", "d.json"],
+    ["gen", "--m", "2", "--n", "5", "--out", "g.json"],
+    ["verify", "--in", "g.json", "--lambda", "1/4"],
+    ["verify", "--in", "g.json"],
+    ["compare", "g.json", "d.json"],
+    ["wheels", "--m", "12", "--n", "31", "--pair", "15", "22"],
+    ["wheels", "--m", "12", "--n", "31"],
+    ["bd", "--m", "2", "--n", "5", "--part", "alpha"],
+    ["bd", "--m", "2", "--n", "5"],
+    ["gen", "--m", "1", "--n", "3", "--bogus"],
+    ["gen", "--m", "1", "--n", "3", "--construction", "dunkl", "--kappa", "x"],
+    ["acceptance", "--seed", "0"],
+    ["wheels", "--m", "2", "--n", "5", "--pair", "0", "6"],
+    ["gen", "--m", "2", "--n", "4"],
+]
+
+
+def _outputs(run, cwd):
+    """(exit code, stdout, --out file or None) for each call of MIXED_ARGVS."""
+    results = []
+    for argv in MIXED_ARGVS:
+        code, out = run(argv)
+        written = (cwd / argv[argv.index("--out") + 1]).read_text() if "--out" in argv else None
+        results.append((code, out, written))
+    return results
+
+
+def test_the_shared_parser_keeps_no_state(tmp_path, monkeypatch):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    fresh_dir, shared_dir = tmp_path / "fresh", tmp_path / "shared"
+    fresh_dir.mkdir()
+    shared_dir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "cgrm.cli", *argv], cwd=fresh_dir,
+                              env=env, capture_output=True, text=True, check=False)
+        return proc.returncode, proc.stdout
+
+    expected = _outputs(fresh, fresh_dir)
+    monkeypatch.chdir(shared_dir)
+    for _ in range(2):
+        assert _outputs(_call, shared_dir) == expected

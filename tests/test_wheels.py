@@ -104,13 +104,25 @@ def test_sbar_no_valid_candidates():
     assert wheels.sbar_closed(wheels.wheel(2, 5), 5, 3) == set()
 
 
-def test_oracle_equivalence_small():
-    for (m, n) in coprime_pairs(12):
+def assert_oracle_equivalence(pairs):
+    """sbar_closed equals sbar_bruteforce at every position (jp, lp) of each pair."""
+    for (m, n) in pairs:
         w = wheels.wheel(m, n)
         for jp in range(1, n + 1):
             for lp in range(1, n + 1):
                 assert (wheels.sbar_closed(w, jp, lp)
                         == wheels.sbar_bruteforce(m, n, jp, lp)), (m, n, jp, lp)
+
+
+def test_oracle_equivalence_small():
+    assert_oracle_equivalence(coprime_pairs(12))
+
+
+def test_oracle_equivalence_at_the_cli_cap():
+    """Every coprime pair at n = 31 and n = 32, the two largest n the CLI accepts."""
+    pairs = [(m, n) for (m, n) in coprime_pairs(32) if n >= 31]
+    assert sum(n * n for _, n in pairs) == 45214
+    assert_oracle_equivalence(pairs)
 
 
 def test_strict_pair_count_matches_strict_sets():
