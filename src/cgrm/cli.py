@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import re
 import sys
 
 from . import acceptance, bd, closed_form, cyb, dunkl, frobenius, wheels
+from .polyops import window_matrix
 from .scalars import format_scalar, parse_scalar
 from .tensorops import SparseOp, canonical_json, wedge_to_op
 
@@ -43,7 +45,6 @@ MAX_N = 32
 
 def _load_op2(path):
     """Read a two-leg operator file; any malformed content is a CliError."""
-    import json
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -119,7 +120,6 @@ def cmd_wheels(args) -> int:
 
 
 def cmd_dunkl(args) -> int:
-    from .polyops import window_matrix
     if args.m == 1:
         if args.n < 1:
             raise CliError("n must be >= 1")

@@ -9,7 +9,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .scalars import common_denominator, format_scalar, scaled_to_int
-from .tensorops import SparseOp
+from .tensorops import SparseOp, add_column_product
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,30 +61,16 @@ def _integral(op: SparseOp):
     return d, scaled
 
 
-def _bracket_column(c12: dict, c13: dict, u: tuple) -> dict:
-    """Column u of [a12, a13] as an int dict, a12 (a13 e_u) - a13 (a12 e_u),
-    read from the columns of the two embeds; cancelled entries stay as 0."""
-    acc = {}
-    for right, left, sign in ((c13, c12, 1), (c12, c13, -1)):
-        for mid, v in right.get(u, {}).items():
-            upper = left.get(mid)
-            if upper is None:
-                continue
-            if sign < 0:
-                v = -v
-            for out, w in upper.items():
-                if out in acc:
-                    acc[out] += v * w
-                else:
-                    acc[out] = v * w
-    return acc
-
-
 # The leg permutations other than the identity, each with whether it is odd;
 # f(t) permutes the positions of an index tuple t.
 _OTHER_PERMS = tuple((itemgetter(*p), odd) for p, odd in (
     ((1, 2, 0), False), ((2, 0, 1), False),
     ((0, 2, 1), True), ((2, 1, 0), True), ((1, 0, 2), True)))
+
+# The cyclic shift rot(x, y, z) = (y, z, x) and its square: column rot(t) of B
+# is relabelled on output by rot^2 = rot^-1, and column rot^2(t) by rot.
+_ROT, _ROT2 = _OTHER_PERMS[0][0], _OTHER_PERMS[1][0]
+_SHIFTS = ((_ROT, _ROT2), (_ROT2, _ROT))
 
 
 def _skew_double_bracket(a: SparseOp, d: int) -> SparseOp:
@@ -103,14 +89,15 @@ def _skew_double_bracket(a: SparseOp, d: int) -> SparseOp:
     c12, c13 = embed(a, 12).cols, embed(a, 13).cols
     cols = {}
     for t in {tuple(sorted(u)) for u in c12}:
-        x, y, z = t
-        acc = _bracket_column(c12, c13, t)
-        for out, v in _bracket_column(c12, c13, (y, z, x)).items():
-            key = (out[2], out[0], out[1])
-            acc[key] = acc.get(key, 0) + v
-        for out, v in _bracket_column(c12, c13, (z, x, y)).items():
-            key = (out[1], out[2], out[0])
-            acc[key] = acc.get(key, 0) + v
+        # Column u of B is a12 (a13 e_u) - a13 (a12 e_u); cancelled entries stay as 0.
+        acc = add_column_product({}, c12, c13.get(t, {}))
+        add_column_product(acc, c13, c12.get(t, {}), negate=True)
+        for read, relabel in _SHIFTS:
+            u = read(t)
+            part = add_column_product({}, c12, c13.get(u, {}))
+            for out, v in add_column_product(part, c13, c12.get(u, {}), negate=True).items():
+                key = relabel(out)
+                acc[key] = acc.get(key, 0) + v
         col = {out: Fraction(v, d) for out, v in acc.items() if v}
         if not col:
             continue
@@ -133,14 +120,15 @@ def double_bracket(r: SparseOp) -> SparseOp:
     by D^2 once at the end.  For a skew r (P r P = -r) the cyclic leg shift s
     sends r12 to r23 and r13 to -r12, so [r12, r23] and [r13, r23] are the s-
     and s^2-conjugates of [r12, r13], and the sum is (1 + s + s^2)[r12, r13],
-    summed one S3 orbit of columns at a time with no operator bracket.
+    summed one S3 orbit of columns at a time with no operator bracket.  Any
+    other r takes two brackets, [r12, r13 + r23] + [r13, r23], by bilinearity.
     """
     d, r = _integral(r)
     d *= d
     if r.is_antisymmetric():
         return _skew_double_bracket(r, d)
     r12, r13, r23 = embed(r, 12), embed(r, 13), embed(r, 23)
-    ints = r12.bracket(r13) + r12.bracket(r23) + r13.bracket(r23)
+    ints = r12.bracket(r13 + r23) + r13.bracket(r23)
     result = SparseOp(r.n)
     result.cols = {inp: {out: Fraction(v, d) for out, v in col.items()}
                    for inp, col in ints.cols.items()}

@@ -8,8 +8,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bd import require_coprime
+from .closed_form import cg_closed_form
 from .polyops import (Const, DivDiff, DivSum, ExponentSign, Mono, Partial, PolyOp,
-                      Sigma, Xi, restrict_to_window, window_matrix)
+                      Sigma, Xi, check_poly_cyb, laurent_window, op_equal_on,
+                      polynomial_monomials, restrict_to_window, window_matrix)
 from .tensorops import (MatrixN, SparseOp, WedgeElement, ad_action,
                         wedge_of_matrices, wedge_to_op)
 
@@ -172,7 +174,6 @@ def _power(op, r):
 def verify_relations(params: CherednikParams, degree_bound: int = 8) -> bool:
     """Check every defining relation as an operator identity on all monomials
     of total degree <= degree_bound."""
-    from .polyops import op_equal_on, polynomial_monomials
     monos = polynomial_monomials(2, degree_bound)
     return all(op_equal_on(a, b, monos) for a, b in group_relations(params))
 
@@ -262,7 +263,6 @@ def lemma_expression(a1, a2) -> PolyOp:
 def lemma_cyb4(a1, a2, bound: int = 5) -> bool:
     """CYB_4 of the lemma expression vanishes on every Laurent monomial with
     exponents in [-bound, bound]^3."""
-    from .polyops import check_poly_cyb, laurent_window
     return check_poly_cyb(lemma_expression(a1, a2), 4, laurent_window(3, bound))
 
 
@@ -444,7 +444,6 @@ def module_structure_check(n: int) -> bool:
     """The module structure as displayed: v1..v4 from elements_v equal their
     displayed wedge forms, and all ten adjoint-action relations tie them to the
     solution through the matrix forms of the two Heisenberg generators."""
-    from .closed_form import cg_closed_form
     vs = elements_v(n)
     if any(v != wedge_to_op(v_wedge(k, n)) for k, v in enumerate(vs, 1)):
         return False

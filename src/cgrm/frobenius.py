@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
+from .bd import bd_r_matrix
 from .linalg import add_scaled, expand_in_rref, invert, rank, rref
 from .tensorops import MatrixN, SparseOp, ad_action, kron_sum2, wedge_to_op
 
@@ -317,5 +318,4 @@ def jordanian_x(n: int) -> MatrixN:
 
 def jordanian(n: int) -> SparseOp:
     """Leg-wise bracket of the weighted super-diagonal against the (1, n) solution."""
-    from .bd import bd_r_matrix
     return ad_action(jordanian_x(n), wedge_to_op(bd_r_matrix(1, n)))

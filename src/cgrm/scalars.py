@@ -23,9 +23,8 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_scalar(x: Fraction) -> str:
-    """Render a Fraction as "p" or "p/q", always in lowest terms."""
-    x = Fraction(x)
+def format_scalar(x: Fraction | int) -> str:
+    """Render a Fraction or an int as "p" or "p/q", always in lowest terms."""
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)

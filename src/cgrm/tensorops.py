@@ -19,7 +19,7 @@ HALF = Fraction(1, 2)
 
 
 def _clean(d):
-    return {k: v for k, v in d.items() if v != 0}
+    return {k: v for k, v in d.items() if v}
 
 
 def _check_n(a, b):
@@ -53,6 +53,24 @@ def _add_product(out, left, right, negate=False):
             out[key] = out.get(key, ZERO) + a * b
 
 
+def add_column_product(out, left, col, negate=False):
+    """Add L col (or its negative) into out and return out, where L is given by
+    its column map left {input: {output: coefficient}}; entries that cancel
+    stay in out as 0, for the caller to clean once."""
+    for mid, v in col.items():
+        upper = left.get(mid)
+        if upper is None:
+            continue
+        if negate:
+            v = -v
+        for key, w in upper.items():
+            if key in out:
+                out[key] += v * w
+            else:
+                out[key] = v * w
+    return out
+
+
 class MatrixN:
     """Element of gl_n stored as a sparse map (i, j) -> coefficient."""
 
@@ -66,12 +84,8 @@ class MatrixN:
                 raise ValueError("index out of range: %r" % ((i, j),))
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def unit(cls, n, i, j, coeff=1):
-        return cls(n, {(i, j): Fraction(coeff)})
+    def unit(cls, n, i, j):
+        return cls(n, {(i, j): Fraction(1)})
 
     def __eq__(self, other):
         return isinstance(other, MatrixN) and self.n == other.n and self.entries == other.entries
@@ -152,10 +166,6 @@ class SparseOp:
                 self.cols[key] = col
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
     def from_entries(cls, n, entries):
         """entries: iterable of (out, inp, coefficient); every index tuple has one length."""
         cols = {}
@@ -211,42 +221,26 @@ class SparseOp:
     def __rmul__(self, scalar):
         s = Fraction(scalar)
         if s == 0:
-            return SparseOp.zero(self.n)
+            return SparseOp(self.n)
         return SparseOp(self.n, {k: {o: s * v for o, v in c.items()} for k, c in self.cols.items()})
 
     def __matmul__(self, other):
         """Composition self after other."""
         _check_legs(self, other)
-        cols = {}
         mine = self.cols
-        for inp, col in other.cols.items():
-            acc = {}
-            for mid, v in col.items():
-                upper = mine.get(mid)
-                if upper is None:
-                    continue
-                for out, w in upper.items():
-                    if out in acc:
-                        acc[out] += v * w
-                    else:
-                        acc[out] = v * w
-            cols[inp] = acc
-        return SparseOp(self.n, cols)
+        return SparseOp(self.n, {inp: add_column_product({}, mine, col)
+                                 for inp, col in other.cols.items()})
 
     def bracket(self, other):
         """self @ other - other @ self in one pass: each product of other after
         self is subtracted straight into the columns of self @ other, so no
-        second operator is built and nothing is cleaned twice.  The product
-        checks that the operands match in n and in legs."""
+        second operator is built, and each touched column is cleaned once.  The
+        product checks that the operands match in n and in legs."""
         out = self @ other
         cols = out.cols
         theirs = other.cols
         for inp, col in self.cols.items():
-            acc = cols.get(inp, {})
-            for mid, v in col.items():
-                upper = theirs.get(mid)
-                if upper is not None:
-                    add_scaled(acc, -v, upper)
+            acc = _clean(add_column_product(cols.get(inp, {}), theirs, col, negate=True))
             if acc:
                 cols[inp] = acc
             elif inp in cols:
@@ -340,10 +334,6 @@ class WedgeElement:
             self.terms[key] = total
         else:
             del self.terms[key]
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
 
     @classmethod
     def from_terms(cls, n, triples):

@@ -135,7 +135,7 @@ def test_polarized_pieces_match_the_definition():
     first, the cross piece vanishes and the failure is the second diagonal."""
     vs = dunkl.elements_v(5)
     r = closed_form.cg_closed_form(2, 5)
-    zero = SparseOp.zero(5)
+    zero = SparseOp(5)
     cases = [(zero, r), (r,), vs, (vs[0], r, vs[1]), vs[:2] + (frobenius.jordanian(5),)]
     found = [acceptance.nonvanishing_piece(ops) for ops in cases]
     assert found == [_first_piece_by_definition(ops) for ops in cases]

@@ -151,7 +151,7 @@ def test_verify_beta_variety():
         t = bd.cg_triple(m, n)
         assert bd.verify_beta_variety(t, bd.beta_part(m, n)), (m, n)
         if t.s0:
-            assert not bd.verify_beta_variety(t, WedgeElement.zero(n))
+            assert not bd.verify_beta_variety(t, WedgeElement(n))
 
 
 def test_verify_beta_variety_rejects_non_diagonal():
@@ -186,7 +186,7 @@ def test_beta_variety_is_singleton():
         assert sol == bd.beta_part(m, n)
 
 
-@pytest.mark.parametrize("b", [bd.beta_part(1, 5), bd.beta_part(1, 3), WedgeElement.zero(5)],
+@pytest.mark.parametrize("b", [bd.beta_part(1, 5), bd.beta_part(1, 3), WedgeElement(5)],
                          ids=["beta_part(1,5)", "beta_part(1,3)", "zero(5)"])
 def test_verify_beta_variety_rejects_another_n(b):
     with pytest.raises(ValueError, match="element is for n = %d, triple for n = 4" % b.n):

@@ -89,7 +89,7 @@ def two_leg_ops(n, max_terms=6):
 @example(SparseOp.from_entries(2, [((1, 2), (2, 1), Fraction(1, 2)), ((2, 1), (1, 2), 3)]))
 @example(SparseOp.from_entries(2, [((1, 1), (1, 2), Fraction(-2, 3)),
                                    ((2, 1), (2, 2), Fraction(5, 9))]))
-@example(SparseOp.zero(3))
+@example(SparseOp(3))
 @example(SparseOp.from_entries(3, [((1, 3), (2, 1), Fraction(7, 5))]))
 @example(SparseOp.from_entries(3, [((2, 3), (3, 1), Fraction(-1, 4))]))
 @example(SparseOp.from_entries(3, [((3, 1), (2, 3), Fraction(2, 7))]))
@@ -177,7 +177,7 @@ def test_skew_path_runs_no_operator_bracket(monkeypatch):
     cyb.double_bracket(r)
     assert len(calls) == 0
     cyb.double_bracket(_bent(r))
-    assert len(calls) == 3
+    assert len(calls) == 2  # [r12, r13 + r23] and [r13, r23]
 
 
 # Its double bracket has nonzero columns at (x, x, y) and (x, x, x) orbits.
@@ -218,14 +218,14 @@ def test_non_skew_operator_takes_the_general_path():
        two_leg_ops(2).filter(lambda r: not r.is_antisymmetric()), scalars)
 def test_double_bracket_bilinear(skew, other, c):
     """The double bracket is a bilinear form on the diagonal, so DB(c r) = c^2 DB(r),
-    on the skew path and on the three-bracket path."""
+    on the skew path and on the general two-bracket path."""
     assert skew.is_antisymmetric()
     for r in (skew, other):
         assert cyb.double_bracket(c * r) == c * c * cyb.double_bracket(r)
 
 
 def test_double_bracket_zero():
-    assert cyb.double_bracket(SparseOp2.zero(2)).is_zero()
+    assert cyb.double_bracket(SparseOp2(2)).is_zero()
 
 
 def test_double_bracket_is_cyb0():
@@ -240,7 +240,7 @@ def test_quarter_lambda_for_m2():
 
 
 def test_cyb0_of_zero():
-    assert cyb.cyb_lambda(SparseOp2.zero(3), 0).is_zero()
+    assert cyb.cyb_lambda(SparseOp2(3), 0).is_zero()
 
 
 def test_find_lambda_bd_route():
@@ -298,7 +298,7 @@ def test_find_lambda_agrees_with_general_search():
     ops = [closed_form.cg_closed_form(m, n)
            for n in range(3, 8) for m in range(1, n) if gcd(m, n) == 1]
     ops += [Fraction(1, 2) * closed_form.cg_closed_form(2, 5), jordanian(3),
-            SparseOp2.zero(1)]
+            SparseOp2(1)]
     rng = random.Random(5)
     for _ in range(4):
         ops.append(wedge_to_op(WedgeElement.from_terms(3, (

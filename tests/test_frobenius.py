@@ -28,7 +28,7 @@ def test_parabolic_dimensions():
 
 
 def test_carrier_of_zero():
-    assert frobenius.carrier(SparseOp2.zero(3)).dimension == 0
+    assert frobenius.carrier(SparseOp2(3)).dimension == 0
 
 
 def test_carrier_requires_antisymmetry():
@@ -193,7 +193,7 @@ def _table_basis(n):
 
 
 def _descending(n, l, j):
-    out = MatrixN.zero(n)
+    out = MatrixN(n)
     a, b = l - 2, j
     while a >= 1 and b >= 1:
         out = out + MatrixN.unit(n, a, b)
@@ -203,7 +203,7 @@ def _descending(n, l, j):
 
 
 def _ascending(n, l, j):
-    out = MatrixN.zero(n)
+    out = MatrixN(n)
     a, b = l, j + 2
     while a <= n and b <= n:
         out = out + MatrixN.unit(n, a, b)

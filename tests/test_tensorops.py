@@ -33,7 +33,7 @@ def test_wedge_to_op_elementary():
 
 
 def test_wedge_zero_and_square():
-    assert wedge_to_op(WedgeElement.zero(2)).is_zero()
+    assert wedge_to_op(WedgeElement(2)).is_zero()
     assert WedgeElement(2, {((1, 1), (1, 1)): 1}).is_zero()
 
 
@@ -221,6 +221,18 @@ def assert_clean(op):
     assert all(col and all(col.values()) for col in op.cols.values())
 
 
+def entrywise_product(a, b):
+    """a @ b by its definition, (ab)[out, inp] = sum over mid of a[out, mid] b[mid, inp]:
+    a double loop over the entries, independent of the column kernel behind @."""
+    cols = {}
+    for out, mid, v in a.entries():
+        for right_out, inp, w in b.entries():
+            if right_out == mid:
+                col = cols.setdefault(inp, {})
+                col[out] = col.get(out, 0) + v * w
+    return SparseOp2(a.n, cols)
+
+
 @pytest.mark.parametrize("legs", [2, 3])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -256,12 +268,16 @@ def test_arithmetic_keeps_the_entry_type(legs, values, kind, data):
 @given(data=st.data())
 def test_bracket_is_the_commutator(legs, values, kind, data):
     """The one-pass bracket subtracts other @ self into self @ other; it must
-    equal the two products' difference, store no zeros and keep the entry type."""
+    equal the two products' difference, store no zeros and keep the entry type.
+    @ and bracket share one column kernel, so both are also checked against
+    the entrywise product."""
     a = data.draw(sparse_ops(legs, values=values))
     b = data.draw(sparse_ops(legs, values=values))
     if data.draw(st.booleans()):
         b = a + a @ a  # commutes with a, so every entry cancels
     result = a.bracket(b)
+    assert a @ b == entrywise_product(a, b)
+    assert result == entrywise_product(a, b) - entrywise_product(b, a)
     assert result == a @ b - b @ a
     assert result == -b.bracket(a)
     assert_clean(result)
@@ -293,7 +309,7 @@ def test_leg_count_mismatch_raises():
         for combine in (lambda: x + y, lambda: x - y, lambda: x @ y, lambda: x.bracket(y)):
             with pytest.raises(ValueError, match="leg count mismatch"):
                 combine()
-    empty = SparseOp2.zero(2)
+    empty = SparseOp2(2)
     for op in (two, three):
         assert op + empty == op and empty + op == op and op - empty == op
         assert (op @ empty).is_zero() and (empty @ op).is_zero()
