@@ -68,7 +68,7 @@ def cg_column(m: int, n: int, j: int, l: int):
     dpsi = pv[j - 1] - pv[l - 1]
     add(j, l, Fraction(sgn(dpsi), 2) - Fraction(dpsi, n))
     add(l, j, -Fraction(sgn(j - l), 2))
-    return dict(col)
+    return col
 
 
 def cg_closed_form(m: int, n: int) -> SparseOp:
@@ -80,7 +80,7 @@ def cg_closed_form(m: int, n: int) -> SparseOp:
         for l in range(1, n + 1):
             col = cg_column(m, n, j, l)
             if col:
-                cols[(j, l)] = dict(col)
+                cols[(j, l)] = col
     return SparseOp(n, cols)
 
 

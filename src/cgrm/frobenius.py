@@ -14,76 +14,83 @@ from .tensorops import MatrixN, SparseOp, ad_action, kron_sum2, wedge_to_op
 ZERO = Fraction(0)
 
 
-@dataclass
-class LieSubalgebra:
-    """Subspace of gl_n with a reduced basis; bracket_closed records whether it
-    is actually a Lie subalgebra.
+def _closure(basis, rows, pivots):
+    """Sparse expansions {(i, j): {s: c}} of the nonzero brackets [x_i, x_j],
+    i < j, or None as soon as one leaves the span.
 
-    The reduced rows are the basis matrices' entries, keyed by (i, j) position.
-    When the span is closed, the nonzero sparse expansions {s: c} of the
-    brackets [x_i, x_j] (i < j) found while checking closure are kept for
-    structure_constants.
+    Only the pairs that interact are expanded: a column index of one is a row
+    index of the other.  Otherwise both products in x_i x_j - x_j x_i are zero,
+    so the bracket is exactly zero and in the span.  Pairs run in (i, j) order,
+    as over all pairs.
+    """
+    by_row, by_col = {}, {}
+    for i, x in enumerate(basis):
+        for (a, b) in x.entries:
+            by_row.setdefault(a, set()).add(i)
+            by_col.setdefault(b, set()).add(i)
+    brackets = {}
+    for i, x in enumerate(basis):
+        partners = set()
+        for (a, b) in x.entries:
+            partners.update(by_row.get(b, ()))
+            partners.update(by_col.get(a, ()))
+        for j in sorted(j for j in partners if j > i):
+            coords = expand_in_rref(rows, pivots, x.bracket(basis[j]).entries)
+            if coords is None:
+                return None
+            if coords:
+                brackets[(i, j)] = coords
+    return brackets
+
+
+@dataclass(frozen=True)
+class LieSubalgebra:
+    """Span of sparse rows in gl_n, keyed by (i, j) position, with its reduced
+    basis; bracket_closed says whether it is a Lie subalgebra.
+
+    _rows are the basis matrices' entries and _pivots their pivot positions.
+    _brackets holds the closure's expansions, which structure_constants reads,
+    or None when a bracket leaves the span.
     """
 
     n: int
     basis: list
-    bracket_closed: bool = True
-    _rows: list = field(default_factory=list, repr=False)
-    _pivots: list = field(default_factory=list, repr=False)
-    _brackets: dict = field(default_factory=dict, repr=False)
+    _rows: list = field(repr=False)
+    _pivots: list = field(repr=False)
+    _brackets: dict = field(repr=False)
 
     @classmethod
-    def from_matrices(cls, n, mats):
-        rows, pivots = rref([m.entries for m in mats])
-        basis = [MatrixN(n, row) for row in rows]
-        sub = cls(n=n, basis=basis, _rows=[m.entries for m in basis], _pivots=pivots)
-        sub.bracket_closed = sub._check_closure()
-        return sub
+    def from_rows(cls, n, rows):
+        reduced, pivots = rref(rows)
+        basis = [MatrixN(n, row) for row in reduced]
+        # Span queries walk these compact copies: rref's own rows lost entries
+        # during elimination, and a dict keeps the slots of deleted keys.
+        rows = [x.entries for x in basis]
+        return cls(n, basis, rows, pivots, _closure(basis, rows, pivots))
+
+    @property
+    def bracket_closed(self):
+        return self._brackets is not None
 
     @property
     def dimension(self):
         return len(self.basis)
 
-    def coordinates(self, mat: MatrixN):
-        """Sparse coefficients {basis index: c} of mat in the reduced basis, or
-        None when outside the span."""
-        return expand_in_rref(self._rows, self._pivots, mat.entries)
+    def coordinates(self, entries):
+        """Sparse coefficients {basis index: c} of the sparse row entries in the
+        reduced basis, or None when outside the span."""
+        return expand_in_rref(self._rows, self._pivots, entries)
 
     def same_span(self, other) -> bool:
         return self.n == other.n and self._rows == other._rows
 
-    def _check_closure(self) -> bool:
-        """Expand [x_i, x_j], i < j, for the pairs that interact: a column index
-        of one is a row index of the other.  Otherwise both products in
-        x_i x_j - x_j x_i are zero, so the bracket is exactly zero and in the
-        span.  Pairs run in (i, j) order, as over all pairs."""
-        by_row, by_col = {}, {}
-        for i, x in enumerate(self.basis):
-            for (a, b) in x.entries:
-                by_row.setdefault(a, set()).add(i)
-                by_col.setdefault(b, set()).add(i)
-        brackets = {}
-        for i, x in enumerate(self.basis):
-            partners = set()
-            for (a, b) in x.entries:
-                partners.update(by_row.get(b, ()))
-                partners.update(by_col.get(a, ()))
-            for j in sorted(j for j in partners if j > i):
-                coords = self.coordinates(x.bracket(self.basis[j]))
-                if coords is None:
-                    return False
-                if coords:
-                    brackets[(i, j)] = coords
-        self._brackets = brackets
-        return True
-
 
 def _first_leg_slices(r: SparseOp):
-    """{(i, k): entries of the matrix sum_{j, l} r_{(i, j), (k, l)} e_{jl}}."""
+    """{(i, k): entries of the matrix sum_{j, l} r_{(i, j), (k, l)} e_{jl}}; each
+    entry of r fills its own position, so no slice stores a zero."""
     slices = {}
     for (i, j), (k, l), v in r.entries():
-        sl = slices.setdefault((i, k), {})
-        sl[(j, l)] = sl.get((j, l), ZERO) + v
+        slices.setdefault((i, k), {})[(j, l)] = v
     return slices
 
 
@@ -96,25 +103,22 @@ def carrier(r: SparseOp) -> LieSubalgebra:
     """
     if not r.is_antisymmetric():
         raise ValueError("operator is not antisymmetric")
-    mats = [MatrixN(r.n, entries) for entries in _first_leg_slices(r).values()]
-    if any(m.trace() != 0 for m in mats):
+    slices = list(_first_leg_slices(r).values())
+    if any(sum((v for (i, j), v in sl.items() if i == j), ZERO) for sl in slices):
         raise ValueError("carrier slice has nonzero trace")
-    return LieSubalgebra.from_matrices(r.n, mats)
+    return LieSubalgebra.from_rows(r.n, slices)
 
 
 def parabolic(m: int, n: int) -> LieSubalgebra:
     """Maximal parabolic subalgebra: off-diagonal e_{jl} with j <= m or l > m,
-    together with the traceless diagonal."""
+    together with the traceless diagonal, spanned by e_{jj} - e_{nn}, j < n,
+    which is already its reduced form."""
     if not 1 <= m < n:
         raise ValueError("the parabolic block size m must satisfy 1 <= m < n")
-    mats = []
-    for j in range(1, n + 1):
-        for l in range(1, n + 1):
-            if j != l and (j <= m or l > m):
-                mats.append(MatrixN.unit(n, j, l))
-    for j in range(1, n):
-        mats.append(MatrixN.unit(n, j, j) - MatrixN.unit(n, j + 1, j + 1))
-    return LieSubalgebra.from_matrices(n, mats)
+    rows = [{(j, l): 1} for j in range(1, n + 1) for l in range(1, n + 1)
+            if j != l and (j <= m or l > m)]
+    rows += [{(j, j): 1, (n, n): -1} for j in range(1, n)]
+    return LieSubalgebra.from_rows(n, rows)
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ def r_check(r: SparseOp, f: LieSubalgebra) -> FrobeniusData:
     slices = _first_leg_slices(r)
     rows = []
     for pivot in f._pivots:
-        coords = f.coordinates(MatrixN(r.n, slices.get(pivot, {})))
+        coords = f.coordinates(slices.get(pivot, {}))
         if coords is None:
             raise ValueError("contraction image leaves the carrier")
         rows.append(coords)
@@ -206,9 +210,12 @@ def cocycle_check(fd: FrobeniusData) -> bool:
     strictly increasing triples i < j < l are checked, after skewness.  With
     w_ab = F([x_a, x_b], .) for a < b, the identity there reads
     w_ij(l) - w_il(j) + w_jl(i) = 0, so each nonzero w_ab(c) is added, negated
-    when a < c < b, to the sum of its triple, and all other sums are zero.
+    when a < c < b, to the sum of its triple, and all other sums are zero.  A
+    span that is not bracket closed fails, as in frobenius_functional_check.
     """
     if not fd.invertible or not fd.skew:
+        return False
+    if not fd.subalgebra.bracket_closed:
         return False
     form_rows = fd.form_rows
     totals = {}

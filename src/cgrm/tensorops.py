@@ -90,9 +90,6 @@ class MatrixN:
     def __eq__(self, other):
         return isinstance(other, MatrixN) and self.n == other.n and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.entries.items())))
-
     def is_zero(self):
         return not self.entries
 
@@ -129,9 +126,6 @@ class MatrixN:
         result = MatrixN(self.n)
         result.entries = _clean(out)
         return result
-
-    def trace(self):
-        return sum((v for (i, j), v in self.entries.items() if i == j), ZERO)
 
     def is_nilpotent(self):
         power = self
@@ -179,7 +173,7 @@ class SparseOp:
                 if not 1 <= idx <= n:
                     raise ValueError("index out of range: %r" % ((out, inp),))
             col = cols.setdefault(inp, {})
-            v = Fraction(v)
+            v = v if type(v) is Fraction else Fraction(v)
             col[out] = col[out] + v if out in col else v
         return cls(n, cols)
 
@@ -355,9 +349,6 @@ class WedgeElement:
         out = WedgeElement(self.n)
         out.terms = add_scaled(dict(self.terms), c, other.terms)
         return out
-
-    def __neg__(self):
-        return Fraction(-1) * self
 
     def __sub__(self, other):
         return self.__add__(other, -1)

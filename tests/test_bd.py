@@ -9,13 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgrm import bd, closed_form, dunkl, wheels
+from cgrm.acceptance import coprime_pairs
 from cgrm.closed_form import phi_twist
 from cgrm.linalg import solve_affine
 from cgrm.tensorops import MatrixN, WedgeElement, wedge_of_matrices, wedge_to_op
-
-
-def coprime_pairs(n_max):
-    return [(m, n) for n in range(2, n_max + 1) for m in range(1, n) if gcd(m, n) == 1]
 
 
 def test_cg_triple_small():

@@ -1,19 +1,15 @@
 """The closed-form action, its specializations, and the diagram involution."""
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
 from cgrm import bd, closed_form, wheels
+from cgrm.acceptance import coprime_pairs
 from cgrm.scalars import sgn
 from cgrm.tensorops import MatrixN, wedge_to_op
 
 from conftest import permutation_op
-
-
-def coprime_pairs(n_max):
-    return [(m, n) for n in range(2, n_max + 1) for m in range(1, n) if gcd(m, n) == 1]
 
 
 def test_psi_examples():
@@ -85,7 +81,7 @@ def test_output_in_sl_wedge_sl():
         second[(j, l)][(i, k)] += v
     for slices in (first, second):
         for entries in slices.values():
-            assert MatrixN(5, entries).trace() == 0
+            assert sum(v for (i, j), v in entries.items() if i == j) == 0
 
 
 def test_alpha_recovery():

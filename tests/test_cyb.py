@@ -67,7 +67,7 @@ def test_z_is_invariant_under_diagonal_action():
             entries[(i, i)] = entries.get((i, i), Fraction(0)) + v
             entries[(n, n)] = entries.get((n, n), Fraction(0)) - v
         x = MatrixN(n, entries)
-        assert x.trace() == 0
+        assert sum(v for (i, j), v in x.entries.items() if i == j) == 0
         ident = identity(n)
         d3 = None
         for legs in ((x, ident, ident), (ident, x, ident), (ident, ident, x)):

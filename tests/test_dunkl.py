@@ -107,9 +107,8 @@ def test_element_e_traceless_only_at_special_params():
     for (i, j), (k, l), v in op.entries():
         first.setdefault((i, k), {}).setdefault((j, l), Fraction(0))
         first[(i, k)][(j, l)] += v
-    from cgrm.tensorops import MatrixN
     for entries in first.values():
-        assert MatrixN(n, entries).trace() == 0
+        assert sum(v for (i, j), v in entries.items() if i == j) == 0
 
 
 def test_element_e_cyb_small():

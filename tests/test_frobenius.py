@@ -123,7 +123,7 @@ def dense_form(r, car):
     M must be invertible: a singular M leaves fewer than k reduced rows."""
     slices = frobenius._first_leg_slices(r)
     k = car.dimension
-    columns = [car.coordinates(MatrixN(r.n, slices.get(p, {}))) for p in car._pivots]
+    columns = [car.coordinates(slices.get(p, {})) for p in car._pivots]
     matrix = [[columns[i].get(j, Fraction(0)) for i in range(k)] for j in range(k)]
     eye = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     reduced, _ = oracle_rref([row + e for row, e in zip(matrix, eye)], 2 * k)
@@ -175,7 +175,7 @@ def test_r_check_table_spot_checks():
     # the carrier by evaluating both sides on every basis element
     inverse = fd.r_check_inverse
     for j in (1, 2, 3):
-        coords = car.coordinates(dunkl.h_matrix(j, n))
+        coords = car.coordinates(dunkl.h_matrix(j, n).entries)
         image = [sum((inverse[s][i] * c for i, c in coords.items()),
                      Fraction(0)) for s in range(car.dimension)]
         for k, mat in enumerate(car.basis):
@@ -266,7 +266,7 @@ def test_inverse_contraction_table_all_cases(n, u, t):
     inverse = fd.r_check_inverse
 
     def inverse_values(x):
-        coords = car.coordinates(x)
+        coords = car.coordinates(x.entries)
         return [sum((inverse[s][i] * c for i, c in coords.items()),
                     Fraction(0)) for s in range(k)]
 

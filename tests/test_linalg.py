@@ -181,7 +181,7 @@ def _direct_structure_constants(f):
     for i, a in enumerate(f.basis):
         for j, b in enumerate(f.basis):
             if i != j:
-                coeffs = f.coordinates(a.bracket(b))
+                coeffs = f.coordinates(a.bracket(b).entries)
                 if coeffs is None:
                     return None
                 assert all(coeffs.values())
@@ -224,7 +224,7 @@ def sparse_spans(draw, close):
 @given(data=st.data())
 def test_closure_matches_all_pairs_on_drawn_spans(close, data):
     n, mats = data.draw(sparse_spans(close))
-    f = frobenius.LieSubalgebra.from_matrices(n, mats)
+    f = frobenius.LieSubalgebra.from_rows(n, [m.entries for m in mats])
     assert f.bracket_closed or not close
     _assert_closure_matches_all_pairs(f)
 
@@ -255,11 +255,31 @@ def test_structure_constants_match_direct_expansion(make):
 
 
 def test_structure_constants_require_closed_span():
-    f = frobenius.LieSubalgebra.from_matrices(2, [MatrixN.unit(2, 1, 2), MatrixN.unit(2, 2, 1)])
+    mats = [MatrixN.unit(2, 1, 2), MatrixN.unit(2, 2, 1)]
+    f = frobenius.LieSubalgebra.from_rows(2, [m.entries for m in mats])
     assert not f.bracket_closed  # [e_12, e_21] = e_11 - e_22
     _assert_closure_matches_all_pairs(f)
     with pytest.raises(ValueError, match="closed"):
         frobenius.structure_constants(f)
+
+
+def test_cocycle_check_fails_on_a_span_that_is_not_closed():
+    """An invertible skew form on a span that is not bracket closed has no
+    structure constants to test, so the check fails instead of raising."""
+    f = frobenius.LieSubalgebra.from_rows(2, [{(1, 2): 1}, {(2, 1): 1}])
+    fd = frobenius.FrobeniusData(subalgebra=f, form_rows=[{1: Fraction(1)}, {0: Fraction(-1)}])
+    assert not f.bracket_closed and fd.invertible and fd.skew
+    assert frobenius.cocycle_check(fd) is False
+
+
+def test_subalgebra_is_frozen_and_closure_is_one_field():
+    """bracket_closed is read from the closure's expansions, and neither can be
+    assigned after construction."""
+    closed = frobenius.parabolic(1, 3)
+    assert closed.bracket_closed and closed._brackets is not None
+    for name in ("basis", "_rows", "_brackets", "bracket_closed"):
+        with pytest.raises(AttributeError):
+            setattr(closed, name, None)
 
 
 def _boundary_frobenius_data():

@@ -112,7 +112,7 @@ def test_dimension_mismatch_raises():
 
 
 def span_basis(n, mats):
-    return LieSubalgebra.from_matrices(n, mats).basis
+    return LieSubalgebra.from_rows(n, [m.entries for m in mats]).basis
 
 
 def test_span_basis_examples():

@@ -1,16 +1,11 @@
 """Wheel combinatorics against the brute-force partial-order oracle."""
 
-from math import gcd
-
 import pytest
 
 from cgrm import wheels
+from cgrm.acceptance import coprime_pairs
 
 from conftest import strict_pair_count
-
-
-def coprime_pairs(n_max):
-    return [(m, n) for n in range(2, n_max + 1) for m in range(1, n) if gcd(m, n) == 1]
 
 
 def test_euclid_sequence():
