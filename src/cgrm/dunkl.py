@@ -12,7 +12,7 @@ from .closed_form import cg_closed_form
 from .polyops import (Const, DivDiff, DivSum, ExponentSign, Mono, Partial, PolyOp,
                       Sigma, Xi, check_poly_cyb, laurent_window, op_equal_on,
                       polynomial_monomials, restrict_to_window, window_matrix)
-from .tensorops import (MatrixN, SparseOp, WedgeElement, ad_action,
+from .tensorops import (MatrixN, SparseOp, WedgeElement, kron_sum2,
                         wedge_of_matrices, wedge_to_op)
 
 ZERO = Fraction(0)
@@ -59,22 +59,18 @@ euler = Mono(1, 0) * Partial(0) - Mono(0, 1) * Partial(1)
 
 
 def dunkl_y(params: CherednikParams, i: int) -> PolyOp:
-    """Dunkl operator y_i built from exact-division reflection kernels."""
+    """Dunkl operator y_i built from exact-division reflection kernels:
+    kappa d_i -+ c0 (1 - sigma)/(x - y), with - for i = 1 and + for i = 2; for
+    m = 2 also - c0 (1 - xi1 xi2 sigma)/(x + y) - c1 (1 - xi_i)/x_i."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     kappa, c0, c1 = params.kappa, params.c0, params.c1
-    sig = Sigma()
-    diff_kernel = DivDiff() * _one_minus(sig)
+    y = kappa * Partial(i - 1) + (-c0 if i == 1 else c0) * (DivDiff() * _one_minus(Sigma()))
     if params.m == 1:
-        if i == 1:
-            return kappa * Partial(0) - c0 * diff_kernel
-        return kappa * Partial(1) + c0 * diff_kernel
-    sum_kernel = DivSum() * _one_minus(xi1 * xi2 * sig)
-    if i == 1:
-        return (kappa * Partial(0) - c0 * diff_kernel - c0 * sum_kernel
-                - c1 * (Mono(-1, 0) * _one_minus(xi1)))
-    return (kappa * Partial(1) + c0 * diff_kernel - c0 * sum_kernel
-            - c1 * (Mono(0, -1) * _one_minus(xi2)))
+        return y
+    inverse, xi = (Mono(-1, 0), xi1) if i == 1 else (Mono(0, -1), xi2)
+    return (y - c0 * (DivSum() * _one_minus(xi1 * xi2 * Sigma()))
+            - c1 * (inverse * _one_minus(xi)))
 
 
 def dunkl_monomial_formula(params: CherednikParams, i: int, j: int, l: int) -> dict:
@@ -449,17 +445,19 @@ def module_structure_check(n: int) -> bool:
         return False
     r = cg_closed_form(2, n)
     v1, v2, v3, v4 = vs
-    e1, e2 = e1_matrix(n), e2_matrix(n)
+    # ad X = [X (x) 1 + 1 (x) X, .], with one operator per generator.
+    ad_e1 = kron_sum2(e1_matrix(n)).bracket
+    ad_e2 = kron_sum2(e2_matrix(n)).bracket
     checks = [
-        ad_action(e1, r) == v1,
-        ad_action(e1, v2) == HALF * v3,
-        ad_action(e2, r) == v2,
-        ad_action(e2, v1) == v3,
-        ad_action(e2, v3) == v4,
-        ad_action(e1, v1).is_zero(),
-        ad_action(e1, v3).is_zero(),
-        ad_action(e1, v4).is_zero(),
-        ad_action(e2, v2).is_zero(),
-        ad_action(e2, v4).is_zero(),
+        ad_e1(r) == v1,
+        ad_e1(v2) == HALF * v3,
+        ad_e2(r) == v2,
+        ad_e2(v1) == v3,
+        ad_e2(v3) == v4,
+        ad_e1(v1).is_zero(),
+        ad_e1(v3).is_zero(),
+        ad_e1(v4).is_zero(),
+        ad_e2(v2).is_zero(),
+        ad_e2(v4).is_zero(),
     ]
     return all(checks)

@@ -6,10 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
+from types import MappingProxyType
 
 from .bd import bd_r_matrix
 from .linalg import add_scaled, expand_in_rref, invert, rank, rref
-from .tensorops import MatrixN, SparseOp, ad_action, kron_sum2, wedge_to_op
+from .tensorops import MatrixN, SparseOp, kron_sum2, wedge_to_op
 
 ZERO = Fraction(0)
 
@@ -49,7 +50,7 @@ class LieSubalgebra:
     basis; bracket_closed says whether it is a Lie subalgebra.
 
     _rows are the basis matrices' entries and _pivots their pivot positions.
-    _brackets holds the closure's expansions, which structure_constants reads,
+    _brackets holds the closure's expansions, which structure_constants views,
     or None when a bracket leaves the span.
     """
 
@@ -188,18 +189,13 @@ def r_check(r: SparseOp, f: LieSubalgebra) -> FrobeniusData:
 
 
 def structure_constants(f: LieSubalgebra):
-    """Sparse expansions {s: c} of all nonzero pairwise brackets of basis elements.
-
-    They are the expansions recorded by the closure check; (j, i) is (i, j)
-    negated, since [b, a] = -[a, b] exactly.
+    """Sparse expansions {(i, j): {s: c}} of the nonzero brackets [x_i, x_j],
+    i < j, of basis elements: a read-only view of the table the closure check
+    recorded.  [x_j, x_i] is the negation, since [b, a] = -[a, b] exactly.
     """
     if not f.bracket_closed:
         raise ValueError("subalgebra is not bracket closed")
-    consts = {}
-    for (i, j), coeffs in f._brackets.items():
-        consts[(i, j)] = coeffs
-        consts[(j, i)] = {s: -c for s, c in coeffs.items()}
-    return consts
+    return MappingProxyType(f._brackets)
 
 
 def cocycle_check(fd: FrobeniusData) -> bool:
@@ -208,10 +204,11 @@ def cocycle_check(fd: FrobeniusData) -> bool:
 
     Repeated indices and permutations follow formally from skewness, so only
     strictly increasing triples i < j < l are checked, after skewness.  With
-    w_ab = F([x_a, x_b], .) for a < b, the identity there reads
-    w_ij(l) - w_il(j) + w_jl(i) = 0, so each nonzero w_ab(c) is added, negated
-    when a < c < b, to the sum of its triple, and all other sums are zero.  A
-    span that is not bracket closed fails, as in frobenius_functional_check.
+    w_ab = F([x_a, x_b], .) for the pairs a < b that structure_constants holds,
+    the identity there reads w_ij(l) - w_il(j) + w_jl(i) = 0, so each nonzero
+    w_ab(c) is added, negated when a < c < b, to the sum of its triple, and all
+    other sums are zero.  A span that is not bracket closed fails, as in
+    frobenius_functional_check.
     """
     if not fd.invertible or not fd.skew:
         return False
@@ -220,8 +217,6 @@ def cocycle_check(fd: FrobeniusData) -> bool:
     form_rows = fd.form_rows
     totals = {}
     for (a, b), coeffs in structure_constants(fd.subalgebra).items():
-        if a > b:
-            continue
         w = {}
         for s, c in coeffs.items():
             add_scaled(w, c, form_rows[s])
@@ -262,7 +257,7 @@ def frobenius_functional_check(fd: FrobeniusData, eta) -> bool:
         return False
     values = [eval_functional(eta, x) for x in f.basis]
     gram = {}
-    for (i, j), coeffs in f._brackets.items():
+    for (i, j), coeffs in structure_constants(f).items():
         value = sum((c * values[s] for s, c in coeffs.items() if values[s]), ZERO)
         if value:
             gram[(i, j)], gram[(j, i)] = value, -value
@@ -325,4 +320,4 @@ def jordanian_x(n: int) -> MatrixN:
 
 def jordanian(n: int) -> SparseOp:
     """Leg-wise bracket of the weighted super-diagonal against the (1, n) solution."""
-    return ad_action(jordanian_x(n), wedge_to_op(bd_r_matrix(1, n)))
+    return kron_sum2(jordanian_x(n)).bracket(wedge_to_op(bd_r_matrix(1, n)))

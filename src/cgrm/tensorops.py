@@ -241,15 +241,20 @@ class SparseOp:
                 del cols[inp]
         return out
 
-    def swap_conjugate(self):
-        """P o self o P with P(u (x) v) = v (x) u, on two legs."""
-        cols = {}
-        for (k, l), col in self.cols.items():
-            cols[(l, k)] = {(j, i): v for (i, j), v in col.items()}
-        return SparseOp(self.n, cols)
-
     def is_antisymmetric(self):
-        return self.swap_conjugate() == -self
+        """P o self o P = -self with P(u (x) v) = v (x) u, on two legs, read in
+        place: each entry at out (i, j), in (k, l) has its mirror at out (j, i),
+        in (l, k), compared by numerator and denominator, so that no entry is
+        negated and no operator is built.  A nonzero entry that is its own
+        mirror (i = j and k = l) fails."""
+        cols = self.cols
+        for (k, l), col in cols.items():
+            mirror = cols.get((l, k), {})
+            for (i, j), a in col.items():
+                b = mirror.get((j, i))
+                if b is None or a.numerator != -b.numerator or a.denominator != b.denominator:
+                    return False
+        return True
 
     def to_json_obj(self):
         items = sorted(((out, inp, v) for out, inp, v in self.entries()),
@@ -289,7 +294,7 @@ class SparseOp:
         return "SparseOp(n=%d, nnz=%d)" % (self.n, self.count_nonzero())
 
 
-# Former per-arity names; callers and bench/tracer.py still look methods up under them.
+# Former per-arity names; only bench/tracer.py and bench/selfcheck.py still use them.
 SparseOp2 = SparseOp3 = SparseOp
 
 
@@ -400,11 +405,6 @@ def kron_sum2(x: MatrixN) -> SparseOp:
             second = cols.setdefault((l, k), {})
             second[(l, i)] = second.get((l, i), ZERO) + v
     return SparseOp(n, cols)
-
-
-def ad_action(x: MatrixN, op: SparseOp) -> SparseOp:
-    """Adjoint action of X on an operator coming from gl_n (x) gl_n."""
-    return kron_sum2(x).bracket(op)
 
 
 def canonical_json(obj) -> str:

@@ -49,6 +49,15 @@ def permutation_op(n) -> SparseOp:
                         for k in range(1, n + 1) for l in range(1, n + 1)})
 
 
+def swap_conjugate(op: SparseOp) -> SparseOp:
+    """P o op o P with P(u (x) v) = v (x) u, on two legs: the oracle for
+    SparseOp.is_antisymmetric, which reads skewness in place."""
+    cols = {}
+    for (k, l), col in op.cols.items():
+        cols[(l, k)] = {(j, i): v for (i, j), v in col.items()}
+    return SparseOp(op.n, cols)
+
+
 def exp_nilpotent(x: MatrixN, s=1) -> MatrixN:
     """exp(s X) as a finite sum; requires X nilpotent."""
     if not x.is_nilpotent():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cgrm import bd, closed_form, cyb
 from cgrm.frobenius import jordanian, jordanian_x, nilpotent_exp_action
-from cgrm.tensorops import MatrixN, SparseOp, SparseOp2, WedgeElement, wedge_to_op
+from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, wedge_to_op
 
 from conftest import (double_bracket_over_fractions, exp_nilpotent, identity, identity_op, kron,
                       permutation_op, random_rational)
@@ -225,7 +225,7 @@ def test_double_bracket_bilinear(skew, other, c):
 
 
 def test_double_bracket_zero():
-    assert cyb.double_bracket(SparseOp2(2)).is_zero()
+    assert cyb.double_bracket(SparseOp(2)).is_zero()
 
 
 def test_double_bracket_is_cyb0():
@@ -240,7 +240,7 @@ def test_quarter_lambda_for_m2():
 
 
 def test_cyb0_of_zero():
-    assert cyb.cyb_lambda(SparseOp2(3), 0).is_zero()
+    assert cyb.cyb_lambda(SparseOp(3), 0).is_zero()
 
 
 def test_find_lambda_bd_route():
@@ -298,7 +298,7 @@ def test_find_lambda_agrees_with_general_search():
     ops = [closed_form.cg_closed_form(m, n)
            for n in range(3, 8) for m in range(1, n) if gcd(m, n) == 1]
     ops += [Fraction(1, 2) * closed_form.cg_closed_form(2, 5), jordanian(3),
-            SparseOp2(1)]
+            SparseOp(1)]
     rng = random.Random(5)
     for _ in range(4):
         ops.append(wedge_to_op(WedgeElement.from_terms(3, (

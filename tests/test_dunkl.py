@@ -9,7 +9,7 @@ import pytest
 from cgrm import bd, closed_form, cyb, dunkl
 from cgrm.polyops import (ExponentSign, check_poly_cyb, op_equal_on,
                           polynomial_monomials, window_matrix)
-from cgrm.tensorops import kron_sum2, wedge_to_op
+from cgrm.tensorops import MatrixN, kron_sum2, wedge_to_op
 
 from conftest import op_to_wedge, random_rational
 
@@ -202,7 +202,6 @@ def test_e1_e2_window_matrices():
 
 
 def test_e1_e2_matrices_n5():
-    from cgrm.tensorops import MatrixN
     assert dunkl.e1_matrix(5) == MatrixN(5, {(1, 3): 1, (2, 4): 1, (3, 5): 2})
     assert dunkl.e2_matrix(5) == MatrixN(5, {(5, 4): 1, (3, 2): 1})
 
@@ -266,6 +265,25 @@ def test_v_degrees():
 def test_module_structure():
     assert dunkl.module_structure_check(5)
     assert dunkl.module_structure_check(7)
+
+
+@pytest.mark.parametrize("name,pos", [("e1_matrix", (1, 3)), ("e2_matrix", (3, 2))])
+def test_module_structure_fails_on_a_doubled_generator_entry(monkeypatch, name, pos):
+    """One entry of a Heisenberg generator doubled breaks the adjoint relations.
+    v_wedge is pinned to its true forms, since v2 and v4 are built from e2: so
+    the wedge comparison passes, and only the relations can fail."""
+    n = 5
+    wedges = {k: dunkl.v_wedge(k, n) for k in range(1, 5)}
+    monkeypatch.setattr(dunkl, "v_wedge", lambda k, n: wedges[k])
+    assert dunkl.module_structure_check(n)
+    make = getattr(dunkl, name)
+
+    def doubled(n):
+        x = make(n)
+        return MatrixN(n, {**x.entries, pos: 2 * x.entries[pos]})
+
+    monkeypatch.setattr(dunkl, name, doubled)
+    assert not dunkl.module_structure_check(n)
 
 
 def test_module_rank_five():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cgrm import bd, closed_form, cyb, dunkl, frobenius
 from cgrm.linalg import invert
-from cgrm.tensorops import MatrixN, SparseOp2, WedgeElement, wedge_to_op
+from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, wedge_to_op
 
 from conftest import (apply_r_check, dual_functional, exp_nilpotent, identity, identity_op,
                       kron, sparse_rows, with_dense_form)
@@ -28,7 +28,7 @@ def test_parabolic_dimensions():
 
 
 def test_carrier_of_zero():
-    assert frobenius.carrier(SparseOp2(3)).dimension == 0
+    assert frobenius.carrier(SparseOp(3)).dimension == 0
 
 
 def test_carrier_requires_antisymmetry():
@@ -60,6 +60,19 @@ def test_r_check_structure():
     assert fd.invertible
     assert fd.skew
     assert frobenius.cocycle_check(fd)
+
+
+@pytest.mark.parametrize("n,dimension", [(5, 24), (7, 48), (9, 80)])
+def test_quasitriangular_carrier_form_is_no_cocycle(n, dimension):
+    """The quasitriangular cg_closed_form(2, n) has a closed carrier and an
+    invertible skew form, but the form is no 2-cocycle: only a triangular
+    solution carries a nondegenerate one (Stolin's criterion)."""
+    r = closed_form.cg_closed_form(2, n)
+    car = frobenius.carrier(r)
+    assert car.bracket_closed and car.dimension == dimension
+    fd = frobenius.r_check(r, car)
+    assert fd.invertible and fd.skew
+    assert frobenius.cocycle_check(fd) is False
 
 
 def test_form_rows_follow_the_form():
@@ -113,7 +126,7 @@ def test_r_check_reconstructs_solution():
                     col = cols.setdefault((bb, d), {})
                     key = (a, cc)
                     col[key] = col.get(key, Fraction(0)) + c * x * y
-    assert SparseOp2(n, cols) == b
+    assert SparseOp(n, cols) == b
 
 
 def dense_form(r, car):
@@ -445,7 +458,7 @@ def exp_action_inputs(draw):
     x = MatrixN(n, draw(st.dictionaries(st.sampled_from(upper), scalars)) if upper else {})
     idx = st.tuples(st.integers(1, n), st.integers(1, n))
     cols = draw(st.dictionaries(idx, st.dictionaries(idx, scalars, max_size=4), max_size=6))
-    return x, draw(scalars), SparseOp2(n, cols)
+    return x, draw(scalars), SparseOp(n, cols)
 
 
 @settings(max_examples=80, deadline=None)

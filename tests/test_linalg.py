@@ -251,7 +251,24 @@ def test_structure_constants_match_direct_expansion(make):
     f = make()
     assert f.bracket_closed
     consts = frobenius.structure_constants(f)
-    assert consts == _direct_structure_constants(f)
+    direct = _direct_structure_constants(f)
+    assert consts == {(i, j): c for (i, j), c in direct.items() if i < j}
+    # [x_j, x_i] = -[x_i, x_j], so the table leaves out the pairs i > j
+    assert all(direct[(j, i)] == {s: -v for s, v in c.items()} for (i, j), c in consts.items())
+    assert len(direct) == 2 * len(consts)
+
+
+def test_structure_constants_are_the_closure_table_read_only():
+    """The closure's own i < j table, behind a view that takes no assignment
+    (an open span has none: test_structure_constants_require_closed_span)."""
+    f = frobenius.carrier(dunkl.b_cg(5, 2, 3))
+    consts = frobenius.structure_constants(f)
+    assert consts == f._brackets and all(i < j for i, j in consts)
+    with pytest.raises(TypeError):
+        consts[(0, 1)] = {0: Fraction(1)}
+    with pytest.raises(TypeError):
+        del consts[next(iter(consts))]
+    assert consts == f._brackets
 
 
 def test_structure_constants_require_closed_span():

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from cgrm import bd
 from cgrm.frobenius import LieSubalgebra
-from cgrm.tensorops import (MatrixN, SparseOp2, WedgeElement, canonical_json,
+from cgrm import cyb
+from cgrm.tensorops import (MatrixN, SparseOp, WedgeElement, canonical_json,
                             kron_sum2, wedge_of_matrices, wedge_to_op)
 
-from conftest import exp_nilpotent, identity, identity_op, kron, op_to_wedge, permutation_op
+from conftest import (exp_nilpotent, identity, identity_op, kron, op_to_wedge, permutation_op,
+                      swap_conjugate)
 
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -48,7 +50,7 @@ def test_reversed_wedge_is_negated():
 @given(wedge_elements())
 def test_swap_conjugate_negates_wedge_ops(w):
     op = wedge_to_op(w)
-    assert op.swap_conjugate() == Fraction(-1) * op
+    assert swap_conjugate(op) == Fraction(-1) * op
 
 
 @settings(max_examples=40)
@@ -74,9 +76,9 @@ def test_op_to_wedge_rejects_symmetric():
 
 
 def test_swap_conjugate_examples():
-    assert identity_op(3).swap_conjugate() == identity_op(3)
+    assert swap_conjugate(identity_op(3)) == identity_op(3)
     p = permutation_op(3)
-    assert p.swap_conjugate() == p
+    assert swap_conjugate(p) == p
 
 
 @settings(max_examples=40)
@@ -104,7 +106,7 @@ def test_dimension_mismatch_raises():
             combines = [lambda: x + y, lambda: x - y]
             if isinstance(x, MatrixN):
                 combines += [lambda: x @ y, lambda: wedge_of_matrices(x, y)]
-            elif isinstance(x, SparseOp2):
+            elif isinstance(x, SparseOp):
                 combines.append(lambda: x @ y)
             for combine in combines:
                 with pytest.raises(ValueError, match="dimension mismatch"):
@@ -155,7 +157,7 @@ def test_wedge_of_matrices_bilinear():
 
 def test_out_of_range_indices_rejected():
     with pytest.raises(ValueError):
-        SparseOp2.from_entries(2, [(((1, 3)), (1, 1), 1)])
+        SparseOp.from_entries(2, [(((1, 3)), (1, 1), 1)])
     with pytest.raises(ValueError):
         WedgeElement(2, {((1, 2), (3, 1)): 1})
     with pytest.raises(ValueError):
@@ -165,17 +167,15 @@ def test_out_of_range_indices_rejected():
 def test_json_round_trip_bit_exact():
     r = wedge_to_op(bd.bd_r_matrix(2, 5))
     text = canonical_json(r.to_json_obj())
-    again = SparseOp2.from_json_obj(json.loads(text))
+    again = SparseOp.from_json_obj(json.loads(text))
     assert again == r
     assert canonical_json(again.to_json_obj()) == text
 
 
 def test_sparse_op3_json_round_trip():
-    from cgrm import cyb
-    from cgrm.tensorops import SparseOp3
     z = cyb.z_op(3)
     text = canonical_json(z.to_json_obj())
-    again = SparseOp3.from_json_obj(json.loads(text))
+    again = SparseOp.from_json_obj(json.loads(text))
     assert again == z
     assert canonical_json(again.to_json_obj()) == text
 
@@ -213,7 +213,53 @@ def test_kron_mixed_product(a, b, c, d):
 def sparse_ops(legs, n=2, values=scalars):
     idx = st.tuples(*[st.integers(min_value=1, max_value=n)] * legs)
     col = st.dictionaries(idx, values, max_size=3)
-    return st.dictionaries(idx, col, max_size=4).map(lambda cols: SparseOp2(n, cols))
+    return st.dictionaries(idx, col, max_size=4).map(lambda cols: SparseOp(n, cols))
+
+
+@st.composite
+def near_skew_ops(draw, n=3):
+    """Two-leg operators on which skewness is in doubt: a drawn operator, a
+    wedge operator, or a wedge operator with one entry removed, sign-flipped or
+    doubled, or with a nonzero entry at out (i, i), in (k, k), which is its own
+    mirror; with Fraction entries, or scaled to int ones."""
+    kind = draw(st.sampled_from(["drawn", "wedge", "removed", "flipped", "doubled", "own_mirror"]))
+    if kind == "drawn":
+        op = draw(sparse_ops(2, n))
+    else:
+        op = wedge_to_op(draw(wedge_elements(n)))
+        cols = {inp: dict(col) for inp, col in op.cols.items()}
+        if kind == "own_mirror":
+            i, k = draw(st.integers(1, n)), draw(st.integers(1, n))
+            cols.setdefault((k, k), {})[(i, i)] = draw(scalars.filter(bool))
+        elif kind != "wedge" and cols:
+            out, inp, v = draw(st.sampled_from(sorted(op.entries())))
+            if kind == "removed":
+                del cols[inp][out]
+            else:
+                cols[inp][out] = -v if kind == "flipped" else 2 * v
+        op = SparseOp(n, cols)
+    if draw(st.booleans()):
+        op = cyb._integral(op)[1]
+    return op
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_skew_ops())
+def test_is_antisymmetric_matches_swap_conjugate(op):
+    assert op.is_antisymmetric() == (swap_conjugate(op) == -op)
+
+
+def test_is_antisymmetric_examples(monkeypatch):
+    """A wedge is skew, also scaled to ints; one entry changed, or a nonzero
+    entry that is its own mirror, is not.  The check builds no operator."""
+    r = wedge_to_op(bd.bd_r_matrix(2, 5))
+    skew = [r, cyb._integral(r)[1], SparseOp(5)]
+    not_skew = [identity_op(5), SparseOp(5, {**r.cols, (1, 1): {(2, 2): Fraction(1)}})]
+    built = []
+    init = SparseOp.__init__
+    monkeypatch.setattr(SparseOp, "__init__", lambda op, *a: built.append(a) or init(op, *a))
+    assert [op.is_antisymmetric() for op in skew + not_skew] == [True] * 3 + [False] * 2
+    assert built == []
 
 
 def assert_clean(op):
@@ -230,7 +276,7 @@ def entrywise_product(a, b):
             if right_out == mid:
                 col = cols.setdefault(inp, {})
                 col[out] = col.get(out, 0) + v * w
-    return SparseOp2(a.n, cols)
+    return SparseOp(a.n, cols)
 
 
 @pytest.mark.parametrize("legs", [2, 3])
@@ -304,12 +350,12 @@ def test_leg_count_mismatch_raises():
     """A two-leg and a three-leg operator do not combine, in either order; an
     empty operator combines with both."""
     two = identity_op(2)
-    three = SparseOp2(2, {(1, 2, 1): {(2, 1, 1): Fraction(1, 3)}})
+    three = SparseOp(2, {(1, 2, 1): {(2, 1, 1): Fraction(1, 3)}})
     for x, y in ((two, three), (three, two)):
         for combine in (lambda: x + y, lambda: x - y, lambda: x @ y, lambda: x.bracket(y)):
             with pytest.raises(ValueError, match="leg count mismatch"):
                 combine()
-    empty = SparseOp2(2)
+    empty = SparseOp(2)
     for op in (two, three):
         assert op + empty == op and empty + op == op and op - empty == op
         assert (op @ empty).is_zero() and (empty @ op).is_zero()
@@ -338,7 +384,7 @@ def test_matrix_subtraction(elements, data):
 
 
 def test_one_operator_class_for_every_leg_count():
-    from cgrm.tensorops import SparseOp, SparseOp3
+    from cgrm.tensorops import SparseOp2, SparseOp3
     assert SparseOp2 is SparseOp and SparseOp3 is SparseOp
     assert kron(identity(2), identity(2)) == identity_op(2)
     with pytest.raises(ValueError):
