@@ -279,20 +279,34 @@ class _Images(dict):
     """Memo of the integer images (p, q) -> op._apply({(p, q): 1}), that is D
     times the image with D = op.denominator().  An operator whose _apply gives a
     value that is not an int has a denominator it does not declare, and raises
-    NonIntegralError."""
+    NonIntegralError.
+
+    A pair enters together with its mirror (q, p), and skew stays True while
+    every pair in the memo passes the mirror test of sigma op sigma = -op:
+    image(q, p) is image(p, q) with each key swapped and each value negated.
+    It turns False at the first pair that fails and never turns back."""
 
     def __init__(self, op):
         super().__init__()
         self.op = op
         self.d = op.denominator()
+        self.skew = True
 
-    def __missing__(self, pair):
+    def _image(self, pair):
         image = self.op._apply({pair: 1})
         for v in image.values():
             if type(v) is not int:
                 raise NonIntegralError("image of %r has the coefficient %r, not an integer "
                                        "over the declared denominator %d" % (pair, v, self.d))
         self[pair] = image
+        return image
+
+    def __missing__(self, pair):
+        image = self._image(pair)
+        p, q = pair
+        mirror = self._image((q, p)) if p != q else image
+        if self.skew and mirror != {(b, a): -v for (a, b), v in image.items()}:
+            self.skew = False
         return image
 
 
@@ -336,9 +350,26 @@ def _poly_cyb_residual(images, lam, exps):
 
 
 def check_poly_cyb(op: PolyOp, lam, monomials) -> bool:
-    """CYB_lambda(op) = 0 on every listed three-variable monomial."""
-    images = _Images(op)
+    """CYB_lambda(op) = 0 on every listed three-variable monomial.
+
+    For a skew op, CYB_lambda is alternating, so its residual on a permutation
+    of a monomial is the permuted residual up to sign, and it suffices to
+    compute one residual per S3 orbit.  The permuted residual reads only the
+    mirrors of the pairs the first one read, so an orbit is marked done only
+    while every image in the memo has passed the mirror test; a non-skew op
+    has each monomial computed."""
     for exps in monomials:
+        if type(exps) is not tuple or len(exps) != 3 or any(type(e) is not int for e in exps):
+            raise ValueError("the Yang-Baxter check acts on three-variable monomials, "
+                             "got %r" % (exps,))
+    images = _Images(op)
+    done = set()
+    for exps in monomials:
+        orbit = tuple(sorted(exps))
+        if orbit in done:
+            continue
         if _poly_cyb_residual(images, lam, exps)[0]:
             return False
+        if images.skew:
+            done.add(orbit)
     return True

@@ -54,6 +54,21 @@ def test_element_e_certificate_rejects_a_c0_c1_term_in_lambda():
         dunkl.element_e(p), 4 * p.c0 ** 2 + p.c0 * p.c1, monos)) == (0, 1, 1)
 
 
+def test_m1_operator_solves_cyb_for_all_parameters():
+    """The m = 1 operator -(1/n)(x1 y1 - x2 y2) at n = 7 has CYB_(c0^2/49) zero to
+    degree 10; the residual is quadratic in (kappa, c0), so the six grid points
+    certify every parameter.  A constant or a kappa^2 in lambda is seen."""
+    monos = polynomial_monomials(3, 10)
+
+    def failure(lam):
+        return acceptance.params_failure(1, lambda p: check_poly_cyb(
+            dunkl.dunkl_m1_combo(7, p), lam(p), monos))
+
+    assert failure(lambda p: p.c0 ** 2 / 49) is None
+    assert failure(lambda p: (p.c0 ** 2 + 1) / 49) == (0, 0)
+    assert failure(lambda p: p.kappa ** 2 / 49) == (0, 1)
+
+
 def test_lemma_certificate_rejects_lambda_5_and_an_a1_a2_term(monkeypatch):
     """An a1 a2 multiple of Delta vanishes at every grid point but (1, 1)."""
     assert acceptance.lemma_failure(5) == (0, 0)

@@ -468,3 +468,100 @@ def test_poly_cyb_detects_non_solutions():
     assert poly_cyb_residual(delta, 4, (1, 0, 0))
     assert not check_poly_cyb(delta, 4, laurent_window(3, 1))
     assert poly_cyb_residual(lemma_expression(1, 0), 4, (1, 0, 0)) == {}
+
+
+PERMUTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0))
+
+
+def _sign(perm):
+    return 1 if perm in PERMUTATIONS[:3] else -1
+
+
+def _permuted(perm, exps):
+    return tuple(exps[i] for i in perm)
+
+
+@settings(max_examples=12, deadline=None)
+@given(cyb_ops, st.sampled_from([0, 4, Fraction(-3, 7)]))
+def test_residual_of_a_skew_operator_alternates(op, lam):
+    """For a skew op, CYB_lambda - the Z term included when lambda != 0 - is
+    alternating: its residual on sigma m is sgn(sigma) times the residual on m
+    with each key permuted by sigma."""
+    window = laurent_window(3, 2)
+    residuals = {m: poly_cyb_residual(op, lam, m) for m in window}
+    for m in window:
+        for perm in PERMUTATIONS:
+            want = {_permuted(perm, k): _sign(perm) * v for k, v in residuals[m].items()}
+            assert residuals[_permuted(perm, m)] == want
+
+
+def _closed_and_shuffled(windows):
+    """S3-closed windows, and shuffled prefixes of them, which are not closed."""
+    closed = st.sampled_from(windows)
+    shuffled = closed.flatmap(st.permutations).flatmap(
+        lambda w: st.integers(min_value=1, max_value=len(w)).map(lambda k: w[:k]))
+    return st.one_of(closed, shuffled, st.lists(cyb_exps, min_size=1, max_size=8))
+
+
+solved_ops = st.one_of(
+    st.builds(lambda a1, a2: (dunkl.lemma_expression(a1, a2), Fraction(4)), small, small),
+    st.builds(lambda p: (dunkl.element_e(p), 4 * p.c0 ** 2), m2_params),
+    st.builds(lambda n: (dunkl.r_m2_poly_op(n), Fraction(1, 4)), odd_n),
+    st.tuples(cyb_ops, st.sampled_from([Fraction(0), Fraction(4), Fraction(1, 3)])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(solved_ops, small, _closed_and_shuffled([laurent_window(3, 1), polynomial_monomials(3, 3)]))
+@example((dunkl.lemma_expression(1, Fraction(2, 5)), 4), Fraction(1),
+         [(-2, -1, -2), (-2, -2, -1)])
+@example((dunkl.lemma_expression(1, Fraction(2, 5)), 4), Fraction(0), laurent_window(3, 1))
+def test_check_poly_cyb_matches_the_per_monomial_oracle(op_lam, c, monomials):
+    """The orbit skip gives the verdict of computing every monomial, on skew
+    operators and on op + c x d/dx, which is not skew for c != 0."""
+    op, lam = op_lam
+    if c:
+        op = op + c * (Mono(1, 0) * Partial(0))
+    want = all(not poly_cyb_residual(op, lam, m) for m in monomials)
+    assert check_poly_cyb(op, lam, monomials) is want
+
+
+def test_non_skew_operators_are_checked_at_every_monomial():
+    """Each first monomial passes alone, and its permutation fails: a non-skew
+    operator, also one that is skew off the diagonal pairs (p, p) only, has no
+    orbit skipped."""
+    lemma = dunkl.lemma_expression(1, Fraction(2, 5))
+    diagonal = Const(1) - ExponentSign() * ExponentSign()
+    for op, lam, monomials in (
+            (lemma + Mono(1, 0) * Partial(0), 4, [(-2, -1, -2), (-2, -2, -1)]),
+            (ExponentSign() + Mono(1, -1), 0, [(-2, -1, 0), (0, -2, -1)]),
+            (lemma + diagonal, 4, [(-2, -1, -2), (-2, -2, -1)])):
+        assert check_poly_cyb(op, lam, monomials[:1])
+        assert not check_poly_cyb(op, lam, monomials)
+
+
+def test_images_certify_skewness_pair_by_pair():
+    """skew holds while every pair read and its mirror pass sigma op sigma = -op,
+    the diagonal pairs (p, p) included, and never turns back on."""
+    images = _Images(dunkl.lemma_expression(1, Fraction(2, 5)))
+    for pair in laurent_window(2, 4):
+        images[pair]
+    assert images.skew
+    images = _Images(Mono(1, -1))
+    images[(1, 2)]
+    assert not images.skew
+    # the projection on the diagonal monomials x^p y^p vanishes off the diagonal
+    images = _Images(Const(1) - ExponentSign() * ExponentSign())
+    images[(1, 2)]
+    assert images.skew and (2, 1) in images
+    images[(3, 3)]
+    assert not images.skew
+    images[(0, -1)]
+    assert not images.skew
+
+
+@pytest.mark.parametrize("entry", [(0, 0), [0, 0, 0], (0, 0, 0, 0), (0, 0, Fraction(1, 2))],
+                         ids=repr)
+def test_check_poly_cyb_rejects_malformed_monomials(entry):
+    with pytest.raises(ValueError, match="three-variable monomials"):
+        check_poly_cyb(dunkl.lemma_expression(1, Fraction(2, 5)), 4, [(1, 0, -1), entry])
