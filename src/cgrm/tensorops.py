@@ -214,8 +214,6 @@ class SparseOp:
 
     def __rmul__(self, scalar):
         s = Fraction(scalar)
-        if s == 0:
-            return SparseOp(self.n)
         return SparseOp(self.n, {k: {o: s * v for o, v in c.items()} for k, c in self.cols.items()})
 
     def __matmul__(self, other):

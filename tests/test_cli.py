@@ -55,6 +55,23 @@ def test_gen_constructions_agree_byte_for_byte(capsys):
     assert closed == viabd == viadunkl
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--m", "3", "--n", "7"), "the dunkl construction requires m in {1, 2}"),
+    (("--m", "2", "--n", "5", "--c0", "0"), "c0 must be nonzero for the m = 2 construction"),
+])
+def test_gen_dunkl_rejects_other_m_and_zero_c0(capsys, argv, message):
+    code, out = run_cli(capsys, "gen", "--construction", "dunkl", *argv)
+    assert code == 2
+    assert out == '{"error":"%s"}\n' % message
+
+
+def test_m1_dunkl_constructions_match_gen(capsys):
+    _, closed = run_cli(capsys, "gen", "--m", "1", "--n", "7")
+    _, viagen = run_cli(capsys, "gen", "--construction", "dunkl", "--m", "1", "--n", "7")
+    _, viadunkl = run_cli(capsys, "dunkl", "--m", "1", "--n", "7", "--kappa", "1", "--c0", "7/2")
+    assert closed == viagen == viadunkl
+
+
 def test_gen_deterministic(capsys):
     _, a = run_cli(capsys, "gen", "--m", "3", "--n", "7")
     _, b = run_cli(capsys, "gen", "--m", "3", "--n", "7")
@@ -94,13 +111,18 @@ def test_verify_rejects_wrong_arity_file(tmp_path, capsys):
 def test_compare(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
+    c = tmp_path / "c.json"
     run_cli(capsys, "gen", "--m", "1", "--n", "4", "--out", str(a))
     run_cli(capsys, "gen", "--m", "3", "--n", "4", "--out", str(b))
+    run_cli(capsys, "gen", "--m", "1", "--n", "3", "--out", str(c))
     code, out = run_cli(capsys, "compare", str(a), str(a))
     assert code == 0 and json.loads(out)["equal"] is True
     code, out = run_cli(capsys, "compare", str(a), str(b))
     assert code == 1
     assert json.loads(out)["differences"]
+    code, out = run_cli(capsys, "compare", str(c), str(a))
+    assert code == 1
+    assert out == '{"equal":false,"reason":"dimension mismatch"}\n'
 
 
 def test_wheels_pair(capsys):

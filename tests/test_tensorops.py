@@ -293,6 +293,9 @@ def test_sparse_op_subtraction(legs, data):
     assert diff == a + (-1) * b
     assert diff + b == a
     assert (a - a).cols == {}
+    for zero in (0, Fraction(0)):
+        scaled = zero * a
+        assert scaled.n == a.n and scaled.is_zero()
 
 
 @pytest.mark.parametrize("legs", [2, 3])
