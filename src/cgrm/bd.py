@@ -131,12 +131,10 @@ def orbit(t: BDTriple, rho: PosRoot):
     return result
 
 
-def precedes(t: BDTriple, rho: PosRoot, mu: PosRoot, allow_equal: bool = False) -> bool:
-    """Whether some iterate of the extended zeta sends rho to mu (N >= 1; N >= 0
-    when allow_equal)."""
-    if allow_equal and rho == mu:
-        return True
-    return mu in orbit(t, rho)
+def precedes(t: BDTriple, rho: PosRoot, mu: PosRoot) -> bool:
+    """Whether some iterate of the extended zeta sends rho to mu, the zeroth
+    (mu = rho) included."""
+    return rho == mu or mu in orbit(t, rho)
 
 
 def all_pos_roots(n):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .bd import require_coprime
 from .closed_form import cg_closed_form
-from .polyops import (Const, DivDiff, DivSum, ExponentSign, Mono, Partial, PolyOp,
+from .polyops import (DivDiff, DivSum, ExponentSign, Mono, OpSum, Partial, PolyOp,
                       Sigma, Xi, check_poly_cyb, laurent_window, op_equal_on,
                       polynomial_monomials, restrict_to_window, window_matrix)
 from .tensorops import (MatrixN, SparseOp, WedgeElement, kron_sum2,
@@ -41,10 +41,6 @@ class CherednikParams:
         return 1 if self.m == 1 else -1
 
 
-def _one_minus(op):
-    return Const(1) - op
-
-
 def require_odd_n(n: int):
     """The m = 2 window constructions need n odd and >= 3."""
     if n % 2 == 0 or n < 3:
@@ -52,7 +48,15 @@ def require_odd_n(n: int):
 
 
 # Building blocks shared by the m = 2 operators; operators are stateless.
-xi1, xi2 = Xi(0, -1), Xi(1, -1)
+xi1, xi2 = Xi(0), Xi(1)
+# The identity: multiplication by x^0 y^0.
+one = Mono(0, 0)
+
+
+def _one_minus(op):
+    return one - op
+
+
 g3 = Fraction(1, 4) * (_one_minus(xi1) * _one_minus(xi2))
 skew_mono = Mono(-1, 1) - Mono(1, -1)
 euler = Mono(1, 0) * Partial(0) - Mono(0, 1) * Partial(1)
@@ -115,10 +119,9 @@ def group_relations(params: CherednikParams):
     m = params.m
     omega = Fraction(params.omega)
     sig = Sigma()
-    xi = [Xi(0, params.omega), Xi(1, params.omega)]
+    xi = [xi1, xi2] if m == 2 else [one, one]
     x = [Mono(1, 0), Mono(0, 1)]
     y = [dunkl_y(params, 1), dunkl_y(params, 2)]
-    one = Const(1)
     rels = []
     rels.append((sig * sig, one))
     for i in (0, 1):
@@ -143,25 +146,20 @@ def group_relations(params: CherednikParams):
         return out
 
     for i in (0, 1):
-        rhs = Const(kappa)
-        for r in range(m):
-            rhs = rhs - c0 * (xi_word(r) * sig)
-        for r in range(1, m):
-            rhs = rhs - (c1 * (1 - omega ** (-r))) * _power(xi[i], r)
+        rhs = OpSum([(kappa, one)]
+                    + [(-c0, xi_word(r) * sig) for r in range(m)]
+                    + [(-c1 * (1 - omega ** (-r)), _power(xi[i], r)) for r in range(1, m)])
         rels.append((y[i] * x[i] - x[i] * y[i], rhs))
 
-    rhs12 = Const(0)
-    rhs21 = Const(0)
-    for r in range(m):
-        rhs12 = rhs12 + (c0 * omega ** (-r)) * (xi_word(r) * sig)
-        rhs21 = rhs21 + (c0 * omega ** r) * (xi_word(r) * sig)
+    rhs12 = OpSum([(c0 * omega ** (-r), xi_word(r) * sig) for r in range(m)])
+    rhs21 = OpSum([(c0 * omega ** r, xi_word(r) * sig) for r in range(m)])
     rels.append((y[0] * x[1] - x[1] * y[0], rhs12))
     rels.append((y[1] * x[0] - x[0] * y[1], rhs21))
     return rels
 
 
 def _power(op, r):
-    out = Const(1)
+    out = one
     for _ in range(r):
         out = op * out
     return out
@@ -237,7 +235,7 @@ def dunkl_m2_combo(n: int, params: CherednikParams) -> PolyOp:
     kappa, c0, c1 = params.kappa, params.c0, params.c1
     sig = Sigma()
     g1 = Fraction(-1, 1) / (4 * c0) * sig
-    g2 = (kappa / (4 * c0)) * sig + Const(Fraction(-1, 2 * n))
+    g2 = (kappa / (4 * c0)) * sig + Fraction(-1, 2 * n) * one
     g4 = (-c1 / (4 * c0)) * ((xi1 - xi2) * sig)
     return g1 * _xy(params) + g2 * euler + skew_mono * g3 + g4
 
@@ -318,7 +316,7 @@ def v_operator(k: int, n: int) -> PolyOp:
             + Fraction(1, n) * (Mono(0, 1) * _one_minus(xi1) - Mono(1, 0) * _one_minus(xi2))))
     if k == 4:
         return HALF * ((Mono(-1, 1) - Mono(1, -1))
-                       * (Const(1) - xi1 - xi2 + xi1 * xi2))
+                       * (one - xi1 - xi2 + xi1 * xi2))
     raise ValueError("k must be 1..4")
 
 
@@ -409,7 +407,7 @@ def alpha_poly_op(n: int) -> PolyOp:
     msign = ExponentSign()
     sig = Sigma()
     delta = divided_difference()
-    return (Fraction(-1, 4) * (msign * (Const(1) + xi1 * xi2))
+    return (Fraction(-1, 4) * (msign * (one + xi1 * xi2))
             - HALF * (sig * msign)
             + Fraction(1, 4) * delta
             + Fraction(1, 4) * (xi1 * delta * xi2)
@@ -419,7 +417,7 @@ def alpha_poly_op(n: int) -> PolyOp:
 def beta_poly_op(n: int) -> PolyOp:
     """Operator realization of the diagonal part for the (n-2, n) solution."""
     msign = ExponentSign()
-    return (Fraction(1, 4) * (msign * (Const(1) + xi1 * xi2))
+    return (Fraction(1, 4) * (msign * (one + xi1 * xi2))
             - Fraction(1, 2 * n) * euler)
 
 

@@ -80,8 +80,9 @@ class PolyOp:
         raise NotImplementedError
 
     def denominator(self) -> int:
-        """A D such that D * op maps integer coefficients to integer ones.  Every
-        atom but Const keeps integer coefficients integral, so D is 1 here."""
+        """A D such that D * op maps integer coefficients to integer ones.  A
+        rational coefficient appears only in an OpSum, so every atom keeps
+        integer coefficients integral and D is 1 here."""
         return 1
 
     def __add__(self, other):
@@ -96,28 +97,14 @@ class PolyOp:
     def __mul__(self, other):
         if isinstance(other, PolyOp):
             return OpCompose(self, other)
-        return OpSum([(Fraction(other), self)])
+        return NotImplemented
 
     def __rmul__(self, scalar):
         return OpSum([(Fraction(scalar), self)])
 
 
-class Const(PolyOp):
-    def __init__(self, c=1):
-        self.c = Fraction(c)
-
-    def denominator(self):
-        return self.c.denominator
-
-    def _apply(self, terms):
-        c = self.c.numerator
-        if c == 1:
-            return dict(terms)
-        return {k: c * v for k, v in terms.items()} if c else {}
-
-
 class Mono(PolyOp):
-    """Multiplication by x^p y^q."""
+    """Multiplication by x^p y^q; a constant c is c * Mono(0, 0)."""
 
     def __init__(self, p, q):
         self.p = p
@@ -147,17 +134,12 @@ class Sigma(PolyOp):
 
 
 class Xi(PolyOp):
-    """Scale variable i by omega (x -> omega x); omega is 1 or -1."""
+    """The sign character x_i -> -x_i on variable i."""
 
-    def __init__(self, i, omega):
-        if omega not in (1, -1):
-            raise ValueError("omega must be 1 or -1, got %r" % (omega,))
+    def __init__(self, i):
         self.i = i
-        self.omega = Fraction(omega)
 
     def _apply(self, terms):
-        if self.omega == 1:
-            return dict(terms)
         return {k: -v if k[self.i] % 2 else v for k, v in terms.items()}
 
 

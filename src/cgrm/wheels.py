@@ -163,7 +163,7 @@ def sbar_bruteforce(m: int, n: int, j1: int, j2: int):
             continue
         rho = bd.PosRoot(j1, s)
         mu = bd.PosRoot(a, j2)
-        if bd.precedes(t, rho, mu, allow_equal=True):
+        if bd.precedes(t, rho, mu):
             out.add(s)
     return out
 

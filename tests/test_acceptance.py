@@ -9,7 +9,7 @@ from math import comb, prod
 
 import pytest
 
-from cgrm import acceptance, closed_form, cyb, dunkl, frobenius
+from cgrm import acceptance, bd, closed_form, cyb, dunkl, frobenius
 from cgrm.linalg import rank
 from cgrm.polyops import Partial, check_poly_cyb, polynomial_monomials
 from cgrm.tensorops import SparseOp
@@ -24,6 +24,45 @@ def test_criterion(criterion):
     print("%s  criterion %d: %s  [%s]"
           % ("PASS" if result.passed else "FAIL", result.cid, result.name, result.detail))
     assert result.passed, "criterion %d failed: %s (%s)" % (result.cid, result.name, result.detail)
+
+
+def _shifted(op):
+    """op with its first stored entry moved by 1/3."""
+    cols = {inp: dict(col) for inp, col in op.cols.items()}
+    col = next(iter(cols.values()))
+    col[next(iter(col))] += Fraction(1, 3)
+    return SparseOp(op.n, cols)
+
+
+@pytest.mark.parametrize("bend, lambdas", [
+    (lambda m, r: 2 * r, "{1}"),
+    (lambda m, r: _shifted(r), "{}"),
+    (lambda m, r: _shifted(r) if m == 1 else r, "{1/4}"),
+], ids=["doubled", "shifted", "shifted at m = 1"])
+def test_criterion_3_fails_on_a_changed_solution(monkeypatch, bend, lambdas):
+    """2 r is quasitriangular with lambda 1 instead of 1/4; an entry moved by
+    1/3 leaves no r-matrix at all, so no lambda is found, and at m = 1 alone it
+    fails the classification while every m = 2 lambda is still 1/4."""
+    cg_closed_form = closed_form.cg_closed_form
+    monkeypatch.setattr(closed_form, "cg_closed_form",
+                        lambda m, n: bend(m, cg_closed_form(m, n)))
+    result = acceptance.criterion_3()
+    assert not result.passed
+    assert result.detail == "26 pairs, lambda values %s" % lambdas
+
+
+@pytest.mark.parametrize("bent", ["target doubled", "no solution", "other solution"])
+def test_criterion_8_fails_when_the_variety_misses_the_target(monkeypatch, bent):
+    """A doubled target fails the row check; with the row check forced to pass it
+    differs from the solution; a solver that finds nothing fails as well."""
+    if bent == "no solution":
+        monkeypatch.setattr(bd, "solve_beta_variety", lambda t: None)
+    else:
+        beta_part = bd.beta_part
+        monkeypatch.setattr(bd, "beta_part", lambda m, n: Fraction(2) * beta_part(m, n))
+    if bent == "other solution":
+        monkeypatch.setattr(bd, "verify_beta_variety", lambda t, target: True)
+    assert not acceptance.criterion_8().passed
 
 
 @pytest.mark.parametrize("k, d", [(2, 2), (3, 2)])

@@ -66,9 +66,7 @@ def test_orbit_and_precedes_match_iterated_zeta_hat():
                 cur = bd.zeta_hat(t, cur)
             assert bd.orbit(t, rho) == tuple(chain), (m, n, rho)
             for mu in roots:
-                assert bd.precedes(t, rho, mu) == (mu in chain), (m, n, rho, mu)
-                assert (bd.precedes(t, rho, mu, allow_equal=True)
-                        == (mu == rho or mu in chain)), (m, n, rho, mu)
+                assert bd.precedes(t, rho, mu) == (mu == rho or mu in chain), (m, n, rho, mu)
 
 
 def test_zeta_hat_examples():
@@ -83,11 +81,12 @@ def test_zeta_hat_examples():
 
 def test_precedes_worked_example():
     t = bd.cg_triple(12, 31)
-    assert bd.precedes(t, bd.PosRoot(15, 19), bd.PosRoot(18, 22), allow_equal=True)
-    assert not bd.precedes(t, bd.PosRoot(15, 19), bd.PosRoot(11, 15), allow_equal=True)
+    assert bd.precedes(t, bd.PosRoot(15, 19), bd.PosRoot(18, 22))
+    assert bd.PosRoot(18, 22) in bd.orbit(t, bd.PosRoot(15, 19))
+    assert not bd.precedes(t, bd.PosRoot(15, 19), bd.PosRoot(11, 15))
     rho = bd.PosRoot(3, 4)
-    assert bd.precedes(t, rho, rho, allow_equal=True)
-    assert not bd.precedes(t, rho, rho, allow_equal=False)
+    assert bd.precedes(t, rho, rho)
+    assert rho not in bd.orbit(t, rho)
 
 
 def test_precedes_strict_partial_order():

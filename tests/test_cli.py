@@ -169,6 +169,18 @@ def test_carrier_report(tmp_path, capsys):
     assert obj["frobenius"]["functional_check"] is True
 
 
+@pytest.mark.parametrize("text,report", [
+    ('{"n":2,"entries":[[[1,2],[2,1],"1/2"],[[2,1],[1,2],"-1/2"]]}',
+     '{"basis":[[[[1,2],"1"]],[[[2,1],"1"]]],"bracket_closed":false,"dimension":2}\n'),
+    ('{"n":1,"entries":[]}', '{"basis":[],"bracket_closed":true,"dimension":0}\n'),
+], ids=["open span", "empty"])
+def test_carrier_report_without_a_form(tmp_path, capsys, text, report):
+    """A span that is not closed, and the zero span, print no frobenius key."""
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    assert run_cli(capsys, "carrier", "--in", str(path)) == (0, report)
+
+
 def test_carrier_nonzero_trace_slice_is_json_error(tmp_path, capsys):
     path = tmp_path / "r.json"
     path.write_text('{"n": 3, "entries": [[[1, 1], [1, 2], "1/2"], [[1, 1], [2, 1], "-1/2"]]}')
@@ -438,6 +450,22 @@ def test_acceptance_takes_no_seed():
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
+@pytest.mark.parametrize("second_passes, code, tally", [(False, 1, "1/2"), (True, 0, "2/2")])
+def test_acceptance_reports_each_criterion_and_the_tally(monkeypatch, capsys,
+                                                        second_passes, code, tally):
+    """One line per criterion, the count of passes, and exit 1 if any fails."""
+    from cgrm import acceptance
+
+    def stub(cid, passed):
+        return lambda: acceptance.CheckResult(cid, "stub %d" % cid, passed, "detail %d" % cid)
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (stub(1, True), stub(2, second_passes)))
+    assert run_cli(capsys, "acceptance") == (code, (
+        "PASS  criterion 1: stub 1  [detail 1]\n"
+        "%s  criterion 2: stub 2  [detail 2]\n"
+        "%s criteria passed\n") % ("PASS" if second_passes else "FAIL", tally))
 
 
 @settings(max_examples=300, deadline=None)

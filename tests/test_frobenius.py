@@ -1,7 +1,7 @@
 """Carriers, parabolic subalgebras, the quasi-Frobenius structure, and the
 Jordanian boundary family."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +25,9 @@ def test_parabolic_dimensions():
     for (m, n) in ((1, 4), (2, 5), (3, 7)):
         assert frobenius.parabolic(m, n).dimension == n * n - 1 - m * (n - m)
         assert frobenius.parabolic(m, n).bracket_closed
+    for m in (0, 5):
+        with pytest.raises(ValueError, match="block size"):
+            frobenius.parabolic(m, 5)
 
 
 def test_carrier_of_zero():
@@ -60,6 +63,26 @@ def test_r_check_structure():
     assert fd.invertible
     assert fd.skew
     assert frobenius.cocycle_check(fd)
+    # the carrier of b_cg(5, 2, 3) is the parabolic at block size 3, so some
+    # slices leave the one at block size 1
+    with pytest.raises(ValueError, match="contraction image leaves the carrier"):
+        frobenius.r_check(dunkl.b_cg(5, 2, 3), frobenius.parabolic(1, 5))
+
+
+def test_checks_fail_without_a_form_or_a_skew_form():
+    """A singular contraction (no form rows) fails both checks, and so does a form
+    with one entry changed for the cocycle check, since it is no longer skew."""
+    fd, eta = _boundary_frobenius(5)
+    assert frobenius.cocycle_check(fd) and frobenius.frobenius_functional_check(fd, eta)
+    singular = replace(fd, form_rows=None)
+    assert frobenius.cocycle_check(singular) is False
+    assert frobenius.frobenius_functional_check(singular, eta) is False
+    row = dict(fd.form_rows[0])
+    j = next(iter(row))
+    row[j] += 1
+    bent = replace(fd, form_rows=[row] + fd.form_rows[1:])
+    assert not bent.skew
+    assert frobenius.cocycle_check(bent) is False
 
 
 @pytest.mark.parametrize("n,dimension", [(5, 24), (7, 48), (9, 80)])

@@ -282,11 +282,13 @@ def test_structure_constants_require_closed_span():
 
 def test_cocycle_check_fails_on_a_span_that_is_not_closed():
     """An invertible skew form on a span that is not bracket closed has no
-    structure constants to test, so the check fails instead of raising."""
+    structure constants to test, so the check fails instead of raising, and so
+    does the functional check."""
     f = frobenius.LieSubalgebra.from_rows(2, [{(1, 2): 1}, {(2, 1): 1}])
     fd = frobenius.FrobeniusData(subalgebra=f, form_rows=[{1: Fraction(1)}, {0: Fraction(-1)}])
     assert not f.bracket_closed and fd.invertible and fd.skew
     assert frobenius.cocycle_check(fd) is False
+    assert frobenius.frobenius_functional_check(fd, {}) is False
 
 
 def test_subalgebra_is_frozen_and_closure_is_one_field():
