@@ -10,7 +10,7 @@ from functools import lru_cache
 from . import wheels
 from .bd import require_coprime
 from .scalars import sgn
-from .tensorops import MatrixN, SparseOp, WedgeElement
+from .tensorops import MatrixN, SparseOp
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -134,24 +134,18 @@ def cg_m2_display(n: int) -> SparseOp:
 
 
 def phi_twist(x):
-    """Apply the involutive diagram automorphism e_{jl} -> -e_{n+1-l, n+1-j},
-    leg-wise on wedge elements and operators."""
+    """Apply the involutive diagram automorphism e_{jl} -> -e_{n+1-l, n+1-j}
+    leg-wise, to a matrix or to an operator with any number of legs: the entry
+    at out o, in i moves to out n+1-i, in n+1-o, index by index, times
+    (-1)^legs.  The move is a bijection of entries, so nothing is summed."""
     if isinstance(x, MatrixN):
         n = x.n
         return MatrixN(n, {(n + 1 - j, n + 1 - i): -v for (i, j), v in x.entries.items()})
-    if isinstance(x, WedgeElement):
-        n = x.n
-        return WedgeElement.from_terms(
-            n,
-            (((n + 1 - b, n + 1 - a), (n + 1 - d, n + 1 - c), v)
-             for ((a, b), (c, d)), v in x.terms.items()))
     if isinstance(x, SparseOp):
         n = x.n
         cols = {}
-        for (i, j), (k, l), v in x.entries():
-            out = (n + 1 - k, n + 1 - l)
-            inp = (n + 1 - i, n + 1 - j)
-            col = cols.setdefault(inp, {})
-            col[out] = col.get(out, ZERO) + v
+        for out, inp, v in x.entries():
+            col = cols.setdefault(tuple(n + 1 - a for a in out), {})
+            col[tuple(n + 1 - a for a in inp)] = (-1) ** len(out) * v
         return SparseOp(n, cols)
     raise TypeError("unsupported type for phi_twist: %r" % type(x))

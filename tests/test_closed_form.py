@@ -7,7 +7,7 @@ import pytest
 from cgrm import bd, closed_form, wheels
 from cgrm.acceptance import coprime_pairs
 from cgrm.scalars import sgn
-from cgrm.tensorops import MatrixN, wedge_to_op
+from cgrm.tensorops import MatrixN, SparseOp, wedge_to_op
 
 from conftest import permutation_op
 
@@ -119,9 +119,43 @@ def test_phi_twist_involution_on_matrices():
                 assert closed_form.phi_twist(closed_form.phi_twist(e)) == e
 
 
-def test_phi_twist_wedge_vs_operator():
-    w = bd.bd_r_matrix(2, 5)
-    assert wedge_to_op(closed_form.phi_twist(w)) == closed_form.phi_twist(wedge_to_op(w))
+def test_phi_twist_takes_a_wedge_through_its_operator():
+    with pytest.raises(TypeError):
+        closed_form.phi_twist(bd.gamma_part(3))
+
+
+@pytest.mark.parametrize("x", [
+    closed_form.cg_closed_form(2, 5) + SparseOp.from_entries(5, [((1, 1), (1, 2), 3)]),
+    SparseOp.from_entries(3, [((1, 2, 3), (3, 3, 1), Fraction(-7, 2)), ((2, 2, 1), (1, 3, 2), 4)]),
+], ids=["two legs", "three legs"])
+def test_phi_twist_is_an_involution_on_operators(x):
+    assert closed_form.phi_twist(x) != x
+    assert closed_form.phi_twist(closed_form.phi_twist(x)) == x
+
+
+def test_phi_twist_mirrors_every_closed_form():
+    """theta maps the (m, n) solution to the (n - m, n) one, at all 57 coprime
+    pairs with n <= 13."""
+    pairs = coprime_pairs(13)
+    assert len(pairs) == 57
+    for m, n in pairs:
+        assert closed_form.phi_twist(closed_form.cg_closed_form(m, n)) == \
+            closed_form.cg_closed_form(n - m, n), (m, n)
+
+
+def _principal_degrees(op):
+    """The set of i + j - k - l over the entries at out (i, j), in (k, l)."""
+    return {sum(out) - sum(inp) for out, inp, _ in op.entries()}
+
+
+def test_closed_forms_have_principal_degree_zero():
+    """Every entry of each closed form keeps i + j = k + l, so the principal
+    torus fixes it; one entry moved off degree 0 is seen."""
+    for m, n in coprime_pairs(13):
+        op = closed_form.cg_closed_form(m, n)
+        assert _principal_degrees(op) == {0}, (m, n)
+    moved = closed_form.cg_closed_form(2, 5) + SparseOp.from_entries(5, [((1, 1), (1, 2), 1)])
+    assert _principal_degrees(moved) == {0, -1}
 
 
 def test_bd_13_is_twist_of_closed_form():

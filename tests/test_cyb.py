@@ -52,6 +52,12 @@ def test_z_op_examples():
     assert z.cols[(1, 1, 2)] == {(2, 1, 1): Fraction(1), (1, 2, 1): Fraction(-1)}
 
 
+def test_z_is_fixed_by_the_diagram_twist():
+    """theta on three legs, with its sign (-1)^3, fixes Z at every n <= 8."""
+    for n in range(1, 9):
+        assert closed_form.phi_twist(cyb.z_op(n)) == cyb.z_op(n), n
+
+
 def test_z_is_invariant_under_diagonal_action():
     rng = random.Random(3)
     n = 3
@@ -211,6 +217,23 @@ def test_non_skew_operator_takes_the_general_path():
     assert db != _cyclic_sum_of_one_bracket(bent)
     assert not _is_alternating(db)
     assert cyb.find_lambda(bent).classification == cyb.NOT_R_MATRIX
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: wedge_elements(n, max_terms=6)).map(
+    wedge_to_op).flatmap(lambda r: st.tuples(
+        st.just(r), two_leg_ops(r.n, max_terms=1).filter(lambda e: not e.is_zero()))))
+@example((closed_form.cg_closed_form(2, 9),
+          SparseOp.from_entries(9, [((3, 4), (1, 2), Fraction(7, 3))])))
+def test_double_bracket_commutes_with_the_diagram_twist(skew_and_entry):
+    """DB(theta r) = theta DB(r), theta acting on two legs and on three, for a
+    skew r (the skew path) and for r plus one entry (the general path)."""
+    skew, entry = skew_and_entry
+    bent = skew + entry
+    assert skew.is_antisymmetric() and not bent.is_antisymmetric()
+    for r in (skew, bent):
+        assert cyb.double_bracket(closed_form.phi_twist(r)) == \
+            closed_form.phi_twist(cyb.double_bracket(r))
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cgrm import bd, closed_form, cyb, dunkl, frobenius
 from cgrm.linalg import invert
-from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, wedge_to_op
+from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, kron_sum2, wedge_to_op
 
 from conftest import (apply_r_check, dual_functional, exp_nilpotent, identity, identity_op,
                       kron, sparse_rows, with_dense_form)
@@ -543,6 +543,17 @@ def test_jordanian():
         car = frobenius.carrier(j)
         assert car.same_span(frobenius.parabolic(1, n))
         assert car.dimension == n * n - 1 - (n - 1)
+
+
+def test_jordanian_is_the_twisted_d1_boundary_solution():
+    """With X_1 = sum of j e_{j,j+1}, the Jordanian solution is theta of the
+    bracket of X_1 (x) 1 + 1 (x) X_1 with the (n - 1, n) solution, times -1/2,
+    and its matrix is -1/2 theta(X_1)."""
+    for n in range(2, 13):
+        x1 = MatrixN(n, {(j, j + 1): j for j in range(1, n)})
+        boundary = kron_sum2(x1).bracket(wedge_to_op(bd.bd_r_matrix(n - 1, n)))
+        assert frobenius.jordanian(n) == Fraction(-1, 2) * closed_form.phi_twist(boundary), n
+        assert frobenius.jordanian_x(n) == Fraction(-1, 2) * closed_form.phi_twist(x1), n
 
 
 def test_jordanian_sl2_is_borel():
