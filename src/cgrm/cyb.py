@@ -155,42 +155,30 @@ class CybReport:
 
 
 def find_lambda(r: SparseOp) -> CybReport:
-    """Classify r: solve lambda from the first nonzero entry of Z against the
-    double bracket, then verify proportionality globally.
+    """Classify r by the residual bb - lambda Z, bb the double bracket.
 
     For n >= 2 the first column of Z in sorted order is (1, 1, 2), and its
-    smallest nonzero entry is -1 at (1, 2, 1); for n = 1 the double bracket
-    is always zero.  The residual bb - lambda Z is counted in one pass over
-    the columns, with Z e_abc = e_cab - e_bca read inline: each of those two
-    entries of bb is compared with +-lambda, and Z is never built.
+    smallest nonzero entry is -1 at (1, 2, 1), so lambda is read there; for
+    n = 1 the double bracket is always zero.  Z e_abc = e_cab - e_bca has two
+    entries in each of the n^3 - n columns whose indices are not all equal,
+    and none in the others.  So at lambda != 0 the residual has nnz(bb) +
+    2(n^3 - n) entries, less one for each of those positions that bb holds
+    and one more where bb's entry there is the +-lambda it cancels: one pass
+    over bb's columns, and Z is never built.  A count of 0 is a solution,
+    triangular at lambda = 0 and quasitriangular otherwise.
     """
     bb = double_bracket(r)
-    if bb.is_zero():
-        return CybReport(Fraction(0), 0, TRIANGULAR)
-    cols = bb.cols
-    lam = -cols.get((1, 1, 2), {}).get((1, 2, 1), ZERO)
+    lam = -bb.cols.get((1, 1, 2), {}).get((1, 2, 1), ZERO)
     count = bb.count_nonzero()
     if lam:
-        rng = range(1, r.n + 1)
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if a == b == c:
-                        continue
-                    col = cols.get((a, b, c))
-                    if col is None:
-                        count += 2
-                        continue
-                    v = col.get((c, a, b))
-                    if v is None:
-                        count += 1
-                    elif v == lam:
-                        count -= 1
-                    v = col.get((b, c, a))
-                    if v is None:
-                        count += 1
-                    elif v == -lam:
-                        count -= 1
-    if count == 0 and lam != 0:
-        return CybReport(lam, 0, QUASITRIANGULAR)
-    return CybReport(None, count, NOT_R_MATRIX)
+        count += 2 * (r.n ** 3 - r.n)
+        for (a, b, c), col in bb.cols.items():
+            if a == b == c:
+                continue
+            for out, z in (((c, a, b), lam), ((b, c, a), -lam)):
+                v = col.get(out)
+                if v is not None:
+                    count -= 2 if v == z else 1
+    if count:
+        return CybReport(None, count, NOT_R_MATRIX)
+    return CybReport(lam, 0, QUASITRIANGULAR if lam else TRIANGULAR)

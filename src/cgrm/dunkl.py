@@ -53,11 +53,7 @@ xi1, xi2 = Xi(0), Xi(1)
 one = Mono(0, 0)
 
 
-def _one_minus(op):
-    return one - op
-
-
-g3 = Fraction(1, 4) * (_one_minus(xi1) * _one_minus(xi2))
+g3 = Fraction(1, 4) * ((one - xi1) * (one - xi2))
 skew_mono = Mono(-1, 1) - Mono(1, -1)
 euler = Mono(1, 0) * Partial(0) - Mono(0, 1) * Partial(1)
 
@@ -69,12 +65,12 @@ def dunkl_y(params: CherednikParams, i: int) -> PolyOp:
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     kappa, c0, c1 = params.kappa, params.c0, params.c1
-    y = kappa * Partial(i - 1) + (-c0 if i == 1 else c0) * (DivDiff() * _one_minus(Sigma()))
+    y = kappa * Partial(i - 1) + (-c0 if i == 1 else c0) * (DivDiff() * (one - Sigma()))
     if params.m == 1:
         return y
     inverse, xi = (Mono(-1, 0), xi1) if i == 1 else (Mono(0, -1), xi2)
-    return (y - c0 * (DivSum() * _one_minus(xi1 * xi2 * Sigma()))
-            - c1 * (inverse * _one_minus(xi)))
+    return (y - c0 * (DivSum() * (one - xi1 * xi2 * Sigma()))
+            - c1 * (inverse * (one - xi)))
 
 
 def dunkl_monomial_formula(params: CherednikParams, i: int, j: int, l: int) -> dict:
@@ -174,7 +170,7 @@ def verify_relations(params: CherednikParams, degree_bound: int = 8) -> bool:
 
 def divided_difference() -> PolyOp:
     """((x1 + x2)/(x1 - x2)) (1 - sigma)."""
-    return (Mono(1, 0) + Mono(0, 1)) * DivDiff() * _one_minus(Sigma())
+    return (Mono(1, 0) + Mono(0, 1)) * DivDiff() * (one - Sigma())
 
 
 def _xy(params: CherednikParams) -> PolyOp:
@@ -263,7 +259,7 @@ def lemma_cyb4(a1, a2, bound: int = 5) -> bool:
 def elements_e1_e2():
     """The two raising/lowering operators generating the Heisenberg action (m = 2)."""
     e1 = (HALF * (Mono(-1, 0) * Partial(0) + Mono(0, -1) * Partial(1))
-          - Fraction(1, 4) * (Mono(-2, 0) * _one_minus(xi1) + Mono(0, -2) * _one_minus(xi2)))
+          - Fraction(1, 4) * (Mono(-2, 0) * (one - xi1) + Mono(0, -2) * (one - xi2)))
     e2 = HALF * (Mono(1, 0) + Mono(0, 1) - Mono(1, 0) * xi1 - Mono(0, 1) * xi2)
     return e1, e2
 
@@ -302,18 +298,18 @@ def v_operator(k: int, n: int) -> PolyOp:
                                  * (delta - xi1 * delta * xi2 + xi1 - xi2))
         tail = Fraction(1, 4 * n) * (
             2 * (Mono(-1, 0) * Partial(0) - Mono(0, -1) * Partial(1))
-            - Mono(-2, 0) * _one_minus(xi1) + Mono(0, -2) * _one_minus(xi2))
+            - Mono(-2, 0) * (one - xi1) + Mono(0, -2) * (one - xi2))
         return head - tail
     if k == 2:
         return Fraction(1, 4) * (
             Mono(0, 1) * xi1 - Mono(1, 0) * xi2
             + (Mono(1, 0) - Mono(0, 1)) * (xi1 * xi2)
-            + Fraction(1, n) * (Mono(1, 0) * _one_minus(xi1) - Mono(0, 1) * _one_minus(xi2)))
+            + Fraction(1, n) * (Mono(1, 0) * (one - xi1) - Mono(0, 1) * (one - xi2)))
     if k == 3:
         return HALF * (Mono(-1, -1) * (
             Mono(1, 0) * xi1 - Mono(0, 1) * xi2
             - (Mono(1, 0) - Mono(0, 1)) * (xi1 * xi2)
-            + Fraction(1, n) * (Mono(0, 1) * _one_minus(xi1) - Mono(1, 0) * _one_minus(xi2))))
+            + Fraction(1, n) * (Mono(0, 1) * (one - xi1) - Mono(1, 0) * (one - xi2))))
     if k == 4:
         return HALF * ((Mono(-1, 1) - Mono(1, -1))
                        * (one - xi1 - xi2 + xi1 * xi2))

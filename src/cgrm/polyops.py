@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import add_scaled
-from .scalars import NonIntegralError, common_denominator
+from .scalars import NonIntegralError, common_denominator, scaled_to_int
 from .tensorops import SparseOp
 
 ONE = Fraction(1)
@@ -72,7 +72,7 @@ class PolyOp:
                 raise ValueError("operators act on two-variable polynomials, got the key %r"
                                  % (key,))
         d = common_denominator(terms.values())
-        image = self._apply({k: v.numerator * (d // v.denominator) for k, v in terms.items()})
+        image = self._apply(scaled_to_int(terms, d))
         d *= self.denominator()
         return {k: Fraction(v, d) for k, v in image.items()}
 

@@ -4,6 +4,8 @@ constructions that only tests use, so src/cgrm keeps production paths."""
 from dataclasses import replace
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from cgrm import cyb
 from cgrm.bd import all_pos_roots, cg_triple, orbit
 from cgrm.frobenius import LieSubalgebra, _first_leg_slices
@@ -13,6 +15,16 @@ from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, _flat
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def wedge_elements(n, max_terms):
+    """Wedge elements on V = Q^n with at most max_terms drawn terms."""
+    idx = st.integers(min_value=1, max_value=n)
+    term = st.tuples(idx, idx, idx, idx, scalars)
+    return st.lists(term, max_size=max_terms).map(
+        lambda ts: WedgeElement.from_terms(n, (((a, b), (c, d), v) for a, b, c, d, v in ts)))
 
 
 def random_rational(rng) -> Fraction:
@@ -146,3 +158,24 @@ def with_dense_form(fd, form):
 def strict_pair_count(m: int, n: int) -> int:
     t = cg_triple(m, n)
     return sum(len(orbit(t, rho)) for rho in all_pos_roots(n))
+
+
+def oracle_rref(rows, ncols):
+    """Textbook dense Gauss-Jordan elimination; returns (nonzero reduced rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    top = 0
+    for col in range(ncols):
+        src = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if src is None:
+            continue
+        rows[top], rows[src] = rows[src], rows[top]
+        inv = 1 / rows[top][col]
+        rows[top] = [v * inv for v in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+        top += 1
+    return rows[:top], pivots

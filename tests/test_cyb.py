@@ -13,16 +13,7 @@ from cgrm.frobenius import jordanian, jordanian_x, nilpotent_exp_action
 from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, wedge_to_op
 
 from conftest import (double_bracket_over_fractions, exp_nilpotent, identity, identity_op, kron,
-                      permutation_op, random_rational)
-
-scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-
-
-def wedge_elements(n=2, max_terms=4):
-    idx = st.integers(min_value=1, max_value=n)
-    term = st.tuples(idx, idx, idx, idx, scalars)
-    return st.lists(term, max_size=max_terms).map(
-        lambda ts: WedgeElement.from_terms(n, (((a, b), (c, d), v) for a, b, c, d, v in ts)))
+                      permutation_op, random_rational, scalars, wedge_elements)
 
 
 def test_embed_identity():
@@ -237,7 +228,7 @@ def test_double_bracket_commutes_with_the_diagram_twist(skew_and_entry):
 
 
 @settings(max_examples=25, deadline=None)
-@given(wedge_elements().map(wedge_to_op),
+@given(wedge_elements(2, 4).map(wedge_to_op),
        two_leg_ops(2).filter(lambda r: not r.is_antisymmetric()), scalars)
 def test_double_bracket_bilinear(skew, other, c):
     """The double bracket is a bilinear form on the diagonal, so DB(c r) = c^2 DB(r),
@@ -359,6 +350,9 @@ def perturbed_closed_forms():
 @example(Fraction(-3, 2) * closed_form.cg_closed_form(2, 5))
 @example(closed_form.cg_closed_form(3, 5) + SparseOp.from_entries(5, [((1, 2), (2, 1), 1)]))
 @example(wedge_to_op(WedgeElement(3, {((1, 2), (2, 3)): Fraction(3, 4)})))
+# lambda reads 1/4 and bb holds -4/3 at column (3, 3, 3), where Z has no entry: 84 entries.
+@example(closed_form.cg_closed_form(1, 3) + SparseOp.from_entries(3, [
+    ((3, 3), (2, 3), -2), ((3, 2), (3, 3), Fraction(-2, 3)), ((1, 2), (3, 2), Fraction(1, 2))]))
 def test_find_lambda_matches_search_with_z(r):
     """The inline residual count equals (bb - lambda Z).count_nonzero() with Z
     built as an operator, for solutions, non-solutions and lambda = 0."""

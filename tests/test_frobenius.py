@@ -13,10 +13,7 @@ from cgrm.linalg import invert
 from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, kron_sum2, wedge_to_op
 
 from conftest import (apply_r_check, dual_functional, exp_nilpotent, identity, identity_op,
-                      kron, sparse_rows, with_dense_form)
-from test_linalg import oracle_rref
-
-scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+                      kron, oracle_rref, scalars, sparse_rows, with_dense_form)
 
 
 def test_parabolic_dimensions():

@@ -13,7 +13,7 @@ from cgrm import dunkl, frobenius
 from cgrm.linalg import add_scaled, expand_in_rref, invert, rank, rref, solve_affine
 from cgrm.tensorops import MatrixN, WedgeElement, wedge_to_op
 
-from conftest import with_dense_form
+from conftest import oracle_rref, with_dense_form
 
 ZERO = Fraction(0)
 
@@ -29,27 +29,6 @@ def matrices(min_rows=0, max_rows=6, min_cols=1, max_cols=6):
         st.lists(st.lists(entries, min_size=rc[1], max_size=rc[1]),
                  min_size=rc[0], max_size=rc[0]),
         st.just([[ZERO] * rc[1] for _ in range(rc[0])])))
-
-
-def oracle_rref(rows, ncols):
-    """Textbook dense Gauss-Jordan elimination; returns (nonzero reduced rows, pivots)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    top = 0
-    for col in range(ncols):
-        src = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
-        if src is None:
-            continue
-        rows[top], rows[src] = rows[src], rows[top]
-        inv = 1 / rows[top][col]
-        rows[top] = [v * inv for v in rows[top]]
-        for r in range(len(rows)):
-            if r != top and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
-        pivots.append(col)
-        top += 1
-    return rows[:top], pivots
 
 
 def sparse(row):

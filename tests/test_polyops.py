@@ -16,16 +16,15 @@ from cgrm.polyops import (DivDiff, DivSum, ExactDivisionError,
                           polynomial_monomials, restrict_to_window, window_matrix)
 from cgrm.scalars import NonIntegralError, scaled_to_int
 
-from conftest import poly_cyb_residual
+from conftest import poly_cyb_residual, scalars
 
 ONE = Fraction(1)
 IDENTITY = Mono(0, 0)
-coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 exps = st.integers(min_value=-4, max_value=4)
 
 
 def polys(max_terms=4):
-    return st.dictionaries(st.tuples(exps, exps), coeffs, max_size=max_terms).map(
+    return st.dictionaries(st.tuples(exps, exps), scalars, max_size=max_terms).map(
         lambda d: {k: v for k, v in d.items() if v})
 
 
@@ -107,7 +106,7 @@ atoms = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(coeffs, coeffs, coeffs, atoms, atoms, atoms,
+@given(scalars, scalars, scalars, atoms, atoms, atoms,
        st.lists(st.tuples(exps, exps), min_size=1, max_size=4))
 def test_combination_node_is_linear(a, b, c, x, y, z, samples):
     """a X + b (Y - c Z) acts as the same combination of the atoms' images."""

@@ -14,16 +14,7 @@ from cgrm.tensorops import (MatrixN, SparseOp, WedgeElement, canonical_json,
                             kron_sum2, wedge_of_matrices, wedge_to_op)
 
 from conftest import (exp_nilpotent, identity, identity_op, kron, op_to_wedge, permutation_op,
-                      swap_conjugate)
-
-scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-
-
-def wedge_elements(n=3, max_terms=5):
-    idx = st.integers(min_value=1, max_value=n)
-    term = st.tuples(idx, idx, idx, idx, scalars)
-    return st.lists(term, max_size=max_terms).map(
-        lambda ts: WedgeElement.from_terms(n, (((a, b), (c, d), v) for a, b, c, d, v in ts)))
+                      scalars, swap_conjugate, wedge_elements)
 
 
 def test_wedge_to_op_elementary():
@@ -47,14 +38,14 @@ def test_reversed_wedge_is_negated():
 
 
 @settings(max_examples=60)
-@given(wedge_elements())
+@given(wedge_elements(3, 5))
 def test_swap_conjugate_negates_wedge_ops(w):
     op = wedge_to_op(w)
     assert swap_conjugate(op) == Fraction(-1) * op
 
 
 @settings(max_examples=40)
-@given(wedge_elements(), wedge_elements(), scalars)
+@given(wedge_elements(3, 5), wedge_elements(3, 5), scalars)
 def test_wedge_to_op_linear(w1, w2, lam):
     lhs = wedge_to_op(w1 + lam * w2)
     rhs = wedge_to_op(w1) + lam * wedge_to_op(w2)
@@ -62,7 +53,7 @@ def test_wedge_to_op_linear(w1, w2, lam):
 
 
 @settings(max_examples=40)
-@given(wedge_elements())
+@given(wedge_elements(3, 5))
 def test_op_to_wedge_round_trip(w):
     assert op_to_wedge(wedge_to_op(w)) == w
 
@@ -82,7 +73,7 @@ def test_swap_conjugate_examples():
 
 
 @settings(max_examples=40)
-@given(wedge_elements())
+@given(wedge_elements(3, 5))
 def test_commutator_with_self_vanishes(w):
     op = wedge_to_op(w)
     assert op.bracket(op).is_zero()
@@ -226,7 +217,7 @@ def near_skew_ops(draw, n=3):
     if kind == "drawn":
         op = draw(sparse_ops(2, n))
     else:
-        op = wedge_to_op(draw(wedge_elements(n)))
+        op = wedge_to_op(draw(wedge_elements(n, 5)))
         cols = {inp: dict(col) for inp, col in op.cols.items()}
         if kind == "own_mirror":
             i, k = draw(st.integers(1, n)), draw(st.integers(1, n))
@@ -369,7 +360,7 @@ def _stored(x):
     return x.terms if isinstance(x, WedgeElement) else x.entries
 
 
-@pytest.mark.parametrize("elements", [matrices(3), wedge_elements()],
+@pytest.mark.parametrize("elements", [matrices(3), wedge_elements(3, 5)],
                          ids=["MatrixN", "WedgeElement"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
