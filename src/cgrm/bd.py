@@ -7,7 +7,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .linalg import ONE, add_scaled, rref, solve_affine
+from .linalg import add_scaled, rref, solve_affine
 from .tensorops import WedgeElement
 
 
@@ -220,7 +220,7 @@ def solve_beta_variety(t: BDTriple):
     if pivots and pivots[-1] >= n:
         return None
     pivot_set = set(pivots)
-    null = [{f: ONE, **{p: -row[f] for row, p in zip(reduced, pivots) if f in row}}
+    null = [{f: 1, **{p: -row[f] for row, p in zip(reduced, pivots) if f in row}}
             for f in range(n) if f not in pivot_set]
     part = [{p: row[n + d] for row, p in zip(reduced, pivots) if n + d in row}
             for d in range(n)]

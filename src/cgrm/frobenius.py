@@ -9,7 +9,9 @@ from itertools import count
 from types import MappingProxyType
 
 from .bd import bd_r_matrix
+from .cyb import _integral
 from .linalg import add_scaled, expand_in_rref, invert, rank, rref
+from .scalars import common_denominator, scaled_to_int
 from .tensorops import MatrixN, SparseOp, kron_sum2, wedge_to_op
 
 ZERO = Fraction(0)
@@ -209,16 +211,23 @@ def cocycle_check(fd: FrobeniusData) -> bool:
     w_ab(c) is added, negated when a < c < b, to the sum of its triple, and all
     other sums are zero.  A span that is not bracket closed fails, as in
     frobenius_functional_check.
+
+    The sums run on integer numerators: the form rows are scaled by the lcm of
+    their denominators and the structure constants by theirs, and a positive
+    scale leaves every zero test unchanged.
     """
     if not fd.invertible or not fd.skew:
         return False
     if not fd.subalgebra.bracket_closed:
         return False
-    form_rows = fd.form_rows
+    df = common_denominator(v for row in fd.form_rows for v in row.values())
+    form_rows = [scaled_to_int(row, df) for row in fd.form_rows]
+    consts = structure_constants(fd.subalgebra)
+    dc = common_denominator(c for coeffs in consts.values() for c in coeffs.values())
     totals = {}
-    for (a, b), coeffs in structure_constants(fd.subalgebra).items():
+    for (a, b), coeffs in consts.items():
         w = {}
-        for s, c in coeffs.items():
+        for s, c in scaled_to_int(coeffs, dc).items():
             add_scaled(w, c, form_rows[s])
         for l, v in w.items():
             if l == a or l == b:
@@ -229,7 +238,7 @@ def cocycle_check(fd: FrobeniusData) -> bool:
                 key, v = (a, l, b), -v
             else:
                 key = (a, b, l)
-            totals[key] = totals.get(key, ZERO) + v
+            totals[key] = totals.get(key, 0) + v
     return not any(totals.values())
 
 
@@ -300,17 +309,25 @@ def nilpotent_exp_action(x: MatrixN, s, r: SparseOp) -> SparseOp:
     With Y = X (x) 1 + 1 (x) X, exp(sX) (x) exp(sX) = exp(sY), and conjugating
     by it is exp(s ad Y) r = sum_k s^k/k! (ad Y)^k r.  ad Y is nilpotent with X,
     so the series ends at its first zero term; each term is one bracket.
+
+    The brackets run on integer numerators: with dx and dr the lcms of the
+    denominators of X and r, (ad dx Y)^k (dr r) has int entries, and term k adds
+    it with the one Fraction coefficient s^k / (k! dx^k dr).
     """
     if not x.is_nilpotent():
         raise ValueError("matrix is not nilpotent")
-    y = kron_sum2(x)
+    dx = common_denominator(x.entries.values())
+    y = kron_sum2(MatrixN(x.n, scaled_to_int(x.entries, dx)))
+    dr, term = _integral(r)
     s = Fraction(s)
-    total = term = r
+    coeff = Fraction(1, dr)
+    total = r
     for k in count(1):
-        term = s / k * y.bracket(term)
+        term = y.bracket(term)
         if term.is_zero():
             return total
-        total = total + term
+        coeff *= s / (k * dx)
+        total = total + coeff * term
 
 
 def jordanian_x(n: int) -> MatrixN:

@@ -9,14 +9,18 @@ the dense matrix with its columns sorted the same way.
 add_scaled owns that rule: the rows here, and the sums of matrices, operator
 columns, wedge elements and polynomial-operator images elsewhere, all merge
 through it.
+
+Values are ints where they are integral and Fractions otherwise.  rref
+eliminates on integer numerators and divides each row by its pivot value once,
+at the end, so an integral basis, and every span query and solve against it,
+stays on ints.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-
-ONE = Fraction(1)
+from math import gcd, lcm
 
 
 def add_scaled(target, c, row):
@@ -44,30 +48,65 @@ def add_scaled(target, c, row):
     return target
 
 
+def _primitive(row, p):
+    """A nonempty int row divided by the gcd of its entries, signed so that its
+    entry at p is positive."""
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {col: v // g for col, v in row.items()}
+
+
+def _divided(row, d):
+    """row / d, entry by entry: an int where d divides it, a Fraction otherwise."""
+    if d == 1:
+        return row
+    return {col: Fraction(v, d) if v % d else v // d for col, v in row.items()}
+
+
 def rref(rows):
     """Reduced row echelon form of a list of sparse rows (inputs are not modified).
 
     Returns (reduced_rows, pivot_columns) ordered by pivot; zero rows are dropped.
     Each row is reduced against the pivots found so far, and a new pivot is then
     cleared from the earlier rows, so the rows stay fully reduced throughout.
+
+    The elimination runs on integer numerators.  Each input row is scaled by the
+    lcm of its denominators, and every row is kept primitive, with the gcd of its
+    entries divided out and a positive entry, its pivot value, at its pivot.  To
+    clear an entry a at a pivot of value d, a row is multiplied by d / gcd(a, d)
+    (by the lcm of these over the pivots it meets) before the pivot row's
+    multiple is subtracted.  Each row is divided by its pivot value once, at the
+    end, so an entry is an int where it is integral and a Fraction otherwise.
     """
     basis = {}
     for row in rows:
-        row = {col: v for col, v in row.items() if v}
-        for p in [col for col in row if col in basis]:
-            add_scaled(row, -row[p], basis[p])
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {col: v.numerator * (den // v.denominator) for col, v in row.items() if v}
+        hits = [(p, basis[p]) for p in row if p in basis]
+        if hits:
+            scale = lcm(*(prow[p] // gcd(row[p], prow[p]) for p, prow in hits))
+            if scale != 1:
+                row = {col: v * scale for col, v in row.items()}
+            for p, prow in hits:
+                add_scaled(row, -row[p] // prow[p], prow)
         if not row:
             continue
         p = min(row)
-        inv = ONE / row[p]
-        row = {col: v * inv for col, v in row.items()}
-        for other in basis.values():
-            f = other.get(p)
-            if f:
-                add_scaled(other, -f, row)
+        row = _primitive(row, p)
+        d = row[p]
+        for q, other in basis.items():
+            a = other.get(p)
+            if a:
+                g = gcd(a, d)
+                if d != g:
+                    other = {col: v * (d // g) for col, v in other.items()}
+                basis[q] = _primitive(add_scaled(other, -a // g, row), q)
         basis[p] = row
     pivots = sorted(basis)
-    return [basis[p] for p in pivots], pivots
+    return [_divided(basis[p], basis[p][p]) for p in pivots], pivots
 
 
 def rank(rows) -> int:
@@ -108,7 +147,7 @@ def solve_affine(a_rows, b_col, ncols):
     null_basis = []
     for f in range(ncols):
         if f not in pivot_set:
-            v = {f: ONE}
+            v = {f: 1}
             for row, p in zip(reduced, pivots):
                 if f in row:
                     v[p] = -row[f]
@@ -120,7 +159,7 @@ def invert(a_rows):
     """Exact inverse of a square matrix given as sparse rows over the columns
     0..n-1, as sparse rows, or None when singular."""
     n = len(a_rows)
-    reduced, pivots = rref([{**row, n + i: ONE} for i, row in enumerate(a_rows)])
+    reduced, pivots = rref([{**row, n + i: 1} for i, row in enumerate(a_rows)])
     if pivots != list(range(n)):
         return None
     return [{j - n: v for j, v in row.items() if j >= n} for row in reduced]

@@ -50,7 +50,7 @@ def _add_product(out, left, right, negate=False):
             a = -a
         for (l, b) in row:
             key = (i, l)
-            out[key] = out.get(key, ZERO) + a * b
+            out[key] = out.get(key, 0) + a * b
 
 
 def add_column_product(out, left, col, negate=False):
@@ -399,9 +399,9 @@ def kron_sum2(x: MatrixN) -> SparseOp:
     for (i, k), v in x.entries.items():
         for l in range(1, n + 1):
             first = cols.setdefault((k, l), {})
-            first[(i, l)] = first.get((i, l), ZERO) + v
+            first[(i, l)] = first.get((i, l), 0) + v
             second = cols.setdefault((l, k), {})
-            second[(l, i)] = second.get((l, i), ZERO) + v
+            second[(l, i)] = second.get((l, i), 0) + v
     return SparseOp(n, cols)
 
 

@@ -161,8 +161,9 @@ def strict_pair_count(m: int, n: int) -> int:
 
 
 def oracle_rref(rows, ncols):
-    """Textbook dense Gauss-Jordan elimination; returns (nonzero reduced rows, pivots)."""
-    rows = [list(r) for r in rows]
+    """Textbook dense Gauss-Jordan elimination over Fractions (int entries are
+    converted first); returns (nonzero reduced rows, pivots)."""
+    rows = [[Fraction(v) for v in r] for r in rows]
     pivots = []
     top = 0
     for col in range(ncols):

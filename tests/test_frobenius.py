@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgrm import bd, closed_form, cyb, dunkl, frobenius
@@ -483,6 +483,11 @@ def exp_action_inputs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(exp_action_inputs())
+# X has denominators 2 and 3 (lcm 6), r has 5, 7 and 9 (lcm 315), and s is 3/4:
+# each term's one Fraction coefficient s^k / (k! 6^k 315) needs both scales.
+@example((MatrixN(3, {(1, 2): Fraction(1, 2), (2, 3): Fraction(2, 3)}), Fraction(3, 4),
+          SparseOp(3, {(1, 1): {(2, 3): Fraction(3, 5)}, (3, 2): {(1, 1): Fraction(-1, 7)},
+                       (2, 2): {(1, 3): Fraction(4, 9)}})))
 def test_exp_action_matches_kron_conjugation(inputs):
     x, s, r = inputs
     assert frobenius.nilpotent_exp_action(x, s, r) == conjugated_by_kron(x, s, r)

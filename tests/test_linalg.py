@@ -17,9 +17,21 @@ from conftest import oracle_rref, with_dense_form
 
 ZERO = Fraction(0)
 
-# Half of the drawn entries are zero, so singular and rank-deficient inputs are common.
-entries = st.one_of(st.just(ZERO),
-                    st.fractions(min_value=-5, max_value=5, max_denominator=4))
+# Half of the drawn entries are zero, as an int or as a Fraction, so singular and
+# rank-deficient inputs are common.  The others mix small Fractions with ints and
+# Fractions of numerators up to 10^4 and denominators up to 97, which have common
+# factors and negative leading entries for rref's content and pivot-sign steps.
+entries = st.one_of(st.just(0), st.just(ZERO),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                    st.one_of(st.integers(-10**4, 10**4),
+                              st.builds(Fraction, st.integers(-10**4, 10**4),
+                                        st.integers(1, 97))))
+
+
+def int_where_integral(rows):
+    """Each entry is an int exactly when its denominator is 1, and a Fraction otherwise."""
+    return all(type(v) is (int if v.denominator == 1 else Fraction)
+               for row in rows for v in row.values())
 
 
 def matrices(min_rows=0, max_rows=6, min_cols=1, max_cols=6):
@@ -81,6 +93,7 @@ def test_rref_and_rank_match_oracle(a):
     assert pivots == expected_pivots
     assert [dense(r, ncols) for r in reduced] == expected_rows
     assert all(v != 0 for r in reduced for v in r.values())
+    assert int_where_integral(reduced)
     assert rank([sparse(r) for r in a]) == len(expected_pivots)
 
 
@@ -140,6 +153,7 @@ def test_invert_matches_oracle(a):
         assert inverse is None
         return
     assert inverse == [sparse(r[n:]) for r in reduced]
+    assert int_where_integral(inverse)
     inverse = [dense(row, n) for row in inverse]
     product = [[sum((a[i][k] * inverse[k][j] for k in range(n)), ZERO) for j in range(n)]
                for i in range(n)]
@@ -151,6 +165,18 @@ def test_rref_leaves_inputs_alone():
     before = copy.deepcopy(rows)
     assert rref(rows) == ([{0: 1, 1: 2}], [0])
     assert rows == before
+
+
+def test_rref_divides_out_content_and_pivot_sign():
+    """A negative leading entry, a common factor and a Fraction in one row: the
+    reduced rows hold ints where integral and Fractions otherwise."""
+    reduced, pivots = rref([{0: -4, 1: 6, 2: Fraction(2, 3)}, {1: 10, 2: -15}])
+    assert pivots == [0, 1]
+    assert reduced == [{0: 1, 2: Fraction(-29, 12)}, {1: 1, 2: Fraction(-3, 2)}]
+    assert int_where_integral(reduced)
+    reduced, _ = rref([{0: Fraction(-6, 5), 1: Fraction(12, 5)}, {1: 7, 2: -14}])
+    assert reduced == [{0: 1, 2: -4}, {1: 1, 2: -2}]
+    assert int_where_integral(reduced)
 
 
 def _direct_structure_constants(f):
@@ -326,15 +352,26 @@ def _cocycle_bruteforce(fd):
 
 
 PARABOLIC_1_3 = frobenius.parabolic(1, 3)
+
+
+def _conjugated_parabolic():
+    """parabolic(1, 3) conjugated by g = 1 + e_21 / 2: a closed span whose reduced
+    basis and structure constants have the non-integral entries +-1/2."""
+    one = {(1, 1): 1, (2, 2): 1, (3, 3): 1}
+    g = MatrixN(3, {**one, (2, 1): Fraction(1, 2)})
+    g_inv = MatrixN(3, {**one, (2, 1): Fraction(-1, 2)})
+    mats = [g @ x @ g_inv for x in PARABOLIC_1_3.basis]
+    return frobenius.LieSubalgebra.from_rows(3, [m.entries for m in mats])
+
+
+CONJUGATED_PARABOLIC = _conjugated_parabolic()
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+etas = st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), small, max_size=4)
+perturbation_lists = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), small), max_size=3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), small, max_size=4),
-       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), small), max_size=3))
-def test_cocycle_check_matches_bruteforce(eta, perturbations):
+def _assert_cocycle_check_matches_bruteforce(f, eta, perturbations):
     """Coboundaries eta([x, y]) are cocycles; skew perturbations of them mostly are not."""
-    f = PARABOLIC_1_3
     form = [[frobenius.eval_functional(eta, x.bracket(y)) for y in f.basis] for x in f.basis]
     for i, j, v in perturbations:
         if i != j:
@@ -344,6 +381,25 @@ def test_cocycle_check_matches_bruteforce(eta, perturbations):
     assert frobenius.cocycle_check(fd) == _cocycle_bruteforce(fd)
     if not perturbations:
         assert frobenius.cocycle_check(fd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(etas, perturbation_lists)
+def test_cocycle_check_matches_bruteforce(eta, perturbations):
+    _assert_cocycle_check_matches_bruteforce(PARABOLIC_1_3, eta, perturbations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(etas, perturbation_lists)
+def test_cocycle_check_matches_bruteforce_on_non_integral_constants(eta, perturbations):
+    """The check scales the structure constants to ints by their lcm: here it is
+    2, where parabolic(1, 3)'s basis and constants are integral."""
+    f = CONJUGATED_PARABOLIC
+    assert f.bracket_closed and f.dimension == 6
+    assert any(v.denominator == 2 for x in f.basis for v in x.entries.values())
+    consts = frobenius.structure_constants(f)
+    assert any(c.denominator == 2 for coeffs in consts.values() for c in coeffs.values())
+    _assert_cocycle_check_matches_bruteforce(f, eta, perturbations)
 
 
 def test_cocycle_check_of_boundary_form_matches_bruteforce():
