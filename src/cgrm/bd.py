@@ -7,7 +7,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .linalg import add_scaled, rref, solve_affine
+from .linalg import add_scaled, null_vectors, rref, solve_affine
 from .tensorops import WedgeElement
 
 
@@ -219,9 +219,7 @@ def solve_beta_variety(t: BDTriple):
                             for f, v in _beta_columns(t)])
     if pivots and pivots[-1] >= n:
         return None
-    pivot_set = set(pivots)
-    null = [{f: 1, **{p: -row[f] for row, p in zip(reduced, pivots) if f in row}}
-            for f in range(n) if f not in pivot_set]
+    null = null_vectors(reduced, pivots, n)
     part = [{p: row[n + d] for row, p in zip(reduced, pivots) if n + d in row}
             for d in range(n)]
     r = len(null)

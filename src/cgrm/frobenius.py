@@ -243,8 +243,9 @@ def cocycle_check(fd: FrobeniusData) -> bool:
 
 
 def eval_functional(eta, mat: MatrixN):
-    """Apply a functional given by elementary-dual coefficients {(a, b): c}."""
-    return sum((c * mat.entries.get(pos, ZERO) for pos, c in eta.items()), ZERO)
+    """Apply a functional given by elementary-dual coefficients {(a, b): c}:
+    the sum of c * mat[a, b] over the positions that both mat and eta hold."""
+    return sum(eta[pos] * v for pos, v in mat.entries.items() if pos in eta)
 
 
 def frobenius_functional_check(fd: FrobeniusData, eta) -> bool:
@@ -257,9 +258,8 @@ def frobenius_functional_check(fd: FrobeniusData, eta) -> bool:
     the closure check, so a span that is not bracket closed fails.  Those are
     all the nonzero brackets, so the Gram matrix G of eta([., .]) is built on
     its nonzeros, G_ij for i < j and G_ji = -G_ij, and its diagonal is zero.
-    The form equals G when the two have equally many nonzero entries and each
-    nonzero entry of the form equals G's entry at the same position.  It is
-    then nondegenerate when its sparse rows have full rank.
+    The form equals G when the two zero-free maps {(i, j): value} are equal.
+    It is then nondegenerate when its sparse rows have full rank.
     """
     f = fd.subalgebra
     if not fd.invertible or not f.bracket_closed:
@@ -267,13 +267,12 @@ def frobenius_functional_check(fd: FrobeniusData, eta) -> bool:
     values = [eval_functional(eta, x) for x in f.basis]
     gram = {}
     for (i, j), coeffs in structure_constants(f).items():
-        value = sum((c * values[s] for s, c in coeffs.items() if values[s]), ZERO)
+        value = sum(c * values[s] for s, c in coeffs.items() if values[s])
         if value:
             gram[(i, j)], gram[(j, i)] = value, -value
     rows = fd.form_rows
-    return (sum(map(len, rows)) == len(gram)
-            and all(v == gram.get((i, j)) for i, row in enumerate(rows) for j, v in row.items())
-            and rank(rows) == len(rows))
+    form_entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+    return form_entries == gram and rank(rows) == len(rows)
 
 
 def cg_boundary_functional(n: int, u, t):

@@ -143,16 +143,15 @@ def solve_affine(a_rows, b_col, ncols):
     if pivots and pivots[-1] == ncols:
         return None
     particular = {p: row[ncols] for row, p in zip(reduced, pivots) if ncols in row}
+    return particular, null_vectors(reduced, pivots, ncols)
+
+
+def null_vectors(reduced, pivots, ncols):
+    """The null space basis of an RREF system over the columns 0..ncols-1: for
+    each free column f, 1 at f and -row[f] at the pivot of each row holding f."""
     pivot_set = set(pivots)
-    null_basis = []
-    for f in range(ncols):
-        if f not in pivot_set:
-            v = {f: 1}
-            for row, p in zip(reduced, pivots):
-                if f in row:
-                    v[p] = -row[f]
-            null_basis.append(v)
-    return particular, null_basis
+    return [{f: 1, **{p: -row[f] for row, p in zip(reduced, pivots) if f in row}}
+            for f in range(ncols) if f not in pivot_set]
 
 
 def invert(a_rows):

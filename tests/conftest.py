@@ -6,9 +6,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from cgrm import cyb
+from cgrm import cyb, dunkl
 from cgrm.bd import all_pos_roots, cg_triple, orbit
-from cgrm.frobenius import LieSubalgebra, _first_leg_slices
+from cgrm.frobenius import (LieSubalgebra, _first_leg_slices, carrier,
+                            cg_boundary_functional, r_check)
 from cgrm.linalg import add_scaled, solve_affine
 from cgrm.polyops import PolyOp, _Images, _poly_cyb_residual
 from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, _flat
@@ -153,6 +154,13 @@ def sparse_rows(dense):
 def with_dense_form(fd, form):
     """fd with its form replaced by a dense k x k form (or None)."""
     return replace(fd, form_rows=sparse_rows(form))
+
+
+def boundary_frobenius(n, u, t):
+    """The Frobenius data of the boundary solution b_cg(n, u, t) on its carrier,
+    with the functional the contraction induces."""
+    b = dunkl.b_cg(n, u, t)
+    return r_check(b, carrier(b)), cg_boundary_functional(n, u, t)
 
 
 def strict_pair_count(m: int, n: int) -> int:

@@ -2,7 +2,8 @@
 module-level function and class, and every method, property and classmethod
 of a class other than a dunder, has a caller in src/ or bench/, except the
 paper's displayed-formula oracles, which only tests reach, and the hooks that
-the standard library calls.  Test-only helpers live in tests/conftest.py."""
+the standard library calls.  The definitions that only bench/ reaches are a
+declared set too.  Test-only helpers live in tests/conftest.py."""
 
 import ast
 import pathlib
@@ -20,6 +21,12 @@ PAPER_ORACLES = {
 
 # argparse calls ArgumentParser.error itself when a command line does not parse.
 LIBRARY_HOOKS = {"cli._Parser.error"}
+
+# Reached only from bench/: nothing in src/cgrm calls them.
+BENCH_BOUND = {
+    "closed_form.cg_m1_display", "dunkl.lemma_cyb4",
+    "frobenius.FrobeniusData.form", "frobenius.FrobeniusData.r_check_inverse",
+}
 
 
 def _references(tree):
@@ -42,10 +49,24 @@ def _definitions(stem, tree):
                     yield "%s.%s.%s" % (stem, node.name, item.name), item
 
 
-def test_definitions_without_a_caller_are_the_paper_oracles():
+def _callers():
+    """(qualified name, references from src/cgrm, references from bench/) for
+    each definition in src/cgrm, not counting those in its own body."""
     modules = sorted((ROOT / "src" / "cgrm").glob("*.py"))
-    trees = {p: ast.parse(p.read_text()) for p in modules + sorted((ROOT / "bench").glob("*.py"))}
-    total = sum((_references(tree) for tree in trees.values()), Counter())
-    uncalled = {name for p in modules for name, node in _definitions(p.stem, trees[p])
-                if total[node.name] == _references(node)[node.name]}
+    trees = {p: ast.parse(p.read_text()) for p in modules}
+    src = sum((_references(tree) for tree in trees.values()), Counter())
+    bench = sum((_references(ast.parse(p.read_text()))
+                 for p in sorted((ROOT / "bench").glob("*.py"))), Counter())
+    for p in modules:
+        for name, node in _definitions(p.stem, trees[p]):
+            yield name, src[node.name] - _references(node)[node.name], bench[node.name]
+
+
+def test_definitions_without_a_caller_are_the_paper_oracles():
+    uncalled = {name for name, src, bench in _callers() if not src + bench}
     assert uncalled == PAPER_ORACLES | LIBRARY_HOOKS
+
+
+def test_definitions_reached_only_from_bench_are_declared():
+    bench_bound = {name for name, src, bench in _callers() if not src and bench}
+    assert bench_bound == BENCH_BOUND

@@ -12,8 +12,9 @@ from cgrm import bd, closed_form, cyb, dunkl, frobenius
 from cgrm.linalg import invert
 from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, kron_sum2, wedge_to_op
 
-from conftest import (apply_r_check, dual_functional, exp_nilpotent, identity, identity_op,
-                      kron, oracle_rref, scalars, sparse_rows, with_dense_form)
+from conftest import (apply_r_check, boundary_frobenius, dual_functional, exp_nilpotent,
+                      identity, identity_op, kron, oracle_rref, scalars, sparse_rows,
+                      with_dense_form)
 
 
 def test_parabolic_dimensions():
@@ -69,7 +70,7 @@ def test_r_check_structure():
 def test_checks_fail_without_a_form_or_a_skew_form():
     """A singular contraction (no form rows) fails both checks, and so does a form
     with one entry changed for the cocycle check, since it is no longer skew."""
-    fd, eta = _boundary_frobenius(5)
+    fd, eta = boundary_frobenius(5, Fraction(2), Fraction(3))
     assert frobenius.cocycle_check(fd) and frobenius.frobenius_functional_check(fd, eta)
     singular = replace(fd, form_rows=None)
     assert frobenius.cocycle_check(singular) is False
@@ -99,7 +100,7 @@ def test_form_rows_follow_the_form():
     """form and r_check_inverse are dense views of form_rows, built anew on each
     access; the data is frozen, so assigning raises FrozenInstanceError and a
     changed form is a new instance with its own rows."""
-    fd, _ = _boundary_frobenius(5)
+    fd, _ = boundary_frobenius(5, Fraction(2), Fraction(3))
     dense, inverse = fd.form, fd.r_check_inverse
     assert fd.form_rows == [{j: v for j, v in enumerate(row) if v} for row in dense]
     assert inverse == [list(col) for col in zip(*dense)]
@@ -310,7 +311,7 @@ def test_inverse_contraction_table_all_cases(n, u, t):
             if eta is None:
                 continue
             for s, mat in enumerate(car.basis):
-                out[s] += coeff * frobenius.eval_functional(eta, mat)
+                out[s] += coeff * dense_eval(eta, mat)
         return out
 
     for (j, l) in offdiag:
@@ -371,13 +372,45 @@ def test_displayed_functional_regression():
     assert not frobenius.frobenius_functional_check(fd, displayed)
 
 
+def dense_eval(eta, mat):
+    """eta(mat) summed over all n^2 positions: the oracle for eval_functional,
+    which reads only the positions both hold."""
+    n = mat.n
+    return sum((eta.get((a, b), 0) * mat.entries.get((a, b), 0)
+                for a in range(1, n + 1) for b in range(1, n + 1)), Fraction(0))
+
+
+@st.composite
+def overlapping_functionals(draw):
+    """(eta, mat) on gl_n whose supports share zero or more positions and
+    each hold positions of their own."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    positions = st.tuples(st.integers(1, n), st.integers(1, n))
+    shared = draw(st.lists(positions, max_size=5, unique=True))
+    eta = {pos: draw(scalars) for pos in shared}
+    entries = {pos: draw(scalars) for pos in shared}
+    eta.update(draw(st.dictionaries(positions, scalars, max_size=4)))
+    entries.update(draw(st.dictionaries(positions, scalars, max_size=4)))
+    return eta, MatrixN(n, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlapping_functionals())
+@example(({(1, 1): Fraction(1, 2), (1, 2): Fraction(3), (2, 1): Fraction(-5, 7)},
+          MatrixN(2, {(1, 2): Fraction(2), (2, 1): Fraction(7), (2, 2): Fraction(1)})))
+def test_eval_functional_matches_dense_sum(inputs):
+    eta, mat = inputs
+    assert frobenius.eval_functional(eta, mat) == dense_eval(eta, mat)
+
+
 def dense_functional_check(fd, eta):
     """eta([x_i, x_j]) against the form over every basis pair i <= j, then the
-    form's inverse for nondegeneracy: the oracle for the check on G's nonzeros."""
+    form's inverse for nondegeneracy: the oracle for the check on G's nonzeros.
+    eta is read at every position of each basis matrix (dense_eval)."""
     f = fd.subalgebra
     if not fd.invertible or not f.bracket_closed:
         return False
-    values = [frobenius.eval_functional(eta, x) for x in f.basis]
+    values = [dense_eval(eta, x) for x in f.basis]
     form = fd.form
     for i in range(len(values)):
         if form[i][i] != 0:
@@ -390,15 +423,10 @@ def dense_functional_check(fd, eta):
     return invert(sparse_rows(form)) is not None
 
 
-def _boundary_frobenius(n, u=Fraction(2), t=Fraction(3)):
-    b = dunkl.b_cg(n, u, t)
-    return frobenius.r_check(b, frobenius.carrier(b)), frobenius.cg_boundary_functional(n, u, t)
-
-
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_functional_check_matches_dense_oracle(n):
     u, t = Fraction(2), Fraction(3)
-    fd, eta = _boundary_frobenius(n, u, t)
+    fd, eta = boundary_frobenius(n, u, t)
     doubled = {pos: 2 * v for pos, v in eta.items()}
     displayed = frobenius.cg_boundary_functional_displayed(n, u, t)
     for functional, holds in ((eta, True), (doubled, False), (displayed, False)):
@@ -420,7 +448,7 @@ def _mutations(form):
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_functional_check_rejects_single_entry_mutations(n):
-    fd, eta = _boundary_frobenius(n)
+    fd, eta = boundary_frobenius(n, Fraction(2), Fraction(3))
     dense = fd.form
     for name, (i, j), value in _mutations(dense):
         form = [list(row) for row in dense]
@@ -432,7 +460,7 @@ def test_functional_check_rejects_single_entry_mutations(n):
 
 def test_functional_check_fails_on_rank_alone(monkeypatch):
     """eta = 0 against a zero form: every entry matches G, and only the rank fails."""
-    fd, _ = _boundary_frobenius(5)
+    fd, _ = boundary_frobenius(5, Fraction(2), Fraction(3))
     k = len(fd.form)
     fd = with_dense_form(fd, [[Fraction(0)] * k for _ in range(k)])
     assert not frobenius.frobenius_functional_check(fd, {})
@@ -452,6 +480,15 @@ def test_boundary_chain_at_n_21():
     assert fd.invertible and fd.skew
     assert frobenius.cocycle_check(fd)
     assert frobenius.frobenius_functional_check(fd, frobenius.cg_boundary_functional(n, u, t))
+
+
+@pytest.mark.parametrize("u,t", [(Fraction(2), Fraction(3)), (Fraction(-7, 9), Fraction(5, 3))])
+def test_functional_check_at_the_cli_cap(u, t):
+    """At n = 31 the carrier has dimension 902, eta passes and 2 eta fails."""
+    fd, eta = boundary_frobenius(31, u, t)
+    assert fd.subalgebra.dimension == 902
+    assert frobenius.frobenius_functional_check(fd, eta)
+    assert not frobenius.frobenius_functional_check(fd, {pos: 2 * v for pos, v in eta.items()})
 
 
 def test_nilpotent_exp_action():

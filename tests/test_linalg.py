@@ -13,7 +13,7 @@ from cgrm import dunkl, frobenius
 from cgrm.linalg import add_scaled, expand_in_rref, invert, rank, rref, solve_affine
 from cgrm.tensorops import MatrixN, WedgeElement, wedge_to_op
 
-from conftest import oracle_rref, with_dense_form
+from conftest import boundary_frobenius, oracle_rref, with_dense_form
 
 ZERO = Fraction(0)
 
@@ -306,15 +306,8 @@ def test_subalgebra_is_frozen_and_closure_is_one_field():
             setattr(closed, name, None)
 
 
-def _boundary_frobenius_data():
-    n, u, t = 5, Fraction(2), Fraction(-1, 3)
-    b = dunkl.b_cg(n, u, t)
-    fd = frobenius.r_check(b, frobenius.carrier(b))
-    return fd, frobenius.cg_boundary_functional(n, u, t)
-
-
 def test_functional_check_rejects_nonzero_diagonal():
-    fd, eta = _boundary_frobenius_data()
+    fd, eta = boundary_frobenius(5, Fraction(2), Fraction(-1, 3))
     assert frobenius.frobenius_functional_check(fd, eta)
     form = fd.form
     form[2][2] = Fraction(1)
@@ -322,7 +315,7 @@ def test_functional_check_rejects_nonzero_diagonal():
 
 
 def test_functional_check_rejects_non_skew_form():
-    fd, eta = _boundary_frobenius_data()
+    fd, eta = boundary_frobenius(5, Fraction(2), Fraction(-1, 3))
     form = fd.form
     i, j = next((i, j) for i in range(len(form)) for j in range(i + 1, len(form))
                 if form[i][j] != 0)
@@ -403,7 +396,7 @@ def test_cocycle_check_matches_bruteforce_on_non_integral_constants(eta, perturb
 
 
 def test_cocycle_check_of_boundary_form_matches_bruteforce():
-    fd, _ = _boundary_frobenius_data()
+    fd, _ = boundary_frobenius(5, Fraction(2), Fraction(-1, 3))
     assert frobenius.cocycle_check(fd) and _cocycle_bruteforce(fd)
     form = fd.form
     form[0][1] += 1
