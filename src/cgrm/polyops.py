@@ -266,13 +266,20 @@ class _Images(dict):
     A pair enters together with its mirror (q, p), and skew stays True while
     every pair in the memo passes the mirror test of sigma op sigma = -op:
     image(q, p) is image(p, q) with each key swapped and each value negated.
-    It turns False at the first pair that fails and never turns back."""
+    It turns False at the first pair that fails and never turns back.
+
+    odd is read off the images in the same way for the exponent inversion
+    iota op iota = -op: image(-p, -q) is image(p, q) with each key and each
+    value negated.  A pair's inverse is not read when the pair enters but by
+    certify_odd, and `inverted` counts the memo's pairs it has tested."""
 
     def __init__(self, op):
         super().__init__()
         self.op = op
         self.d = op.denominator()
         self.skew = True
+        self.odd = True
+        self.inverted = 0
 
     def _image(self, pair):
         image = self.op._apply({pair: 1})
@@ -290,6 +297,18 @@ class _Images(dict):
         if self.skew and mirror != {(b, a): -v for (a, b), v in image.items()}:
             self.skew = False
         return image
+
+    def certify_odd(self):
+        """Run the inversion test on each pair that entered the memo since the
+        last call.  An inverse read here enters with its mirror, as any pair,
+        and is tested at the next call."""
+        pairs = list(self)[self.inverted:]
+        self.inverted = len(self)
+        for p, q in pairs:
+            if not self.odd:
+                return
+            if self[(-p, -q)] != {(-a, -b): -v for (a, b), v in self[(p, q)].items()}:
+                self.odd = False
 
 
 def _lift(images, legs, terms, out):
@@ -339,19 +358,33 @@ def check_poly_cyb(op: PolyOp, lam, monomials) -> bool:
     compute one residual per S3 orbit.  The permuted residual reads only the
     mirrors of the pairs the first one read, so an orbit is marked done only
     while every image in the memo has passed the mirror test; a non-skew op
-    has each monomial computed."""
+    has each monomial computed.
+
+    For an odd op each bracket is quadratic in op and Z only permutes the
+    variables, so the residual on -m is the residual on m with its exponents
+    negated, and reads only the inverses of the pairs it read.  When m's
+    residual is zero and its orbit is marked, the orbit of -m is marked with
+    it if it is listed and not done, after certify_odd has tested every pair
+    in the memo, the mirrors the permuted residuals read included.  So a list
+    with no inverted orbit, such as polynomial_monomials, reads no inverse."""
     for exps in monomials:
         if type(exps) is not tuple or len(exps) != 3 or any(type(e) is not int for e in exps):
             raise ValueError("the Yang-Baxter check acts on three-variable monomials, "
                              "got %r" % (exps,))
+    orbits = [tuple(sorted(exps)) for exps in monomials]
+    listed = set(orbits)
     images = _Images(op)
     done = set()
-    for exps in monomials:
-        orbit = tuple(sorted(exps))
+    for exps, orbit in zip(monomials, orbits):
         if orbit in done:
             continue
         if _poly_cyb_residual(images, lam, exps)[0]:
             return False
         if images.skew:
             done.add(orbit)
+            inverse = tuple(-e for e in reversed(orbit))
+            if inverse in listed and inverse not in done:
+                images.certify_odd()
+                if images.skew and images.odd:
+                    done.add(inverse)
     return True

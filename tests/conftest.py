@@ -156,6 +156,14 @@ def with_dense_form(fd, form):
     return replace(fd, form_rows=sparse_rows(form))
 
 
+def dense_eval(eta, mat):
+    """eta(mat) summed over all n^2 positions: the oracle for
+    frobenius.eval_functional, which reads only the positions both hold."""
+    n = mat.n
+    return sum((eta.get((a, b), 0) * mat.entries.get((a, b), 0)
+                for a in range(1, n + 1) for b in range(1, n + 1)), ZERO)
+
+
 def boundary_frobenius(n, u, t):
     """The Frobenius data of the boundary solution b_cg(n, u, t) on its carrier,
     with the functional the contraction induces."""

@@ -12,9 +12,9 @@ from cgrm import bd, closed_form, cyb, dunkl, frobenius
 from cgrm.linalg import invert
 from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, kron_sum2, wedge_to_op
 
-from conftest import (apply_r_check, boundary_frobenius, dual_functional, exp_nilpotent,
-                      identity, identity_op, kron, oracle_rref, scalars, sparse_rows,
-                      with_dense_form)
+from conftest import (apply_r_check, boundary_frobenius, dense_eval, dual_functional,
+                      exp_nilpotent, identity, identity_op, kron, oracle_rref, scalars,
+                      sparse_rows, with_dense_form)
 
 
 def test_parabolic_dimensions():
@@ -370,14 +370,6 @@ def test_displayed_functional_regression():
     fd = frobenius.r_check(b, frobenius.carrier(b))
     displayed = frobenius.cg_boundary_functional_displayed(n, u, t)
     assert not frobenius.frobenius_functional_check(fd, displayed)
-
-
-def dense_eval(eta, mat):
-    """eta(mat) summed over all n^2 positions: the oracle for eval_functional,
-    which reads only the positions both hold."""
-    n = mat.n
-    return sum((eta.get((a, b), 0) * mat.entries.get((a, b), 0)
-                for a in range(1, n + 1) for b in range(1, n + 1)), Fraction(0))
 
 
 @st.composite

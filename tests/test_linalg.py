@@ -13,7 +13,7 @@ from cgrm import dunkl, frobenius
 from cgrm.linalg import add_scaled, expand_in_rref, invert, rank, rref, solve_affine
 from cgrm.tensorops import MatrixN, WedgeElement, wedge_to_op
 
-from conftest import boundary_frobenius, oracle_rref, with_dense_form
+from conftest import boundary_frobenius, dense_eval, oracle_rref, with_dense_form
 
 ZERO = Fraction(0)
 
@@ -365,7 +365,7 @@ perturbation_lists = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), sm
 
 def _assert_cocycle_check_matches_bruteforce(f, eta, perturbations):
     """Coboundaries eta([x, y]) are cocycles; skew perturbations of them mostly are not."""
-    form = [[frobenius.eval_functional(eta, x.bracket(y)) for y in f.basis] for x in f.basis]
+    form = [[dense_eval(eta, x.bracket(y)) for y in f.basis] for x in f.basis]
     for i, j, v in perturbations:
         if i != j:
             form[i][j] += v

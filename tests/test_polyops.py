@@ -488,12 +488,50 @@ def test_residual_of_a_skew_operator_alternates(op, lam):
             assert residuals[_permuted(perm, m)] == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.builds(dunkl.lemma_expression, small, small),
+                 st.builds(lambda c: c * dunkl.euler, small),
+                 st.builds(lambda c: c * (dunkl.skew_mono * dunkl.g3), small)),
+       st.sampled_from([0, 4, Fraction(-3, 7)]), cyb_exps)
+@example(dunkl.lemma_expression(1, Fraction(2, 5)), Fraction(-3, 7), (3, -1, 0))
+def test_residual_of_an_odd_operator_inverts(op, lam, m):
+    """For an odd op (iota op iota = -op, iota the exponent inversion), the
+    residual on -m is the residual on m with its exponents negated."""
+    images = _Images(op)
+    for pair in laurent_window(2, 3):
+        images[pair]
+    images.certify_odd()
+    assert images.odd
+    residual = poly_cyb_residual(op, lam, m)
+    want = {tuple(-e for e in k): v for k, v in residual.items()}
+    assert poly_cyb_residual(op, lam, tuple(-e for e in m)) == want
+
+
+def _with_inverses(monomials):
+    """The monomials, then the negations of those not among them."""
+    inverses = (tuple(-e for e in m) for m in monomials)
+    return monomials + [m for m in inverses if m not in monomials]
+
+
 def _closed_and_shuffled(windows):
     """S3-closed windows, and shuffled prefixes of them, which are not closed."""
     closed = st.sampled_from(windows)
     shuffled = closed.flatmap(st.permutations).flatmap(
         lambda w: st.integers(min_value=1, max_value=len(w)).map(lambda k: w[:k]))
     return st.one_of(closed, shuffled, st.lists(cyb_exps, min_size=1, max_size=8))
+
+
+class _MirroredPair(PolyOp):
+    """x y^2 -> x^2 y and x^2 y -> -x y^2, and every other monomial -> 0: skew,
+    but not odd."""
+
+    def _apply(self, terms):
+        out = {}
+        if (1, 2) in terms:
+            out[(2, 1)] = terms[(1, 2)]
+        if (2, 1) in terms:
+            out[(1, 2)] = -terms[(2, 1)]
+        return out
 
 
 solved_ops = st.one_of(
@@ -505,13 +543,21 @@ solved_ops = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(solved_ops, small, _closed_and_shuffled([laurent_window(3, 1), polynomial_monomials(3, 3)]))
+@given(solved_ops, small, _closed_and_shuffled([
+    laurent_window(3, 1), polynomial_monomials(3, 3), _with_inverses(polynomial_monomials(3, 2)),
+    _with_inverses([(-2, 1, 0), (1, 1, -1), (0, 2, -2), (1, -2, 2)])]))
 @example((dunkl.lemma_expression(1, Fraction(2, 5)), 4), Fraction(1),
          [(-2, -1, -2), (-2, -2, -1)])
 @example((dunkl.lemma_expression(1, Fraction(2, 5)), 4), Fraction(0), laurent_window(3, 1))
+@example((dunkl.lemma_expression(1, Fraction(2, 5)), 4), Fraction(1),
+         [(-2, -1, -2), (2, 2, 1)])
+@example((dunkl.lemma_expression(1, Fraction(2, 5)) + _MirroredPair(), 4), Fraction(0),
+         [(3, -1, -1), (-3, 1, 1)])
 def test_check_poly_cyb_matches_the_per_monomial_oracle(op_lam, c, monomials):
     """The orbit skip gives the verdict of computing every monomial, on skew
-    operators and on op + c x d/dx, which is not skew for c != 0."""
+    operators and on op + c x d/dx, which is not skew for c != 0, on odd
+    operators and on ones that are not (element_e), and on lists closed under
+    negation or not."""
     op, lam = op_lam
     if c:
         op = op + c * (Mono(1, 0) * Partial(0))
@@ -520,13 +566,14 @@ def test_check_poly_cyb_matches_the_per_monomial_oracle(op_lam, c, monomials):
 
 
 def test_non_skew_operators_are_checked_at_every_monomial():
-    """Each first monomial passes alone, and its permutation fails: a non-skew
-    operator, also one that is skew off the diagonal pairs (p, p) only, has no
-    orbit skipped."""
+    """Each first monomial passes alone, and its permutation, or that of its
+    inverse, fails: a non-skew operator, also one that is skew off the diagonal
+    pairs (p, p) only or odd (x d/dx), has no orbit skipped."""
     lemma = dunkl.lemma_expression(1, Fraction(2, 5))
     diagonal = IDENTITY - ExponentSign() * ExponentSign()
     for op, lam, monomials in (
             (lemma + Mono(1, 0) * Partial(0), 4, [(-2, -1, -2), (-2, -2, -1)]),
+            (lemma + Mono(1, 0) * Partial(0), 4, [(-2, -1, -2), (2, 2, 1)]),
             (ExponentSign() + Mono(1, -1), 0, [(-2, -1, 0), (0, -2, -1)]),
             (lemma + diagonal, 4, [(-2, -1, -2), (-2, -2, -1)])):
         assert check_poly_cyb(op, lam, monomials[:1])
@@ -551,6 +598,59 @@ def test_images_certify_skewness_pair_by_pair():
     assert not images.skew
     images[(0, -1)]
     assert not images.skew
+
+
+def test_images_certify_inversion_pair_by_pair():
+    """odd holds while every pair in the memo and its inverse pass iota op iota
+    = -op, the self-inverse pair (0, 0) included; an inverse is read only by
+    certify_odd, and odd never turns back on."""
+    lemma = dunkl.lemma_expression(1, Fraction(2, 5))
+    images = _Images(lemma)
+    for pair in laurent_window(2, 4):
+        images[pair]
+    images.certify_odd()
+    assert images.odd and len(images) == 81
+    images = _Images(lemma)
+    images[(1, 2)]
+    assert set(images) == {(1, 2), (2, 1)}
+    images.certify_odd()
+    assert images.odd and set(images) == {(1, 2), (2, 1), (-1, -2), (-2, -1)}
+    images = _Images(Mono(1, -1))
+    images[(1, 2)]
+    images.certify_odd()
+    assert not images.odd
+    # skew, and odd at every pair but (1, 2) and (2, 1)
+    images = _Images(lemma + _MirroredPair())
+    images[(0, 1)]
+    images[(0, 0)]
+    images.certify_odd()
+    assert images.odd and images.skew
+    images[(-1, -2)]
+    assert images.odd
+    images.certify_odd()
+    assert not images.odd and images.skew
+    images[(3, 0)]
+    images.certify_odd()
+    assert not images.odd
+
+
+def test_a_skew_operator_that_is_not_odd_has_its_inverted_orbits_checked():
+    """lemma + _MirroredPair is skew and solves CYB_4 at (3, -1, -1) but not at
+    (-3, 1, 1): the inverted orbit is not skipped."""
+    op = dunkl.lemma_expression(1, Fraction(2, 5)) + _MirroredPair()
+    assert poly_cyb_residual(op, 4, (3, -1, -1)) == {}
+    assert poly_cyb_residual(op, 4, (-3, 1, 1))
+    assert check_poly_cyb(op, 4, [(3, -1, -1)])
+    assert not check_poly_cyb(op, 4, [(3, -1, -1), (-3, 1, 1)])
+
+
+def test_lemma_on_the_window_of_bound_8():
+    """CYB_lambda of the lemma expression vanishes on [-8, 8]^3 at lambda = 4
+    and not at 4 + 1/1000, one residual per orbit of S3 x inversion."""
+    op = dunkl.lemma_expression(1, Fraction(2, 5))
+    window = laurent_window(3, 8)
+    assert check_poly_cyb(op, 4, window)
+    assert not check_poly_cyb(op, 4 + Fraction(1, 1000), window)
 
 
 @pytest.mark.parametrize("entry", [(0, 0), [0, 0, 0], (0, 0, 0, 0), (0, 0, Fraction(1, 2))],
