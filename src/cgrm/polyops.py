@@ -257,31 +257,27 @@ def window_matrix(op: PolyOp, n: int) -> SparseOp:
     return restrict_to_window(lambda p, q: op.apply({(p, q): ONE}), n)
 
 
+def _mirror(pair):
+    return pair[1], pair[0]
+
+
+def _inversion(pair):
+    return -pair[0], -pair[1]
+
+
 class _Images(dict):
     """Memo of the integer images (p, q) -> op._apply({(p, q): 1}), that is D
     times the image with D = op.denominator().  An operator whose _apply gives a
     value that is not an int has a denominator it does not declare, and raises
-    NonIntegralError.
-
-    A pair enters together with its mirror (q, p), and skew stays True while
-    every pair in the memo passes the mirror test of sigma op sigma = -op:
-    image(q, p) is image(p, q) with each key swapped and each value negated.
-    It turns False at the first pair that fails and never turns back.
-
-    odd is read off the images in the same way for the exponent inversion
-    iota op iota = -op: image(-p, -q) is image(p, q) with each key and each
-    value negated.  A pair's inverse is not read when the pair enters but by
-    certify_odd, and `inverted` counts the memo's pairs it has tested."""
+    NonIntegralError."""
 
     def __init__(self, op):
         super().__init__()
         self.op = op
         self.d = op.denominator()
-        self.skew = True
-        self.odd = True
-        self.inverted = 0
+        self.tested = {}
 
-    def _image(self, pair):
+    def __missing__(self, pair):
         image = self.op._apply({pair: 1})
         for v in image.values():
             if type(v) is not int:
@@ -290,25 +286,23 @@ class _Images(dict):
         self[pair] = image
         return image
 
-    def __missing__(self, pair):
-        image = self._image(pair)
-        p, q = pair
-        mirror = self._image((q, p)) if p != q else image
-        if self.skew and mirror != {(b, a): -v for (a, b), v in image.items()}:
-            self.skew = False
-        return image
-
-    def certify_odd(self):
-        """Run the inversion test on each pair that entered the memo since the
-        last call.  An inverse read here enters with its mirror, as any pair,
-        and is tested at the next call."""
-        pairs = list(self)[self.inverted:]
-        self.inverted = len(self)
-        for p, q in pairs:
-            if not self.odd:
-                return
-            if self[(-p, -q)] != {(-a, -b): -v for (a, b), v in self[(p, q)].items()}:
-                self.odd = False
+    def certify(self, sym):
+        """Whether sym op sym = -op on the memo, for an involution sym of the
+        exponent pairs (_mirror or _inversion): image(sym(pair)) must be
+        image(pair) with every key moved by sym and every value negated.  Each
+        call tests only the pairs that entered since the last call for sym; the
+        images it reads enter too and are tested at the next call.  After the
+        first pair that fails, the answer stays False."""
+        tested = self.tested.get(sym, 0)
+        if tested is None or tested == len(self):
+            return tested is not None
+        pairs = list(self)[tested:]
+        self.tested[sym] = len(self)
+        for pair in pairs:
+            if self[sym(pair)] != {sym(k): -v for k, v in self[pair].items()}:
+                self.tested[sym] = None
+                return False
+        return True
 
 
 def _lift(images, legs, terms, out):
@@ -351,40 +345,37 @@ def _poly_cyb_residual(images, lam, exps):
 
 
 def check_poly_cyb(op: PolyOp, lam, monomials) -> bool:
-    """CYB_lambda(op) = 0 on every listed three-variable monomial.
+    """CYB_lambda(op) = 0 on every listed three-variable monomial.  The
+    monomials are read once, so any iterable gives the verdict of its list.
 
-    For a skew op, CYB_lambda is alternating, so its residual on a permutation
-    of a monomial is the permuted residual up to sign, and it suffices to
-    compute one residual per S3 orbit.  The permuted residual reads only the
-    mirrors of the pairs the first one read, so an orbit is marked done only
-    while every image in the memo has passed the mirror test; a non-skew op
-    has each monomial computed.
-
-    For an odd op each bracket is quadratic in op and Z only permutes the
-    variables, so the residual on -m is the residual on m with its exponents
-    negated, and reads only the inverses of the pairs it read.  When m's
-    residual is zero and its orbit is marked, the orbit of -m is marked with
-    it if it is listed and not done, after certify_odd has tested every pair
-    in the memo, the mirrors the permuted residuals read included.  So a list
-    with no inverted orbit, such as polynomial_monomials, reads no inverse."""
+    A monomial is skipped where a symmetry certified on the memo maps it to an
+    S3 orbit already shown zero.  For a skew op (sigma op sigma = -op, sigma
+    the mirror), CYB_lambda is alternating, so the residual on a permutation
+    of a monomial is the permuted residual up to sign, and it reads only the
+    mirrors of the pairs the first one read: an orbit is done when its
+    residual is zero and the mirror is certified on the memo.  For an odd op
+    (iota op iota = -op, iota the exponent inversion), each bracket is
+    quadratic in op and Z only permutes the variables, so the residual on -m
+    is the residual on m with its exponents negated, and reads only the
+    inverses of the pairs that one read: an orbit whose inverse is done is
+    done when the inversion is certified on the memo.  So a list with no
+    inverted orbit, such as polynomial_monomials, reads no inverse."""
+    monomials = list(monomials)
     for exps in monomials:
         if type(exps) is not tuple or len(exps) != 3 or any(type(e) is not int for e in exps):
             raise ValueError("the Yang-Baxter check acts on three-variable monomials, "
                              "got %r" % (exps,))
-    orbits = [tuple(sorted(exps)) for exps in monomials]
-    listed = set(orbits)
     images = _Images(op)
     done = set()
-    for exps, orbit in zip(monomials, orbits):
+    for exps in monomials:
+        orbit = tuple(sorted(exps))
         if orbit in done:
+            continue
+        if tuple(-e for e in reversed(orbit)) in done and images.certify(_inversion):
+            done.add(orbit)
             continue
         if _poly_cyb_residual(images, lam, exps)[0]:
             return False
-        if images.skew:
+        if images.certify(_mirror):
             done.add(orbit)
-            inverse = tuple(-e for e in reversed(orbit))
-            if inverse in listed and inverse not in done:
-                images.certify_odd()
-                if images.skew and images.odd:
-                    done.add(inverse)
     return True

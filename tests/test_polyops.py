@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgrm import dunkl
+from cgrm import dunkl, polyops
 from cgrm.linalg import add_scaled
 from cgrm.polyops import (DivDiff, DivSum, ExactDivisionError,
                           ExponentSign, Mono, OpCompose, OpSum, Partial,
-                          PolyOp, Sigma, Xi, WindowStabilityError, _Images,
-                          check_poly_cyb, divide_linear, laurent_window, op_equal_on,
+                          PolyOp, Sigma, Xi, WindowStabilityError, _Images, _inversion,
+                          _mirror, check_poly_cyb, divide_linear, laurent_window, op_equal_on,
                           polynomial_monomials, restrict_to_window, window_matrix)
 from cgrm.scalars import NonIntegralError, scaled_to_int
 
@@ -500,8 +500,7 @@ def test_residual_of_an_odd_operator_inverts(op, lam, m):
     images = _Images(op)
     for pair in laurent_window(2, 3):
         images[pair]
-    images.certify_odd()
-    assert images.odd
+    assert images.certify(_inversion)
     residual = poly_cyb_residual(op, lam, m)
     want = {tuple(-e for e in k): v for k, v in residual.items()}
     assert poly_cyb_residual(op, lam, tuple(-e for e in m)) == want
@@ -581,57 +580,53 @@ def test_non_skew_operators_are_checked_at_every_monomial():
 
 
 def test_images_certify_skewness_pair_by_pair():
-    """skew holds while every pair read and its mirror pass sigma op sigma = -op,
-    the diagonal pairs (p, p) included, and never turns back on."""
+    """certify(_mirror) holds while every pair read and its mirror pass sigma op
+    sigma = -op, the diagonal pairs (p, p) included; a mirror is read only by
+    certify, and the answer never turns back to True."""
     images = _Images(dunkl.lemma_expression(1, Fraction(2, 5)))
     for pair in laurent_window(2, 4):
         images[pair]
-    assert images.skew
+    assert images.certify(_mirror) and len(images) == 81
     images = _Images(Mono(1, -1))
     images[(1, 2)]
-    assert not images.skew
+    assert not images.certify(_mirror)
     # the projection on the diagonal monomials x^p y^p vanishes off the diagonal
     images = _Images(IDENTITY - ExponentSign() * ExponentSign())
     images[(1, 2)]
-    assert images.skew and (2, 1) in images
+    assert set(images) == {(1, 2)}
+    assert images.certify(_mirror) and set(images) == {(1, 2), (2, 1)}
     images[(3, 3)]
-    assert not images.skew
+    assert not images.certify(_mirror)
     images[(0, -1)]
-    assert not images.skew
+    assert not images.certify(_mirror)
 
 
 def test_images_certify_inversion_pair_by_pair():
-    """odd holds while every pair in the memo and its inverse pass iota op iota
-    = -op, the self-inverse pair (0, 0) included; an inverse is read only by
-    certify_odd, and odd never turns back on."""
+    """certify(_inversion) holds while every pair in the memo and its inverse
+    pass iota op iota = -op, the self-inverse pair (0, 0) included; an inverse
+    is read only by certify, and the answer never turns back to True."""
     lemma = dunkl.lemma_expression(1, Fraction(2, 5))
     images = _Images(lemma)
     for pair in laurent_window(2, 4):
         images[pair]
-    images.certify_odd()
-    assert images.odd and len(images) == 81
+    assert images.certify(_inversion) and len(images) == 81
     images = _Images(lemma)
     images[(1, 2)]
-    assert set(images) == {(1, 2), (2, 1)}
-    images.certify_odd()
-    assert images.odd and set(images) == {(1, 2), (2, 1), (-1, -2), (-2, -1)}
+    assert set(images) == {(1, 2)}
+    assert images.certify(_inversion) and set(images) == {(1, 2), (-1, -2)}
     images = _Images(Mono(1, -1))
     images[(1, 2)]
-    images.certify_odd()
-    assert not images.odd
+    assert not images.certify(_inversion)
     # skew, and odd at every pair but (1, 2) and (2, 1)
     images = _Images(lemma + _MirroredPair())
     images[(0, 1)]
     images[(0, 0)]
-    images.certify_odd()
-    assert images.odd and images.skew
+    assert images.certify(_inversion) and images.certify(_mirror)
     images[(-1, -2)]
-    assert images.odd
-    images.certify_odd()
-    assert not images.odd and images.skew
+    assert (1, 2) not in images
+    assert not images.certify(_inversion) and images.certify(_mirror)
     images[(3, 0)]
-    images.certify_odd()
-    assert not images.odd
+    assert not images.certify(_inversion)
 
 
 def test_a_skew_operator_that_is_not_odd_has_its_inverted_orbits_checked():
@@ -644,6 +639,27 @@ def test_a_skew_operator_that_is_not_odd_has_its_inverted_orbits_checked():
     assert not check_poly_cyb(op, 4, [(3, -1, -1), (-3, 1, 1)])
 
 
+@pytest.mark.parametrize("monomials, residuals, images", [
+    (laurent_window(3, 5), 146, 165),
+    (laurent_window(3, 6), 231, 169),
+    (polynomial_monomials(3, 8), 41, 45),
+], ids=["window5", "window6", "polynomial8"])
+def test_check_poly_cyb_work(monkeypatch, monomials, residuals, images):
+    """The lemma's check computes one residual per orbit of S3 x inversion on a
+    window and one per S3 orbit on polynomial_monomials, where no inverse image
+    is read."""
+    residual = polyops._poly_cyb_residual
+    calls = []
+    made = []
+    monkeypatch.setattr(polyops, "_poly_cyb_residual",
+                        lambda *args: calls.append(args) or residual(*args))
+    monkeypatch.setattr(polyops, "_Images", lambda op: made.append(_Images(op)) or made[-1])
+    assert check_poly_cyb(dunkl.lemma_expression(1, Fraction(2, 5)), 4, monomials)
+    (memo,) = made
+    assert (len(calls), len(memo)) == (residuals, images)
+    assert any(min(pair) < 0 for pair in memo) == any(min(m) < 0 for m in monomials)
+
+
 def test_lemma_on_the_window_of_bound_8():
     """CYB_lambda of the lemma expression vanishes on [-8, 8]^3 at lambda = 4
     and not at 4 + 1/1000, one residual per orbit of S3 x inversion."""
@@ -651,6 +667,16 @@ def test_lemma_on_the_window_of_bound_8():
     window = laurent_window(3, 8)
     assert check_poly_cyb(op, 4, window)
     assert not check_poly_cyb(op, 4 + Fraction(1, 1000), window)
+
+
+@pytest.mark.parametrize("one_shot", [iter, lambda w: (m for m in w)], ids=["iter", "generator"])
+def test_check_poly_cyb_reads_a_one_shot_iterable_once(one_shot):
+    """A generator gives the verdict of its list: the check does not run on
+    what the validation left of it."""
+    op = dunkl.lemma_expression(1, Fraction(2, 5))
+    window = laurent_window(3, 2)
+    assert not check_poly_cyb(op, 5, one_shot(window))
+    assert check_poly_cyb(op, 4, one_shot(window))
 
 
 @pytest.mark.parametrize("entry", [(0, 0), [0, 0, 0], (0, 0, 0, 0), (0, 0, Fraction(1, 2))],
