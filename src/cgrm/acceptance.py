@@ -52,14 +52,24 @@ PAPER_STRINGS_12_31 = [
 ]
 
 
+def sbar_mismatch(pairs):
+    """The first (m, n, jp, lp, closed, bruteforce) at which the closed index
+    set differs from the partial-order brute force; None when none does."""
+    for m, n in pairs:
+        w = wheels.wheel(m, n)
+        for jp in range(1, n + 1):
+            for lp in range(1, n + 1):
+                closed = wheels.sbar_closed(w, jp, lp)
+                brute = wheels.sbar_bruteforce(m, n, jp, lp)
+                if closed != brute:
+                    return m, n, jp, lp, closed, brute
+    return None
+
+
 def criterion_2():
     """Closed-form index sets agree with the partial-order brute force."""
     pairs = coprime_pairs(20) + [(12, 31)]
-    ok = True
-    for m, n in pairs:
-        w = wheels.wheel(m, n)
-        ok = ok and all(wheels.sbar_closed(w, jp, lp) == wheels.sbar_bruteforce(m, n, jp, lp)
-                        for jp in range(1, n + 1) for lp in range(1, n + 1))
+    mismatch = sbar_mismatch(pairs)
     w = wheels.wheel(12, 31)
     frozen = (
         wheels.sbar_closed(w, 15, 22) == {16, 17, 19, 22}
@@ -68,8 +78,13 @@ def criterion_2():
         and w.minimal_elements == [1, 6, 11, 4, 9, 2, 7, 12, 5, 10, 3, 8]
         and w.seq == [31, 12, 5, 3, 1]
     )
+    detail = "%d coprime pairs, all positions" % len(pairs)
+    if mismatch is not None:
+        m, n, jp, lp, closed, brute = mismatch
+        detail += ("; first mismatch at (m, n, jp, lp) = (%d, %d, %d, %d): closed %s, "
+                   "bruteforce %s" % (m, n, jp, lp, sorted(closed), sorted(brute)))
     return CheckResult(2, "wheels oracle equivalence (n <= 20 and (12, 31))",
-                       ok and frozen, "%d coprime pairs, all positions" % len(pairs))
+                       mismatch is None and frozen, detail)
 
 
 def criterion_3():

@@ -112,29 +112,35 @@ def zeta_hat(t: BDTriple, r: PosRoot):
 
 
 def orbit(t: BDTriple, rho: PosRoot):
-    """Strict forward iterates zeta_hat(rho), zeta_hat^2(rho), ... as a tuple."""
-    cached = t._orbits.get(rho)
+    """Strict forward iterates zeta_hat(rho), zeta_hat^2(rho), ... as a tuple.
+
+    Memoized through the successor: orbit(rho) = (zeta_hat(rho),) +
+    orbit(zeta_hat(rho)).  The walk from rho stops at the first root whose
+    orbit is known, and fills in every root on its path, so zeta_hat runs
+    once per root of a triple.
+    """
+    orbits = t._orbits
+    cached = orbits.get(rho)
     if cached is not None:
         return cached
-    chain = []
-    cur = rho
+    path = [rho]
+    tail = ()
     limit = t.n * t.n + 1
     while True:
-        cur = zeta_hat(t, cur)
-        if cur is None:
+        nxt = zeta_hat(t, path[-1])
+        if nxt is None:
             break
-        chain.append(cur)
-        if len(chain) > limit:
+        known = orbits.get(nxt)
+        if known is not None:
+            tail = (nxt,) + known
+            break
+        path.append(nxt)
+        if len(path) > limit:
             raise RuntimeError("zeta iteration failed to terminate")
-    result = tuple(chain)
-    t._orbits[rho] = result
-    return result
-
-
-def precedes(t: BDTriple, rho: PosRoot, mu: PosRoot) -> bool:
-    """Whether some iterate of the extended zeta sends rho to mu, the zeroth
-    (mu = rho) included."""
-    return rho == mu or mu in orbit(t, rho)
+    for root in reversed(path):
+        orbits[root] = tail
+        tail = (root,) + tail
+    return orbits[rho]
 
 
 def all_pos_roots(n):

@@ -150,24 +150,35 @@ def sbar_closed(w: WheelData, jp: int, lp: int):
 
 def sbar_bruteforce(m: int, n: int, j1: int, j2: int):
     """Oracle: all s in 1..n with e_{j1,s} below-or-equal e_{j1+j2-s,j2} in the
-    partial order of the (m, n) triple.
+    partial order of the (m, n) triple, for a position 1 <= j1, j2 <= n.
 
     Candidates that do not name valid positive root vectors are excluded (the
     order is only defined on positive roots).
     """
-    t = _oracle_triple(m, n)
+    table = _oracle_table(m, n)
+    if not (1 <= j1 <= n and 1 <= j2 <= n):
+        raise ValueError("position (%d, %d) out of range 1..%d" % (j1, j2, n))
+    mask = table[(j1 - 1) * n + j2 - 1]
     out = set()
-    for s in range(1, n + 1):
-        a = j1 + j2 - s
-        if not (j1 < s and 1 <= a < j2):
-            continue
-        rho = bd.PosRoot(j1, s)
-        mu = bd.PosRoot(a, j2)
-        if bd.precedes(t, rho, mu):
-            out.add(s)
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
 @lru_cache(maxsize=None)
-def _oracle_triple(m, n):
-    return bd.cg_triple(m, n)
+def _oracle_table(m, n):
+    """Bit s of entry (j1 - 1) n + j2 - 1 is set when s lies in sbar_bruteforce(m, n, j1, j2).
+
+    One walk over the comparable pairs rho <= mu of the (m, n) triple, rho
+    itself included: rho = e_{j1,s} and mu = e_{a,j2} with a = j1 + j2 - s
+    put s at position (j1, j2).
+    """
+    t = bd.cg_triple(m, n)
+    table = [0] * (n * n)
+    for rho in bd.all_pos_roots(n):
+        for mu in (rho,) + bd.orbit(t, rho):
+            if mu.i + rho.j == rho.i + mu.j:
+                table[(rho.i - 1) * n + mu.j - 1] |= 1 << rho.j
+    return tuple(table)

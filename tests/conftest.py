@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from cgrm import cyb, dunkl
-from cgrm.bd import all_pos_roots, cg_triple, orbit
+from cgrm.bd import PosRoot, all_pos_roots, cg_triple, orbit
 from cgrm.frobenius import (LieSubalgebra, _first_leg_slices, carrier,
                             cg_boundary_functional, r_check)
 from cgrm.linalg import add_scaled, solve_affine
@@ -169,6 +169,26 @@ def boundary_frobenius(n, u, t):
     with the functional the contraction induces."""
     b = dunkl.b_cg(n, u, t)
     return r_check(b, carrier(b)), cg_boundary_functional(n, u, t)
+
+
+def precedes(t, rho, mu) -> bool:
+    """Whether some iterate of the extended zeta sends rho to mu, the zeroth
+    (mu = rho) included."""
+    return rho == mu or mu in orbit(t, rho)
+
+
+def sbar_by_precedes(t, j1: int, j2: int):
+    """The aligned index set at (j1, j2) by one precedes query per candidate s:
+    the oracle for wheels.sbar_bruteforce, which reads a table built in one
+    walk of the order."""
+    out = set()
+    for s in range(1, t.n + 1):
+        a = j1 + j2 - s
+        if not (j1 < s and 1 <= a < j2):
+            continue
+        if precedes(t, PosRoot(j1, s), PosRoot(a, j2)):
+            out.add(s)
+    return out
 
 
 def strict_pair_count(m: int, n: int) -> int:

@@ -9,7 +9,7 @@ from math import comb, prod
 
 import pytest
 
-from cgrm import acceptance, bd, closed_form, cyb, dunkl, frobenius
+from cgrm import acceptance, bd, closed_form, cyb, dunkl, frobenius, wheels
 from cgrm.linalg import rank
 from cgrm.polyops import Partial, check_poly_cyb, polynomial_monomials
 from cgrm.tensorops import SparseOp
@@ -49,6 +49,27 @@ def test_criterion_3_fails_on_a_changed_solution(monkeypatch, bend, lambdas):
     result = acceptance.criterion_3()
     assert not result.passed
     assert result.detail == "26 pairs, lambda values %s" % lambdas
+
+
+@pytest.mark.parametrize("where, witness", [
+    ((12, 31, 15, 22), "(12, 31, 15, 22): closed [16, 17, 19], bruteforce [16, 17, 19, 22]"),
+    (None, "(1, 2, 1, 2): closed [], bruteforce [2]"),
+], ids=["one position", "every position"])
+def test_criterion_2_names_the_first_mismatch(monkeypatch, where, witness):
+    """A closed form that drops its largest index, at one position of (12, 31)
+    or at every position, fails with that position and both sets."""
+    sbar_closed = wheels.sbar_closed
+
+    def dropped(w, jp, lp):
+        out = sbar_closed(w, jp, lp)
+        if out and where in (None, (w.m, w.n, jp, lp)):
+            out.discard(max(out))
+        return out
+    monkeypatch.setattr(wheels, "sbar_closed", dropped)
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert result.detail == ("128 coprime pairs, all positions; first mismatch at "
+                             "(m, n, jp, lp) = " + witness)
 
 
 @pytest.mark.parametrize("bent", ["target doubled", "no solution", "other solution"])

@@ -1,5 +1,7 @@
 """Triple data, the root partial order, and the alpha/beta/gamma construction."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -13,6 +15,8 @@ from cgrm.acceptance import coprime_pairs
 from cgrm.closed_form import phi_twist
 from cgrm.linalg import solve_affine
 from cgrm.tensorops import MatrixN, WedgeElement, wedge_of_matrices, wedge_to_op
+
+from conftest import precedes
 
 
 def test_cg_triple_small():
@@ -54,19 +58,60 @@ def test_pos_root_order_is_the_pair_order():
     assert [(r.i, r.j) for r in sorted(roots)] == sorted((r.i, r.j) for r in roots)
 
 
+def _iterated_zeta_hat(t, rho):
+    chain = []
+    cur = bd.zeta_hat(t, rho)
+    while cur is not None:
+        chain.append(cur)
+        cur = bd.zeta_hat(t, cur)
+    return tuple(chain)
+
+
 def test_orbit_and_precedes_match_iterated_zeta_hat():
     for (m, n) in coprime_pairs(9):
         t = bd.cg_triple(m, n)
         roots = bd.all_pos_roots(n)
         for rho in roots:
-            chain = []
-            cur = bd.zeta_hat(t, rho)
-            while cur is not None:
-                chain.append(cur)
-                cur = bd.zeta_hat(t, cur)
-            assert bd.orbit(t, rho) == tuple(chain), (m, n, rho)
+            chain = _iterated_zeta_hat(t, rho)
+            assert bd.orbit(t, rho) == chain, (m, n, rho)
             for mu in roots:
-                assert bd.precedes(t, rho, mu) == (mu == rho or mu in chain), (m, n, rho, mu)
+                assert precedes(t, rho, mu) == (mu == rho or mu in chain), (m, n, rho, mu)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_orbit_memo_runs_zeta_hat_once_per_root(monkeypatch, order):
+    """Queried in any order on a fresh triple, each orbit is the iterated
+    zeta_hat chain, and zeta_hat runs exactly once per positive root."""
+    zeta_hat = bd.zeta_hat
+    calls = Counter()
+
+    def counted(t, r):
+        calls[r] += 1
+        return zeta_hat(t, r)
+
+    rng = random.Random(41)
+    for (m, n) in coprime_pairs(9) + [(5, 12), (12, 31)]:
+        roots = bd.all_pos_roots(n)
+        expected = {rho: _iterated_zeta_hat(bd.cg_triple(m, n), rho) for rho in roots}
+        queries = roots[::-1] if order == "reversed" else rng.sample(roots, len(roots))
+        t = bd.cg_triple(m, n)
+        calls.clear()
+        monkeypatch.setattr(bd, "zeta_hat", counted)
+        orbits = {rho: bd.orbit(t, rho) for rho in queries}
+        monkeypatch.setattr(bd, "zeta_hat", zeta_hat)
+        assert orbits == expected, (m, n)
+        assert calls == Counter(roots), (m, n)
+
+
+@pytest.mark.parametrize("m, n, rho", [(1, 3, (1, 2)), (1, 3, (1, 3)), (12, 31, (1, 2))])
+def test_orbit_of_a_zeta_mutated_into_a_cycle_raises(m, n, rho):
+    """zeta closed into a permutation after validation: the walk from rho
+    never leaves S0, and the n^2 guard stops it with RuntimeError."""
+    t = bd.cg_triple(m, n)
+    t.zeta[n - m] = m
+    t.s0 = frozenset(t.zeta)
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        bd.orbit(t, bd.PosRoot(*rho))
 
 
 def test_zeta_hat_examples():
@@ -81,11 +126,11 @@ def test_zeta_hat_examples():
 
 def test_precedes_worked_example():
     t = bd.cg_triple(12, 31)
-    assert bd.precedes(t, bd.PosRoot(15, 19), bd.PosRoot(18, 22))
+    assert precedes(t, bd.PosRoot(15, 19), bd.PosRoot(18, 22))
     assert bd.PosRoot(18, 22) in bd.orbit(t, bd.PosRoot(15, 19))
-    assert not bd.precedes(t, bd.PosRoot(15, 19), bd.PosRoot(11, 15))
+    assert not precedes(t, bd.PosRoot(15, 19), bd.PosRoot(11, 15))
     rho = bd.PosRoot(3, 4)
-    assert bd.precedes(t, rho, rho)
+    assert precedes(t, rho, rho)
     assert rho not in bd.orbit(t, rho)
 
 

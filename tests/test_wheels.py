@@ -2,10 +2,10 @@
 
 import pytest
 
-from cgrm import wheels
+from cgrm import bd, wheels
 from cgrm.acceptance import coprime_pairs
 
-from conftest import strict_pair_count
+from conftest import sbar_by_precedes, strict_pair_count
 
 
 def test_euclid_sequence():
@@ -97,6 +97,50 @@ def test_sbar_no_valid_candidates():
     # j1 = n leaves no s with j1 < s
     assert wheels.sbar_bruteforce(2, 5, 5, 3) == set()
     assert wheels.sbar_closed(wheels.wheel(2, 5), 5, 3) == set()
+
+
+@pytest.mark.parametrize("j1, j2", [(0, 3), (-1, 1), (0, 1), (3, 0), (1, -4),
+                                    (6, 3), (3, 6), (6, 6), (0, 6)])
+def test_sbar_bruteforce_rejects_positions_out_of_range(j1, j2):
+    with pytest.raises(ValueError, match=r"^position \(%d, %d\) out of range 1\.\.5$" % (j1, j2)):
+        wheels.sbar_bruteforce(2, 5, j1, j2)
+
+
+def test_sbar_bruteforce_accepts_the_corners_of_the_range():
+    t = bd.cg_triple(2, 5)
+    for j1, j2 in ((1, 1), (1, 5), (5, 1), (5, 5)):
+        assert wheels.sbar_bruteforce(2, 5, j1, j2) == sbar_by_precedes(t, j1, j2), (j1, j2)
+    assert wheels.sbar_bruteforce(2, 5, 1, 5) == {3, 5}
+
+
+def precedes_loop_mismatch(oracle, pairs):
+    """The first (m, n, j1, j2) at which oracle(m, n, j1, j2) differs from the
+    per-candidate precedes loop; None when it never does."""
+    for (m, n) in pairs:
+        t = bd.cg_triple(m, n)
+        for j1 in range(1, n + 1):
+            for j2 in range(1, n + 1):
+                if oracle(m, n, j1, j2) != sbar_by_precedes(t, j1, j2):
+                    return m, n, j1, j2
+    return None
+
+
+def test_sbar_bruteforce_matches_the_precedes_loop():
+    assert precedes_loop_mismatch(wheels.sbar_bruteforce, coprime_pairs(13) + [(12, 31)]) is None
+
+
+def _strict_walk(m, n, j1, j2):
+    """The one-walk table at (j1, j2) with rho itself left out of its walk."""
+    t = bd.cg_triple(m, n)
+    return {rho.j for rho in bd.all_pos_roots(n) for mu in bd.orbit(t, rho)
+            if rho.i == j1 and mu.j == j2 and mu.i + rho.j == rho.i + mu.j}
+
+
+def test_a_walk_of_the_strict_order_fails_the_precedes_loop():
+    """Negative control: the comparison catches a walk that drops rho = mu."""
+    assert _strict_walk(12, 31, 15, 22) == {16, 17, 19}
+    assert sbar_by_precedes(bd.cg_triple(12, 31), 15, 22) == {16, 17, 19, 22}
+    assert precedes_loop_mismatch(_strict_walk, [(12, 31)]) == (12, 31, 1, 2)
 
 
 def assert_oracle_equivalence(pairs):
