@@ -1,14 +1,17 @@
 """Compositional operators on two-variable Laurent polynomials over Q.
 
 A polynomial is a dict {(p, q): c} that stores no zeros, for the terms
-c x^p y^q.  Operators evaluate on integer numerators only.  op._apply(terms)
-takes int coefficients and returns D * op(terms) with int coefficients, where
-D = op.denominator() clears every rational coefficient in the operator tree.
-Each consumer divides by D once: apply (after scaling its input by the input's
-common denominator), which window_matrix runs per monomial, op_equal_on not at
-all (it compares cross-multiplied images), and the polynomial Yang-Baxter check
-at the very end.  That check lifts an operator to legs (1,2), (1,3), (2,3) of
-three-variable monomials in one place, from a memo of the int images.
+c x^p y^q.  Operators evaluate on integer numerators of tagged terms only.
+op._apply(terms) takes a zero-free dict {(p, q, r): int}, a batch of
+polynomials told apart by the tag r, and returns D * op(terms) in the same
+form, where D = op.denominator() clears every rational coefficient in the
+operator tree.  Every atom acts on (p, q) and carries r unchanged, so one pass
+over a batch gives each tagged polynomial its own image.  window_matrix runs
+one pass over all window monomials and divides by D once; op_equal_on runs one
+pass per operator over all listed monomials and compares cross-multiplied
+images; the polynomial Yang-Baxter check fills a memo of int images with one
+pass over the leg pairs of its monomials, lifts them to legs (1,2), (1,3),
+(2,3) of three-variable monomials in one place, and divides at the very end.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import add_scaled
-from .scalars import NonIntegralError, common_denominator, scaled_to_int
+from .scalars import NonIntegralError
 from .tensorops import SparseOp
 
 ONE = Fraction(1)
@@ -34,47 +37,43 @@ class WindowStabilityError(ValueError):
 
 
 def divide_linear(terms, sign):
-    """Exact division of a two-variable terms-dict by (x + sign * y); raises on
-    remainder.  The divisor is monic in x, so int terms give int quotients."""
-    if not terms:
-        return {}
-    shift = min(p for p, _ in terms)
-    work = {(p - shift, q): v for (p, q), v in terms.items()}
-    quotient = {}
-    while work:
-        # The leading keys strictly decrease, so each quotient key is set once.
-        key = max(work)
-        p, q = key
-        if p == 0:
-            raise ExactDivisionError("nonzero remainder in linear division")
-        coeff = work.pop(key)
-        quotient[(p - 1 + shift, q)] = coeff
-        tkey = (p - 1, q + 1)
-        nv = work.get(tkey, 0) - sign * coeff
-        if nv == 0:
-            work.pop(tkey, None)
+    """Exact division of tagged int terms {(p, q, r): v} by (x + sign * y);
+    raises ExactDivisionError on a remainder.
+
+    The divisor is homogeneous and does not involve the tag, so each chain of
+    terms with one total degree p + q and one tag r divides on its own, and
+    the batch divides exactly when every chain does.  A chain is divided
+    synthetically, one pass per x-degree, highest first: the quotient's
+    coefficient at x^(p-1) is the chain's at x^p less sign times the quotient's
+    at x^p, and what is left at the chain's lowest x-degree is its remainder.
+    The divisor is monic in x, so int terms give int quotients."""
+    chains = {}
+    for (p, q, r), v in terms.items():
+        chain = chains.get((p + q, r))
+        if chain is None:
+            chains[(p + q, r)] = {p: v}
         else:
-            work[tkey] = nv
+            chain[p] = v
+    quotient = {}
+    for (degree, r), chain in chains.items():
+        low = min(chain)
+        # -sign times the quotient's coefficient found last
+        carry = 0
+        for p in range(max(chain), low, -1):
+            v = chain.get(p, 0) + carry
+            if v:
+                quotient[(p - 1, degree - p, r)] = v
+            carry = -sign * v
+        if chain[low] + carry:
+            raise ExactDivisionError("nonzero remainder in linear division")
     return quotient
 
 
 class PolyOp:
     """Base for operators on two-variable polynomials; subclasses implement
-    _apply(terms), which maps {(p, q): int} dicts with no zero coefficients to
-    D * op(terms) in the same form, with D = denominator()."""
-
-    def apply(self, terms):
-        """op(terms) for a zero-free dict {(p, q): rational}, as a zero-free dict
-        of Fractions: the input is scaled to int numerators by its common
-        denominator d, run through _apply, and divided by d D once."""
-        for key in terms:
-            if type(key) is not tuple or len(key) != 2:
-                raise ValueError("operators act on two-variable polynomials, got the key %r"
-                                 % (key,))
-        d = common_denominator(terms.values())
-        image = self._apply(scaled_to_int(terms, d))
-        d *= self.denominator()
-        return {k: Fraction(v, d) for k, v in image.items()}
+    _apply(terms), which maps zero-free tagged dicts {(p, q, r): int} to
+    D * op(terms) in the same form, with D = denominator(), acting on (p, q)
+    and carrying the tag r unchanged."""
 
     def _apply(self, terms):
         raise NotImplementedError
@@ -111,7 +110,8 @@ class Mono(PolyOp):
         self.q = q
 
     def _apply(self, terms):
-        return {(a + self.p, b + self.q): v for (a, b), v in terms.items()}
+        p, q = self.p, self.q
+        return {(a + p, b + q, r): v for (a, b, r), v in terms.items()}
 
 
 class Partial(PolyOp):
@@ -122,15 +122,15 @@ class Partial(PolyOp):
 
     def _apply(self, terms):
         if self.i == 0:
-            return {(a - 1, b): a * v for (a, b), v in terms.items() if a}
-        return {(a, b - 1): b * v for (a, b), v in terms.items() if b}
+            return {(a - 1, b, r): a * v for (a, b, r), v in terms.items() if a}
+        return {(a, b - 1, r): b * v for (a, b, r), v in terms.items() if b}
 
 
 class Sigma(PolyOp):
     """Swap the two variables."""
 
     def _apply(self, terms):
-        return {(b, a): v for (a, b), v in terms.items()}
+        return {(b, a, r): v for (a, b, r), v in terms.items()}
 
 
 class Xi(PolyOp):
@@ -161,7 +161,7 @@ class ExponentSign(PolyOp):
     """Diagonal operator scaling a monomial by sgn(first exponent - second exponent)."""
 
     def _apply(self, terms):
-        return {(a, b): v if a > b else -v for (a, b), v in terms.items() if a != b}
+        return {(a, b, r): v if a > b else -v for (a, b, r), v in terms.items() if a != b}
 
 
 class OpSum(PolyOp):
@@ -209,17 +209,16 @@ class OpCompose(PolyOp):
 
 
 def op_equal_on(op_a: PolyOp, op_b: PolyOp, monomials) -> bool:
-    """Operator equality tested monomial-by-monomial, as D_b * (D_a a) = D_a *
-    (D_b b) on the int images."""
+    """Operator equality on the listed monomials (p, q): one pass of each
+    operator over all of them, each tagged by its index in the list, and
+    D_b * (D_a a) = D_a * (D_b b) on the int images."""
+    batch = {(p, q, r): 1 for r, (p, q) in enumerate(monomials)}
     da, db = op_a.denominator(), op_b.denominator()
-    for exps in monomials:
-        a, b = op_a._apply({exps: 1}), op_b._apply({exps: 1})
-        if da != db:
-            a = {k: db * v for k, v in a.items()}
-            b = {k: da * v for k, v in b.items()}
-        if a != b:
-            return False
-    return True
+    a, b = op_a._apply(batch), op_b._apply(batch)
+    if da != db:
+        a = {k: db * v for k, v in a.items()}
+        b = {k: da * v for k, v in b.items()}
+    return a == b
 
 
 def polynomial_monomials(nvars, max_total_degree):
@@ -252,9 +251,25 @@ def restrict_to_window(images, n: int) -> SparseOp:
     return SparseOp(n, cols)
 
 
+def _int_images(op: PolyOp, pairs):
+    """[D op(x^p y^q) for (p, q) in pairs] with D = op.denominator(), from one
+    pass of the kernel in which each monomial is tagged by its place."""
+    images = [{} for _ in pairs]
+    for (a, b, r), v in op._apply({(p, q, r): 1 for r, (p, q) in enumerate(pairs)}).items():
+        images[r][(a, b)] = v
+    return images
+
+
 def window_matrix(op: PolyOp, n: int) -> SparseOp:
-    """The window restriction of a two-variable operator, one apply per monomial."""
-    return restrict_to_window(lambda p, q: op.apply({(p, q): ONE}), n)
+    """The window restriction of a two-variable operator: one pass of the
+    kernel over all n^2 window monomials, x^p y^q tagged p n + q, and one
+    division by D."""
+    d = op.denominator()
+    images = _int_images(op, [(p, q) for p in range(n) for q in range(n)])
+    for image in images:
+        for k, v in image.items():
+            image[k] = Fraction(v, d)
+    return restrict_to_window(lambda p, q: images[p * n + q], n)
 
 
 def _mirror(pair):
@@ -266,10 +281,11 @@ def _inversion(pair):
 
 
 class _Images(dict):
-    """Memo of the integer images (p, q) -> op._apply({(p, q): 1}), that is D
-    times the image with D = op.denominator().  An operator whose _apply gives a
-    value that is not an int has a denominator it does not declare, and raises
-    NonIntegralError."""
+    """Memo of the integer images (p, q) -> D op(x^p y^q) with D =
+    op.denominator().  Images enter through fill, one tagged pass over the
+    pairs not yet in the memo; a pair read but missing is a batch of one.  An
+    operator whose _apply gives a value that is not an int has a denominator
+    it does not declare, and raises NonIntegralError."""
 
     def __init__(self, op):
         super().__init__()
@@ -278,13 +294,21 @@ class _Images(dict):
         self.tested = {}
 
     def __missing__(self, pair):
-        image = self.op._apply({pair: 1})
-        for v in image.values():
-            if type(v) is not int:
-                raise NonIntegralError("image of %r has the coefficient %r, not an integer "
-                                       "over the declared denominator %d" % (pair, v, self.d))
-        self[pair] = image
-        return image
+        self.fill((pair,))
+        return self[pair]
+
+    def fill(self, pairs):
+        """Enter the images of the pairs not yet in the memo, in their order, from
+        one pass of the kernel in which each is tagged by its place among them."""
+        missing = [pair for pair in dict.fromkeys(pairs) if pair not in self]
+        if not missing:
+            return
+        for pair, image in zip(missing, _int_images(self.op, missing)):
+            for v in image.values():
+                if type(v) is not int:
+                    raise NonIntegralError("image of %r has the coefficient %r, not an integer "
+                                           "over the declared denominator %d" % (pair, v, self.d))
+            self[pair] = image
 
     def certify(self, sym):
         """Whether sym op sym = -op on the memo, for an involution sym of the
@@ -359,13 +383,17 @@ def check_poly_cyb(op: PolyOp, lam, monomials) -> bool:
     is the residual on m with its exponents negated, and reads only the
     inverses of the pairs that one read: an orbit whose inverse is done is
     done when the inversion is certified on the memo.  So a list with no
-    inverted orbit, such as polynomial_monomials, reads no inverse."""
+    inverted orbit, such as polynomial_monomials, reads no inverse.
+
+    The memo starts with the images of every listed monomial's leg pairs
+    (a, b), (a, c), (b, c), which the first lifts read, from one tagged pass."""
     monomials = list(monomials)
     for exps in monomials:
         if type(exps) is not tuple or len(exps) != 3 or any(type(e) is not int for e in exps):
             raise ValueError("the Yang-Baxter check acts on three-variable monomials, "
                              "got %r" % (exps,))
     images = _Images(op)
+    images.fill((a, b) for exps in monomials for a, b in itertools.combinations(exps, 2))
     done = set()
     for exps in monomials:
         orbit = tuple(sorted(exps))

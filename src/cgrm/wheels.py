@@ -127,9 +127,12 @@ def sbar_closed(w: WheelData, jp: int, lp: int):
     """Aligned index set computed by the closed double sum over (t, N).
 
     Empty inner sums (nonpositive J) contribute nothing; the result never
-    repeats a subscript and always lands in 1..n.
+    repeats a subscript and always lands in 1..n.  The position must satisfy
+    1 <= jp, lp <= n.
     """
     n = w.n
+    if not (1 <= jp <= n and 1 <= lp <= n):
+        raise ValueError("position (%d, %d) out of range 1..%d" % (jp, lp, n))
     j = n + 1 - jp
     l = n + 1 - lp
     out = set()

@@ -12,6 +12,7 @@ from cgrm.frobenius import (LieSubalgebra, _first_leg_slices, carrier,
                             cg_boundary_functional, r_check)
 from cgrm.linalg import add_scaled, solve_affine
 from cgrm.polyops import PolyOp, _Images, _poly_cyb_residual
+from cgrm.scalars import common_denominator, scaled_to_int
 from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, _flat
 
 ZERO = Fraction(0)
@@ -103,6 +104,21 @@ def op_to_wedge(op: SparseOp) -> WedgeElement:
         if _flat(n, i, k) < _flat(n, j, l):
             out._accumulate((i, k), (j, l), 2 * v)
     return out
+
+
+def apply(op: PolyOp, terms):
+    """op(terms) for a zero-free dict {(p, q): rational}, as a zero-free dict of
+    Fractions, through the int kernel: the input is scaled to int numerators by
+    its common denominator d, run as a batch of one (tag 0), and divided by
+    d D once."""
+    for key in terms:
+        if type(key) is not tuple or len(key) != 2:
+            raise ValueError("operators act on two-variable polynomials, got the key %r"
+                             % (key,))
+    d = common_denominator(terms.values())
+    image = op._apply({(p, q, 0): v for (p, q), v in scaled_to_int(terms, d).items()})
+    d *= op.denominator()
+    return {(p, q): Fraction(v, d) for (p, q, _), v in image.items()}
 
 
 def poly_cyb_residual(op: PolyOp, lam, exps):

@@ -1,5 +1,5 @@
 """Division kernels, operator atoms, and window restriction, on polynomials stored
-as zero-free dicts {(p, q): c}."""
+as zero-free dicts {(p, q): c}, and batches of them tagged {(p, q, r): c}."""
 
 from fractions import Fraction
 
@@ -14,9 +14,9 @@ from cgrm.polyops import (DivDiff, DivSum, ExactDivisionError,
                           PolyOp, Sigma, Xi, WindowStabilityError, _Images, _inversion,
                           _mirror, check_poly_cyb, divide_linear, laurent_window, op_equal_on,
                           polynomial_monomials, restrict_to_window, window_matrix)
-from cgrm.scalars import NonIntegralError, scaled_to_int
+from cgrm.scalars import NonIntegralError, common_denominator, scaled_to_int
 
-from conftest import poly_cyb_residual, scalars
+from conftest import apply, poly_cyb_residual, scalars
 
 ONE = Fraction(1)
 IDENTITY = Mono(0, 0)
@@ -32,6 +32,11 @@ def mono(a, b, c=1):
     return {(a, b): Fraction(c)}
 
 
+def _tagged(batch):
+    """The polynomials of batch as one tagged dict, each tagged by its index."""
+    return {(p, q, r): v for r, f in enumerate(batch) for (p, q), v in f.items()}
+
+
 def _times(f, g):
     """The product of two polynomials, with no zeros stored."""
     out = {}
@@ -42,55 +47,70 @@ def _times(f, g):
     return {k: v for k, v in out.items() if v}
 
 
+int_polys = st.dictionaries(st.tuples(exps, exps),
+                            st.integers(min_value=-9, max_value=9).filter(bool), max_size=4)
+
+
 @settings(max_examples=50)
-@given(polys(), polys())
-def test_division_inverts_multiplication(p, q):
-    diff = {(1, 0): ONE, (0, 1): -ONE}
-    total = {(1, 0): ONE, (0, 1): ONE}
-    assert divide_linear(_times(p, diff), -1) == p
-    assert divide_linear(_times(q, total), 1) == q
+@given(st.lists(int_polys, max_size=4), st.sampled_from([-1, 1]))
+@example([{(1, 0): 1}, {(1, 0): -1}], -1)
+def test_division_inverts_multiplication(batch, sign):
+    """A batch of products with x + sign y divides back to the batch, which is
+    the per-tag division by the Fraction oracle side by side."""
+    divisor = {(1, 0): 1, (0, 1): sign}
+    products = [_times(f, divisor) for f in batch]
+    quotient = divide_linear(_tagged(products), sign)
+    assert quotient == _tagged(batch)
+    assert quotient == _tagged([_divide_linear_over_fractions(g, sign) for g in products])
+    assert all(type(v) is int for v in quotient.values())
 
 
 def test_division_remainder_raises():
     with pytest.raises(ExactDivisionError):
-        divide_linear(mono(1, 0), -1)
+        divide_linear({(1, 0, 0): 1}, -1)
     with pytest.raises(ExactDivisionError):
-        divide_linear(mono(0, 3), 1)
+        divide_linear({(0, 3, 0): 1}, 1)
+    # x^2 - y^2 at tag 0 divides, x^2 + y^2 at tag 1 does not: the batch raises
+    with pytest.raises(ExactDivisionError):
+        divide_linear({(2, 0, 0): 1, (0, 2, 0): -1, (2, 0, 1): 1, (0, 2, 1): 1}, -1)
+    # x^2 at tag 0 and -y^2 at tag 1 would sum to x^2 - y^2 if the tags merged
+    with pytest.raises(ExactDivisionError):
+        divide_linear({(2, 0, 0): 1, (0, 2, 1): -1}, -1)
 
 
 def test_divdiff_on_symmetric_difference():
     one_minus_sigma = IDENTITY - Sigma()
     f = mono(3, 1)
-    num = one_minus_sigma.apply(f)
-    quotient = DivDiff().apply(num)
+    num = apply(one_minus_sigma, f)
+    quotient = apply(DivDiff(), num)
     # (x^3 y - x y^3)/(x - y) = x^2 y + x y^2
     assert quotient == {(2, 1): ONE, (1, 2): ONE}
 
 
 def test_atoms():
     f = mono(2, 3)
-    assert Mono(1, -1).apply(f) == mono(3, 2)
-    assert Partial(0).apply(f) == mono(1, 3, 2)
-    assert Partial(1).apply(mono(2, 0)) == {}
-    assert Sigma().apply(f) == mono(3, 2)
-    assert Xi(0).apply(f) == mono(2, 3)
-    assert Xi(0).apply(mono(1, 2)) == mono(1, 2, -1)
-    assert Xi(1).apply(mono(0, 1)) == mono(0, 1, -1)
-    assert IDENTITY.apply(f) == f
-    assert ExponentSign().apply(mono(1, 1)) == {}
-    assert ExponentSign().apply(mono(2, 1)) == mono(2, 1)
-    assert ExponentSign().apply(mono(0, 1)) == mono(0, 1, -1)
-    assert DivSum().apply({(1, 0): ONE, (0, 1): ONE}) == {(0, 0): ONE}
+    assert apply(Mono(1, -1), f) == mono(3, 2)
+    assert apply(Partial(0), f) == mono(1, 3, 2)
+    assert apply(Partial(1), mono(2, 0)) == {}
+    assert apply(Sigma(), f) == mono(3, 2)
+    assert apply(Xi(0), f) == mono(2, 3)
+    assert apply(Xi(0), mono(1, 2)) == mono(1, 2, -1)
+    assert apply(Xi(1), mono(0, 1)) == mono(0, 1, -1)
+    assert apply(IDENTITY, f) == f
+    assert apply(ExponentSign(), mono(1, 1)) == {}
+    assert apply(ExponentSign(), mono(2, 1)) == mono(2, 1)
+    assert apply(ExponentSign(), mono(0, 1)) == mono(0, 1, -1)
+    assert apply(DivSum(), {(1, 0): ONE, (0, 1): ONE}) == {(0, 0): ONE}
 
 
 def test_operator_algebra():
     f = mono(1, 0)
     op = 2 * Mono(1, 0) - Mono(0, 1) * Sigma()
     # sigma sends x to y, then multiply by y: y^2 ; first term 2x^2
-    assert op.apply(f) == {(2, 0): Fraction(2), (0, 2): -ONE}
+    assert apply(op, f) == {(2, 0): Fraction(2), (0, 2): -ONE}
     # a scalar multiplies from the left only; op * c is not a second spelling
-    assert (3 * op).apply(f) == {(2, 0): Fraction(6), (0, 2): Fraction(-3)}
-    assert (Fraction(1, 2) * op).apply(f) == {(2, 0): ONE, (0, 2): Fraction(-1, 2)}
+    assert apply(3 * op, f) == {(2, 0): Fraction(6), (0, 2): Fraction(-3)}
+    assert apply(Fraction(1, 2) * op, f) == {(2, 0): ONE, (0, 2): Fraction(-1, 2)}
     for c in (3, Fraction(1, 2)):
         with pytest.raises(TypeError):
             op * c
@@ -117,8 +137,8 @@ def test_combination_node_is_linear(a, b, c, x, y, z, samples):
         f = {exps_: ONE}
         want = {}
         for coeff, atom in ((a, x), (b, y), (-b * c, z)):
-            add_scaled(want, coeff, atom.apply(f))
-        assert combo.apply(f) == want
+            add_scaled(want, coeff, apply(atom, f))
+        assert apply(combo, f) == want
 
 
 def test_combination_node_flattens_and_drops_zeros():
@@ -127,14 +147,14 @@ def test_combination_node_flattens_and_drops_zeros():
     assert combo.summands == [(Fraction(2, 3), x), (Fraction(-2), y), (Fraction(-1, 3), x)]
     # a zero term is dropped, so the division is never tried on x
     assert (x + 0 * DivDiff()).summands == [(1, x)]
-    assert (x + 0 * DivDiff()).apply(mono(1, 0)) == mono(2, 0)
-    assert isinstance(-x, OpSum) and (-x).apply(mono(1, 0)) == mono(2, 0, -1)
+    assert apply(x + 0 * DivDiff(), mono(1, 0)) == mono(2, 0)
+    assert isinstance(-x, OpSum) and apply(-x, mono(1, 0)) == mono(2, 0, -1)
 
 
 def test_apply_rejects_other_variable_counts():
     for terms in ({(1, 2, 3): ONE}, {(1,): ONE}, {(0, 1): ONE, (1, 2, 3): ONE}):
         with pytest.raises(ValueError, match="two-variable"):
-            IDENTITY.apply(terms)
+            apply(IDENTITY, terms)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -166,7 +186,8 @@ def test_window_matrix_and_stability():
         for l in range(1, n + 1):
             expected = {(j, l): Fraction(j - 1)} if j > 1 else {}
             assert m.column(j, l) == expected
-    with pytest.raises(WindowStabilityError):
+    # x^2 y^0 is the first window monomial, in (j, l) order, that x sends out
+    with pytest.raises(WindowStabilityError, match=r"^image of \(3, 1\) leaves the window"):
         window_matrix(Mono(1, 0), n)
     assert issubclass(WindowStabilityError, ValueError)
 
@@ -330,16 +351,23 @@ def _outcome(compute):
 @example(dunkl.dunkl_y(dunkl.CherednikParams(Fraction(1, 3), Fraction(-5, 2), m=1), 1), 4,
          [{(-2, 3): Fraction(3, 7), (1, -1): Fraction(-1, 2)}])
 def test_int_kernel_matches_fraction_oracle(op, n, inputs):
-    """window_matrix and PolyOp.apply, which run the int kernel and divide once,
-    equal the atom-by-atom Fraction evaluation, on the window and on Laurent
+    """window_matrix, one tagged pass of the int kernel over the window, and the
+    kernel on a batch of one (apply) or of all inputs, each dividing once, equal
+    the atom-by-atom Fraction evaluation, on the window and on Laurent
     polynomials with negative exponents and rational coefficients."""
     oracle = _outcome(lambda: restrict_to_window(
         lambda p, q: fraction_apply(op, {(p, q): Fraction(1)}), n))
     assert _outcome(lambda: window_matrix(op, n)) == oracle
-    for poly in inputs + [mono(-3, 1), mono(2, -4), mono(-1, -2)]:
-        got = op.apply(poly)
+    inputs = inputs + [mono(-3, 1), mono(2, -4), mono(-1, -2)]
+    for poly in inputs:
+        got = apply(op, poly)
         assert got == fraction_apply(op, poly)
         assert all(type(v) is Fraction for v in got.values())
+    d = common_denominator(v for poly in inputs for v in poly.values())
+    batch = op._apply(_tagged([scaled_to_int(poly, d) for poly in inputs]))
+    d *= op.denominator()
+    assert {k: Fraction(v, d) for k, v in batch.items()} == \
+        _tagged([fraction_apply(op, poly) for poly in inputs])
 
 
 @settings(max_examples=40, deadline=None)
@@ -363,18 +391,33 @@ def test_op_equal_on_across_denominators():
     assert not op_equal_on((Fraction(1, 3) * IDENTITY) * x, Fraction(1, 3) * Sigma(), [(1, 2)])
 
 
+def test_op_equal_on_tells_the_listed_monomials_apart():
+    """Each listed monomial is compared on its own: a mismatch at the last one
+    only, or at a repeated one, is seen, and so are images that would cancel
+    or coincide if the monomials were run as one sum."""
+    number = IDENTITY + Mono(1, 0) * Partial(0)  # x^p y^q -> (1 + p) x^p y^q
+    agree = [(0, 0), (0, 1), (0, -2), (0, 3)]
+    assert op_equal_on(IDENTITY, number, agree)
+    assert not op_equal_on(IDENTITY, number, agree + [(1, 0)])
+    assert op_equal_on(IDENTITY, number, [(0, 0), (0, 0)])
+    assert not op_equal_on(IDENTITY, number, [(0, 0), (2, 1), (0, 0), (2, 1)])
+    # the mirror swaps x and y, so it fixes their sum but neither of them
+    assert not op_equal_on(IDENTITY, Sigma(), [(1, 0), (0, 1)])
+    assert not op_equal_on(IDENTITY, Sigma(), [(1, 0), (0, 1), (1, 0), (0, 1)])
+
+
 def test_division_atoms_raise_on_an_int_remainder():
     """The int kernel keeps the exact-division check: a remainder raises, both on
     int numerators and through apply."""
     for atom, terms in ((DivDiff(), {(1, 0): 3}), (DivDiff(), {(2, 0): 1, (0, 0): -5}),
                         (DivSum(), {(0, 3): 2}), (DivSum(), {(1, 1): 4, (-1, 2): 1})):
         with pytest.raises(ExactDivisionError):
-            atom._apply(terms)
+            atom._apply({(p, q, 0): v for (p, q), v in terms.items()})
         with pytest.raises(ExactDivisionError):
-            atom.apply({k: Fraction(v, 3) for k, v in terms.items()})
+            apply(atom, {k: Fraction(v, 3) for k, v in terms.items()})
     # (x^2 - y^2) / (x - y) = x + y, with int quotients
-    quotient = DivDiff()._apply({(2, 0): 5, (0, 2): -5})
-    assert quotient == {(1, 0): 5, (0, 1): 5}
+    quotient = DivDiff()._apply({(2, 0, 7): 5, (0, 2, 7): -5})
+    assert quotient == {(1, 0, 7): 5, (0, 1, 7): 5}
     assert all(type(v) is int for v in quotient.values())
 
 
@@ -407,7 +450,7 @@ class _Halving(PolyOp):
     """Emits a half-integer coefficient while claiming the integral default D = 1."""
 
     def _apply(self, terms):
-        return {k: v / 2 for k, v in terms.items()}
+        return {(p, q, r): v / 2 for (p, q, r), v in terms.items()}
 
 
 def test_undeclared_denominator_raises():
@@ -526,10 +569,11 @@ class _MirroredPair(PolyOp):
 
     def _apply(self, terms):
         out = {}
-        if (1, 2) in terms:
-            out[(2, 1)] = terms[(1, 2)]
-        if (2, 1) in terms:
-            out[(1, 2)] = -terms[(2, 1)]
+        for (p, q, r), v in terms.items():
+            if (p, q) == (1, 2):
+                out[(2, 1, r)] = v
+            elif (p, q) == (2, 1):
+                out[(1, 2, r)] = -v
         return out
 
 
@@ -639,24 +683,30 @@ def test_a_skew_operator_that_is_not_odd_has_its_inverted_orbits_checked():
     assert not check_poly_cyb(op, 4, [(3, -1, -1), (-3, 1, 1)])
 
 
-@pytest.mark.parametrize("monomials, residuals, images", [
-    (laurent_window(3, 5), 146, 165),
-    (laurent_window(3, 6), 231, 169),
-    (polynomial_monomials(3, 8), 41, 45),
+@pytest.mark.parametrize("monomials, residuals, images, passes", [
+    (laurent_window(3, 5), 146, 165, 45),
+    (laurent_window(3, 6), 231, 169, 1),
+    (polynomial_monomials(3, 8), 41, 45, 1),
 ], ids=["window5", "window6", "polynomial8"])
-def test_check_poly_cyb_work(monkeypatch, monomials, residuals, images):
+def test_check_poly_cyb_work(monkeypatch, monomials, residuals, images, passes):
     """The lemma's check computes one residual per orbit of S3 x inversion on a
     window and one per S3 orbit on polynomial_monomials, where no inverse image
-    is read."""
+    is read.  The leg pairs of the listed monomials take one pass of the
+    kernel; each image read beyond them (44 at bound 5) takes one more."""
     residual = polyops._poly_cyb_residual
     calls = []
     made = []
+    kernel = []
     monkeypatch.setattr(polyops, "_poly_cyb_residual",
                         lambda *args: calls.append(args) or residual(*args))
     monkeypatch.setattr(polyops, "_Images", lambda op: made.append(_Images(op)) or made[-1])
-    assert check_poly_cyb(dunkl.lemma_expression(1, Fraction(2, 5)), 4, monomials)
+    op = dunkl.lemma_expression(1, Fraction(2, 5))
+    apply_ = op._apply
+    op._apply = lambda terms: kernel.append(len(terms)) or apply_(terms)
+    assert check_poly_cyb(op, 4, monomials)
     (memo,) = made
-    assert (len(calls), len(memo)) == (residuals, images)
+    assert (len(calls), len(memo), len(kernel)) == (residuals, images, passes)
+    assert sum(kernel) == images
     assert any(min(pair) < 0 for pair in memo) == any(min(m) < 0 for m in monomials)
 
 

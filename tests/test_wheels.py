@@ -99,17 +99,29 @@ def test_sbar_no_valid_candidates():
     assert wheels.sbar_closed(wheels.wheel(2, 5), 5, 3) == set()
 
 
-@pytest.mark.parametrize("j1, j2", [(0, 3), (-1, 1), (0, 1), (3, 0), (1, -4),
-                                    (6, 3), (3, 6), (6, 6), (0, 6)])
+OUT_OF_RANGE = [(0, 3), (-1, 1), (0, 1), (3, 0), (1, -4), (6, 3), (3, 6), (6, 6), (0, 6),
+                (-1, 2)]
+
+
+@pytest.mark.parametrize("j1, j2", OUT_OF_RANGE)
 def test_sbar_bruteforce_rejects_positions_out_of_range(j1, j2):
     with pytest.raises(ValueError, match=r"^position \(%d, %d\) out of range 1\.\.5$" % (j1, j2)):
         wheels.sbar_bruteforce(2, 5, j1, j2)
+
+
+@pytest.mark.parametrize("jp, lp", OUT_OF_RANGE)
+def test_sbar_closed_rejects_positions_out_of_range(jp, lp):
+    """A position outside 1..n raises, where the nested-mod table would wrap on a
+    negative index ((3, 0) read {5}) or overrun it."""
+    with pytest.raises(ValueError, match=r"^position \(%d, %d\) out of range 1\.\.5$" % (jp, lp)):
+        wheels.sbar_closed(wheels.wheel(2, 5), jp, lp)
 
 
 def test_sbar_bruteforce_accepts_the_corners_of_the_range():
     t = bd.cg_triple(2, 5)
     for j1, j2 in ((1, 1), (1, 5), (5, 1), (5, 5)):
         assert wheels.sbar_bruteforce(2, 5, j1, j2) == sbar_by_precedes(t, j1, j2), (j1, j2)
+        assert wheels.sbar_closed(wheels.wheel(2, 5), j1, j2) == sbar_by_precedes(t, j1, j2)
     assert wheels.sbar_bruteforce(2, 5, 1, 5) == {3, 5}
 
 
