@@ -15,7 +15,7 @@ from math import gcd
 
 from . import bd, closed_form, cyb, dunkl, frobenius, wheels
 from .linalg import rank
-from .polyops import check_poly_cyb, laurent_window, polynomial_monomials
+from .polyops import check_poly_cyb, polynomial_monomials
 from .scalars import format_scalar
 from .tensorops import wedge_to_op
 
@@ -120,12 +120,10 @@ def params_failure(m, holds):
     return next((p for p in grid if not holds(dunkl.CherednikParams(*p, m=m))), None)
 
 
-def lemma_failure(lam):
-    """The first point of the degree-2 grid in (a1, a2) at which CYB_lam of the
+def lemma_failure():
+    """The first point of the degree-2 grid in (a1, a2) at which CYB_4 of the
     lemma expression, which is affine in them, is nonzero on the window of bound 5."""
-    window = laurent_window(3, 5)
-    return next((a for a in polynomial_monomials(2, 2)
-                 if not check_poly_cyb(dunkl.lemma_expression(*a), lam, window)), None)
+    return next((a for a in polynomial_monomials(2, 2) if not dunkl.lemma_cyb4(*a, 5)), None)
 
 
 def criterion_4():
@@ -145,7 +143,7 @@ def criterion_5():
           and params_failure(2, lambda p: dunkl.verify_relations(p, 8)) is None
           and params_failure(2, lambda p: check_poly_cyb(
               dunkl.element_e(p), 4 * p.c0 ** 2, polynomial_monomials(3, 10))) is None
-          and lemma_failure(4) is None)
+          and lemma_failure() is None)
     return CheckResult(5, "operator relations and graded CYB identities for all parameters", ok,
                        "degree-2 grids: relations to degree 8 at 6 + 10 points, element_e CYB "
                        "to degree 10 at 10 points, lemma CYB at 6 points")

@@ -47,15 +47,20 @@ def require_odd_n(n: int):
         raise ValueError("n must be odd and >= 3")
 
 
-# Building blocks shared by the m = 2 operators; operators are stateless.
+# Building blocks shared by the operators below.  Operators are stateless, so
+# each one that takes no parameter is a module value, built once at import.
 xi1, xi2 = Xi(0), Xi(1)
 # The identity: multiplication by x^0 y^0.
 one = Mono(0, 0)
+sigma = Sigma()
+msign = ExponentSign()
 
 
 g3 = Fraction(1, 4) * ((one - xi1) * (one - xi2))
 skew_mono = Mono(-1, 1) - Mono(1, -1)
 euler = Mono(1, 0) * Partial(0) - Mono(0, 1) * Partial(1)
+# The divided difference Delta = ((x1 + x2)/(x1 - x2)) (1 - sigma).
+delta = (Mono(1, 0) + Mono(0, 1)) * DivDiff() * (one - sigma)
 
 
 def dunkl_y(params: CherednikParams, i: int) -> PolyOp:
@@ -65,11 +70,11 @@ def dunkl_y(params: CherednikParams, i: int) -> PolyOp:
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     kappa, c0, c1 = params.kappa, params.c0, params.c1
-    y = kappa * Partial(i - 1) + (-c0 if i == 1 else c0) * (DivDiff() * (one - Sigma()))
+    y = kappa * Partial(i - 1) + (-c0 if i == 1 else c0) * (DivDiff() * (one - sigma))
     if params.m == 1:
         return y
     inverse, xi = (Mono(-1, 0), xi1) if i == 1 else (Mono(0, -1), xi2)
-    return (y - c0 * (DivSum() * (one - xi1 * xi2 * Sigma()))
+    return (y - c0 * (DivSum() * (one - xi1 * xi2 * sigma))
             - c1 * (inverse * (one - xi)))
 
 
@@ -114,12 +119,11 @@ def group_relations(params: CherednikParams):
     kappa, c0, c1 = params.kappa, params.c0, params.c1
     m = params.m
     omega = Fraction(params.omega)
-    sig = Sigma()
     xi = [xi1, xi2] if m == 2 else [one, one]
     x = [Mono(1, 0), Mono(0, 1)]
     y = [dunkl_y(params, 1), dunkl_y(params, 2)]
     rels = []
-    rels.append((sig * sig, one))
+    rels.append((sigma * sigma, one))
     for i in (0, 1):
         rels.append((_power(xi[i], m), one))
     rels.append((xi[0] * xi[1], xi[1] * xi[0]))
@@ -128,9 +132,9 @@ def group_relations(params: CherednikParams):
     for i in (0, 1):
         rels.append((xi[i] * y[i], omega * (y[i] * xi[i])))
         rels.append((xi[i] * x[i], (1 / omega) * (x[i] * xi[i])))
-        rels.append((sig * x[i], x[1 - i] * sig))
-        rels.append((sig * y[i], y[1 - i] * sig))
-        rels.append((sig * xi[i], xi[1 - i] * sig))
+        rels.append((sigma * x[i], x[1 - i] * sigma))
+        rels.append((sigma * y[i], y[1 - i] * sigma))
+        rels.append((sigma * xi[i], xi[1 - i] * sigma))
         rels.append((xi[i] * x[1 - i], x[1 - i] * xi[i]))
         rels.append((xi[i] * y[1 - i], y[1 - i] * xi[i]))
 
@@ -143,12 +147,12 @@ def group_relations(params: CherednikParams):
 
     for i in (0, 1):
         rhs = OpSum([(kappa, one)]
-                    + [(-c0, xi_word(r) * sig) for r in range(m)]
+                    + [(-c0, xi_word(r) * sigma) for r in range(m)]
                     + [(-c1 * (1 - omega ** (-r)), _power(xi[i], r)) for r in range(1, m)])
         rels.append((y[i] * x[i] - x[i] * y[i], rhs))
 
-    rhs12 = OpSum([(c0 * omega ** (-r), xi_word(r) * sig) for r in range(m)])
-    rhs21 = OpSum([(c0 * omega ** r, xi_word(r) * sig) for r in range(m)])
+    rhs12 = OpSum([(c0 * omega ** (-r), xi_word(r) * sigma) for r in range(m)])
+    rhs21 = OpSum([(c0 * omega ** r, xi_word(r) * sigma) for r in range(m)])
     rels.append((y[0] * x[1] - x[1] * y[0], rhs12))
     rels.append((y[1] * x[0] - x[0] * y[1], rhs21))
     return rels
@@ -166,11 +170,6 @@ def verify_relations(params: CherednikParams, degree_bound: int = 8) -> bool:
     of total degree <= degree_bound."""
     monos = polynomial_monomials(2, degree_bound)
     return all(op_equal_on(a, b, monos) for a, b in group_relations(params))
-
-
-def divided_difference() -> PolyOp:
-    """((x1 + x2)/(x1 - x2)) (1 - sigma)."""
-    return (Mono(1, 0) + Mono(0, 1)) * DivDiff() * (one - Sigma())
 
 
 def _xy(params: CherednikParams) -> PolyOp:
@@ -194,7 +193,7 @@ def element_e(params: CherednikParams) -> PolyOp:
     """x1 y1 - x2 y2 + c0 (xi1 - xi2) sigma  (m = 2)."""
     if params.m != 2:
         raise ValueError("defined for m = 2")
-    return _xy(params) + params.c0 * ((xi1 - xi2) * Sigma())
+    return _xy(params) + params.c0 * ((xi1 - xi2) * sigma)
 
 
 def element_e_wedge(params: CherednikParams, n: int) -> WedgeElement:
@@ -229,10 +228,9 @@ def dunkl_m2_combo(n: int, params: CherednikParams) -> PolyOp:
     if params.c0 == 0:
         raise ValueError("c0 must be nonzero")
     kappa, c0, c1 = params.kappa, params.c0, params.c1
-    sig = Sigma()
-    g1 = Fraction(-1, 1) / (4 * c0) * sig
-    g2 = (kappa / (4 * c0)) * sig + Fraction(-1, 2 * n) * one
-    g4 = (-c1 / (4 * c0)) * ((xi1 - xi2) * sig)
+    g1 = Fraction(-1, 1) / (4 * c0) * sigma
+    g2 = (kappa / (4 * c0)) * sigma + Fraction(-1, 2 * n) * one
+    g4 = (-c1 / (4 * c0)) * ((xi1 - xi2) * sigma)
     return g1 * _xy(params) + g2 * euler + skew_mono * g3 + g4
 
 
@@ -245,7 +243,6 @@ def r_via_dunkl_m2(n: int, params: CherednikParams) -> SparseOp:
 
 def lemma_expression(a1, a2) -> PolyOp:
     """Delta + xi1 Delta xi2 + a1 (x2/x1 - x1/x2) g3 + a2 (x1 d1 - x2 d2)."""
-    delta = divided_difference()
     return (delta + xi1 * delta * xi2 + Fraction(a1) * (skew_mono * g3)
             + Fraction(a2) * euler)
 
@@ -256,12 +253,10 @@ def lemma_cyb4(a1, a2, bound: int = 5) -> bool:
     return check_poly_cyb(lemma_expression(a1, a2), 4, laurent_window(3, bound))
 
 
-def elements_e1_e2():
-    """The two raising/lowering operators generating the Heisenberg action (m = 2)."""
-    e1 = (HALF * (Mono(-1, 0) * Partial(0) + Mono(0, -1) * Partial(1))
-          - Fraction(1, 4) * (Mono(-2, 0) * (one - xi1) + Mono(0, -2) * (one - xi2)))
-    e2 = HALF * (Mono(1, 0) + Mono(0, 1) - Mono(1, 0) * xi1 - Mono(0, 1) * xi2)
-    return e1, e2
+# The two raising/lowering operators generating the Heisenberg action (m = 2).
+e1_op = (HALF * (Mono(-1, 0) * Partial(0) + Mono(0, -1) * Partial(1))
+         - Fraction(1, 4) * (Mono(-2, 0) * (one - xi1) + Mono(0, -2) * (one - xi2)))
+e2_op = HALF * (Mono(1, 0) + Mono(0, 1) - Mono(1, 0) * xi1 - Mono(0, 1) * xi2)
 
 
 def e1_matrix(n: int) -> MatrixN:
@@ -292,7 +287,6 @@ def h_matrix(j: int, n: int) -> MatrixN:
 
 def v_operator(k: int, n: int) -> PolyOp:
     """The four module generators as two-variable operators (m = 2 context)."""
-    delta = divided_difference()
     if k == 1:
         head = Fraction(1, 4) * (Mono(-1, -1)
                                  * (delta - xi1 * delta * xi2 + xi1 - xi2))
@@ -398,28 +392,23 @@ def b_cg(n: int, u, t) -> SparseOp:
     return u * v1 + t * v2 + (t * u) * v3 + (HALF * t * t * u) * v4
 
 
-def alpha_poly_op(n: int) -> PolyOp:
-    """Operator realization of the ordered-pair part for the (n-2, n) solution."""
-    msign = ExponentSign()
-    sig = Sigma()
-    delta = divided_difference()
-    return (Fraction(-1, 4) * (msign * (one + xi1 * xi2))
-            - HALF * (sig * msign)
-            + Fraction(1, 4) * delta
-            + Fraction(1, 4) * (xi1 * delta * xi2)
-            + skew_mono * g3)
+# Operator realization of the ordered-pair part for the (n-2, n) solution; it
+# does not depend on n.
+alpha_poly_op = (Fraction(-1, 4) * (msign * (one + xi1 * xi2))
+                 - HALF * (sigma * msign)
+                 + Fraction(1, 4) * delta
+                 + Fraction(1, 4) * (xi1 * delta * xi2)
+                 + skew_mono * g3)
 
 
 def beta_poly_op(n: int) -> PolyOp:
     """Operator realization of the diagonal part for the (n-2, n) solution."""
-    msign = ExponentSign()
     return (Fraction(1, 4) * (msign * (one + xi1 * xi2))
             - Fraction(1, 2 * n) * euler)
 
 
-def gamma_poly_op() -> PolyOp:
-    """Operator realization of the swap part: (1/2) sigma M."""
-    return HALF * (Sigma() * ExponentSign())
+# Operator realization of the swap part: (1/2) sigma M.
+gamma_poly_op = HALF * (sigma * msign)
 
 
 def r_m2_poly_op(n: int) -> PolyOp:

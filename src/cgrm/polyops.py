@@ -223,13 +223,19 @@ def op_equal_on(op_a: PolyOp, op_b: PolyOp, monomials) -> bool:
 
 def polynomial_monomials(nvars, max_total_degree):
     """All monomial exponent tuples with nonnegative entries and bounded total
-    degree, in lexicographic order."""
+    degree, in lexicographic order.  A negative bound raises ValueError: its
+    empty list would make every check over it hold vacuously."""
+    if max_total_degree < 0:
+        raise ValueError("max_total_degree must be >= 0, not %d" % max_total_degree)
     return [e for e in itertools.product(range(max_total_degree + 1), repeat=nvars)
             if sum(e) <= max_total_degree]
 
 
 def laurent_window(nvars, bound):
-    """All exponent tuples with entries in [-bound, bound], in lexicographic order."""
+    """All exponent tuples with entries in [-bound, bound], in lexicographic
+    order; a negative bound raises ValueError, as in polynomial_monomials."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0, not %d" % bound)
     return list(itertools.product(range(-bound, bound + 1), repeat=nvars))
 
 

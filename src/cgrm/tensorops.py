@@ -296,16 +296,12 @@ class SparseOp:
 SparseOp2 = SparseOp3 = SparseOp
 
 
-def _flat(n, i, j):
-    return (i - 1) * n + (j - 1)
-
-
 class WedgeElement:
     """Element of gl_n ^ gl_n as a map from ordered basis pairs to coefficients.
 
-    Keys are ((a, b), (c, d)) with (a, b) strictly before (c, d) in the
-    flattened lexicographic order; reversed and repeated pairs are folded in
-    during construction, so equality of canonical forms is exact equality.
+    Keys are ((a, b), (c, d)) with (a, b) strictly before (c, d) in tuple
+    order; reversed and repeated pairs are folded in during construction, so
+    equality of canonical forms is exact equality.
     """
 
     __slots__ = ("n", "terms")
@@ -323,7 +319,7 @@ class WedgeElement:
             raise ValueError("index out of range: %r" % ((p, q),))
         if p == q or v == 0:
             return
-        if _flat(n, *p) > _flat(n, *q):
+        if p > q:
             p, q, v = q, p, -v
         key = (p, q)
         total = self.terms.get(key, ZERO) + v

@@ -88,7 +88,7 @@ def func_a(jp: int, m: int, n: int) -> int:
     return m - ((n - jp) % m)
 
 
-def func_b(lp: int, m: int, n: int) -> int:
+def func_b(lp: int, m: int) -> int:
     """Minimal element of the string holding lp."""
     return 1 + ((lp - 1) % m)
 

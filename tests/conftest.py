@@ -13,7 +13,7 @@ from cgrm.frobenius import (LieSubalgebra, _first_leg_slices, carrier,
 from cgrm.linalg import add_scaled, solve_affine
 from cgrm.polyops import PolyOp, _Images, _poly_cyb_residual
 from cgrm.scalars import common_denominator, scaled_to_int
-from cgrm.tensorops import MatrixN, SparseOp, WedgeElement, _flat
+from cgrm.tensorops import MatrixN, SparseOp, WedgeElement
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -98,10 +98,9 @@ def op_to_wedge(op: SparseOp) -> WedgeElement:
     """
     if not op.is_antisymmetric():
         raise ValueError("operator is not antisymmetric; no wedge form exists")
-    n = op.n
-    out = WedgeElement(n)
+    out = WedgeElement(op.n)
     for (i, j), (k, l), v in op.entries():
-        if _flat(n, i, k) < _flat(n, j, l):
+        if (i, k) < (j, l):
             out._accumulate((i, k), (j, l), 2 * v)
     return out
 

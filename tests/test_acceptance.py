@@ -17,6 +17,28 @@ from cgrm.tensorops import SparseOp
 from conftest import double_bracket_over_fractions
 
 
+# The name and detail of each criterion, as `cgrm acceptance` prints them.
+CRITERION_LINES = {
+    1: ("cross-construction equality (n <= 12, sampled n = 31)",
+        "45 pairs, 48 sampled columns at (12, 31)"),
+    2: ("wheels oracle equivalence (n <= 20 and (12, 31))",
+        "128 coprime pairs, all positions"),
+    3: ("CYB certification for 3 <= n <= 9", "26 pairs, lambda values {1/4}"),
+    4: ("Dunkl realizations (m = 1 for n <= 12; m = 2 for all c0 != 0)",
+        "m = 2 linear in (kappa, c0, c1): 3 basis points at n in {3, 5, 7, 9}"),
+    5: ("operator relations and graded CYB identities for all parameters",
+        "degree-2 grids: relations to degree 8 at 6 + 10 points, element_e CYB to degree 10 "
+        "at 10 points, lemma CYB at 6 points"),
+    6: ("module structure, rank 5, triangular combinations",
+        "n in {5, 7, 9}; all combinations of v1..v4 by bilinearity, their 10 symmetric pieces "
+        "zero at n in {5, 7}"),
+    7: ("boundary family and Jordanian instances",
+        "n in {5, 7, 9} x 3 parameter pairs, each boundary solution triangular; "
+        "Jordanian n <= 7"),
+    8: ("beta variety is a singleton (n <= 12)", "45 coprime pairs, affine dimension 0"),
+}
+
+
 @pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA,
                          ids=lambda c: c.__name__)
 def test_criterion(criterion):
@@ -24,6 +46,7 @@ def test_criterion(criterion):
     print("%s  criterion %d: %s  [%s]"
           % ("PASS" if result.passed else "FAIL", result.cid, result.name, result.detail))
     assert result.passed, "criterion %d failed: %s (%s)" % (result.cid, result.name, result.detail)
+    assert (result.name, result.detail) == CRITERION_LINES[result.cid]
 
 
 def _shifted(op):
@@ -129,13 +152,16 @@ def test_m1_operator_solves_cyb_for_all_parameters():
     assert failure(lambda p: p.kappa ** 2 / 49) == (0, 1)
 
 
-def test_lemma_certificate_rejects_lambda_5_and_an_a1_a2_term(monkeypatch):
-    """An a1 a2 multiple of Delta vanishes at every grid point but (1, 1)."""
-    assert acceptance.lemma_failure(5) == (0, 0)
+def test_lemma_certificate_rejects_a_doubled_expression_and_an_a1_a2_term(monkeypatch):
+    """Twice the expression has double bracket 16 Z, so its CYB_4 fails at the
+    first grid point; an a1 a2 multiple of Delta vanishes at every grid point
+    but (1, 1)."""
     lemma_expression = dunkl.lemma_expression
+    monkeypatch.setattr(dunkl, "lemma_expression", lambda a1, a2: 2 * lemma_expression(a1, a2))
+    assert acceptance.lemma_failure() == (0, 0)
     monkeypatch.setattr(dunkl, "lemma_expression", lambda a1, a2: lemma_expression(a1, a2)
-                        + (a1 * a2) * dunkl.divided_difference())
-    assert acceptance.lemma_failure(4) == (1, 1)
+                        + (a1 * a2) * dunkl.delta)
+    assert acceptance.lemma_failure() == (1, 1)
 
 
 def test_relations_certificate_sees_a_c0_c1_term(monkeypatch):

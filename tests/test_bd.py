@@ -162,6 +162,12 @@ def test_gamma_part_examples():
     assert len(bd.gamma_part(3).terms) == 3
 
 
+@pytest.mark.parametrize("n", [1, 0])
+def test_gamma_part_rejects_n_below_2(n):
+    with pytest.raises(ValueError, match="^need n >= 2$"):
+        bd.gamma_part(n)
+
+
 def test_gamma_operator_action():
     for n in (2, 3, 4):
         op = wedge_to_op(bd.gamma_part(n))

@@ -13,8 +13,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 PAPER_ORACLES = {
     "closed_form.cg_m2_display", "closed_form.phi_twist",
-    "dunkl.dunkl_monomial_formula", "dunkl.element_e_wedge", "dunkl.elements_e1_e2",
-    "dunkl.alpha_poly_op", "dunkl.beta_poly_op", "dunkl.gamma_poly_op",
+    "dunkl.dunkl_monomial_formula", "dunkl.element_e_wedge", "dunkl.beta_poly_op",
     "dunkl.r_m2_poly_op", "frobenius.cg_boundary_functional_displayed",
     "wheels.func_a", "wheels.func_b", "wheels.func_c", "wheels.func_d",
 }
@@ -24,7 +23,7 @@ LIBRARY_HOOKS = {"cli._Parser.error"}
 
 # Reached only from bench/: nothing in src/cgrm calls them.
 BENCH_BOUND = {
-    "closed_form.cg_m1_display", "dunkl.lemma_cyb4",
+    "closed_form.cg_m1_display",
     "frobenius.FrobeniusData.form", "frobenius.FrobeniusData.r_check_inverse",
 }
 

@@ -36,6 +36,18 @@ def test_closed_form_rejects_non_coprime():
         closed_form.cg_closed_form(2, 4)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: closed_form.psi(2, 5, 0), "j out of range"),
+    (lambda: closed_form.psi(2, 5, 6), "j out of range"),
+    (lambda: closed_form.cg_m1_display(1), "need n >= 2"),
+    (lambda: closed_form.cg_m2_display(4), "need odd n >= 3"),
+    (lambda: closed_form.cg_m2_display(1), "need odd n >= 3"),
+], ids=["psi j=0", "psi j=6", "cg_m1_display n=1", "cg_m2_display n=4", "cg_m2_display n=1"])
+def test_out_of_range_arguments_raise(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
+
+
 def test_m1_display_matches_closed_form():
     for n in range(2, 13):
         assert closed_form.cg_m1_display(n) == closed_form.cg_closed_form(1, n)

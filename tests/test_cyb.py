@@ -30,6 +30,12 @@ def test_embed_swap_on_13():
     assert emb.cols[(1, 2, 3)] == {(3, 2, 1): Fraction(1)}
 
 
+@pytest.mark.parametrize("legs", [21, 11, 0])
+def test_embed_rejects_other_legs(legs):
+    with pytest.raises(ValueError, match="^legs must be one of 12, 13, 23$"):
+        cyb.embed(permutation_op(2), legs)
+
+
 def test_embeds_sharing_a_leg_do_not_commute():
     p = permutation_op(2)
     a = cyb.embed(p, 12)

@@ -71,8 +71,23 @@ def test_group_involutions_m2():
     assert op_equal_on(Xi(1) * Xi(1), Mono(0, 0), monos)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: dunkl.CherednikParams(1, 1, m=3), "m must be 1 or 2"),
+    (lambda: dunkl.dunkl_y(PARAMS_M2, 3), "i must be 1 or 2"),
+    (lambda: dunkl.element_e(PARAMS_M1), "defined for m = 2"),
+    (lambda: dunkl.dunkl_m2_combo(5, PARAMS_M1), "defined for m = 2"),
+    (lambda: dunkl.v_operator(5, 5), "k must be 1..4"),
+    (lambda: dunkl.v_monomial_action(5, 5, 1, 1), "k must be 1..4"),
+    (lambda: dunkl.v_wedge(5, 5), "k must be 1..4"),
+], ids=["CherednikParams m=3", "dunkl_y i=3", "element_e m=1", "dunkl_m2_combo m=1",
+        "v_operator k=5", "v_monomial_action k=5", "v_wedge k=5"])
+def test_out_of_range_arguments_raise(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
+
+
 def test_divided_difference_examples():
-    delta = dunkl.divided_difference()
+    delta = dunkl.delta
     assert apply(delta, {(1, 0): ONE}) == {(1, 0): ONE, (0, 1): ONE}
     assert apply(delta, {(1, 1): ONE}) == {}
     # (x + y)^2
@@ -89,7 +104,7 @@ def test_r_m1_equals_display_combination():
     from cgrm.polyops import Mono, Partial
     n = 6
     euler = Mono(1, 0) * Partial(0) - Mono(0, 1) * Partial(1)
-    display = Fraction(-1, n) * euler + Fraction(1, 2) * dunkl.divided_difference()
+    display = Fraction(-1, n) * euler + Fraction(1, 2) * dunkl.delta
     assert window_matrix(display, n) == dunkl.r_via_dunkl_m1(n)
 
 
@@ -183,9 +198,9 @@ def test_alpha_beta_gamma_operator_displays():
         alpha = wedge_to_op(bd.alpha_part(n - 2, n))
         beta = wedge_to_op(bd.beta_part(n - 2, n))
         gamma = wedge_to_op(bd.gamma_part(n))
-        assert window_matrix(dunkl.alpha_poly_op(n), n) == alpha
+        assert window_matrix(dunkl.alpha_poly_op, n) == alpha
         assert window_matrix(dunkl.beta_poly_op(n), n) == beta
-        assert window_matrix(dunkl.gamma_poly_op(), n) == gamma
+        assert window_matrix(dunkl.gamma_poly_op, n) == gamma
 
 
 def test_m_operator():
@@ -195,10 +210,9 @@ def test_m_operator():
 
 
 def test_e1_e2_window_matrices():
-    e1op, e2op = dunkl.elements_e1_e2()
     for n in (5, 7):
-        assert window_matrix(e1op, n) == kron_sum2(dunkl.e1_matrix(n))
-        assert window_matrix(e2op, n) == kron_sum2(dunkl.e2_matrix(n))
+        assert window_matrix(dunkl.e1_op, n) == kron_sum2(dunkl.e1_matrix(n))
+        assert window_matrix(dunkl.e2_op, n) == kron_sum2(dunkl.e2_matrix(n))
 
 
 def test_e1_e2_matrices_n5():
@@ -256,9 +270,8 @@ def test_v_degrees():
     for k, want in degs.items():
         assert operator_degree(dunkl.v_operator(k, 5), samples) == want
     assert operator_degree(dunkl.r_m2_poly_op(5), samples) == 0
-    e1op, e2op = dunkl.elements_e1_e2()
-    assert operator_degree(e1op, samples) == -2
-    assert operator_degree(e2op, samples) == 1
+    assert operator_degree(dunkl.e1_op, samples) == -2
+    assert operator_degree(dunkl.e2_op, samples) == 1
     assert operator_degree(dunkl.element_e(PARAMS_M2), samples) == 0
 
 

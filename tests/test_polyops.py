@@ -162,9 +162,8 @@ def test_lift_matches_window_cyb(n):
     """The three-leg lift agrees with CYB_lambda of the window matrix, which
     embeds the operator on tensor legs by an independent path."""
     from cgrm.cyb import cyb_lambda
-    from cgrm.dunkl import alpha_poly_op
     lam = Fraction(1, 3)
-    op = alpha_poly_op(n)
+    op = dunkl.alpha_poly_op
     window = cyb_lambda(window_matrix(op, n), lam)
     nonzero = 0
     for a in range(n):
@@ -196,6 +195,21 @@ def test_monomial_enumerators():
     assert len(polynomial_monomials(2, 3)) == 10
     assert len(laurent_window(2, 1)) == 9
     assert all(len(e) == 3 for e in laurent_window(3, 1))
+    assert polynomial_monomials(3, 0) == laurent_window(3, 0) == [(0, 0, 0)]
+    for build in (polynomial_monomials, laurent_window):
+        with pytest.raises(ValueError, match="must be >= 0, not -1$"):
+            build(3, -1)
+
+
+def test_a_negative_bound_raises_instead_of_certifying():
+    """An empty list of monomials would make each check hold vacuously, even
+    the lemma's CYB at the wrong lambda 5."""
+    params = dunkl.CherednikParams(kappa=1, c0=2, c1=3, m=2)
+    for check in (lambda: dunkl.verify_relations(params, -1),
+                  lambda: dunkl.lemma_cyb4(1, Fraction(2, 5), bound=-1),
+                  lambda: check_poly_cyb(dunkl.lemma_expression(1, 0), 5, laurent_window(3, -1))):
+        with pytest.raises(ValueError, match="must be >= 0, not -1$"):
+            check()
 
 
 def _lift_over_fractions(images, legs, terms, out):
@@ -299,9 +313,9 @@ odd_n = st.sampled_from([3, 5, 7])
 cyb_ops = st.one_of(
     st.builds(dunkl.lemma_expression, small, small),
     st.builds(dunkl.element_e, m2_params),
-    st.builds(dunkl.alpha_poly_op, odd_n),
+    st.just(dunkl.alpha_poly_op),
     st.builds(dunkl.beta_poly_op, odd_n),
-    st.just(dunkl.gamma_poly_op()),
+    st.just(dunkl.gamma_poly_op),
     st.builds(dunkl.dunkl_m2_combo, odd_n, m2_params),
 )
 cyb_exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3)
@@ -470,9 +484,8 @@ def test_undeclared_denominator_raises():
 def test_perturbed_lemma_fails():
     """The lemma's check fails when g3's identity coefficient 1/4 becomes 1/3,
     or lambda moves off 4; a uniform 1/3 in g3 only rescales a1 and still holds."""
-    from cgrm.dunkl import divided_difference, euler, lemma_expression, skew_mono, xi1, xi2
+    from cgrm.dunkl import delta, euler, lemma_expression, skew_mono, xi1, xi2
     window = laurent_window(3, 1)
-    delta = divided_difference()
 
     def lemma(a1, a2, g):
         return delta + xi1 * delta * xi2 + Fraction(a1) * (skew_mono * g) + Fraction(a2) * euler
@@ -499,8 +512,7 @@ def test_element_e_off_lambda_fails():
 
 def test_poly_cyb_detects_non_solutions():
     """The three-leg checker is not vacuous: the bare divided difference fails."""
-    from cgrm.dunkl import divided_difference, lemma_expression
-    delta = divided_difference()
+    from cgrm.dunkl import delta, lemma_expression
     assert poly_cyb_residual(delta, 4, (1, 0, 0))
     assert not check_poly_cyb(delta, 4, laurent_window(3, 1))
     assert poly_cyb_residual(lemma_expression(1, 0), 4, (1, 0, 0)) == {}

@@ -30,9 +30,9 @@ def test_strings_m1_single_string():
 
 def test_func_a_b():
     assert wheels.func_a(15, 12, 31) == 8
-    assert wheels.func_b(22, 12, 31) == 10
-    assert wheels.func_b(1, 12, 31) == 1
-    assert wheels.func_b(1, 5, 12) == 1
+    assert wheels.func_b(22, 12) == 10
+    assert wheels.func_b(1, 12) == 1
+    assert wheels.func_b(1, 5) == 1
 
 
 def test_func_c_d():
@@ -45,10 +45,16 @@ def test_func_c_d():
     assert wheels.func_d(1, 15, w) == 5
     # level-1 values agree with the minimal-element alignment functions
     for l in range(1, 32):
-        assert wheels.func_c(1, l, w) == 12 + 1 - wheels.func_b(l, 12, 31)
+        assert wheels.func_c(1, l, w) == 12 + 1 - wheels.func_b(l, 12)
         assert wheels.func_d(1, l, w) == 12 + 1 - wheels.func_a(l, 12, 31)
-    with pytest.raises(ValueError):
-        wheels.func_c(w.L, 1, w)
+
+
+@pytest.mark.parametrize("func", [wheels.func_c, wheels.func_d], ids=lambda f: f.__name__)
+def test_alignment_offsets_reject_levels_outside_the_wheel(func):
+    w = wheels.wheel(12, 31)
+    for t in (w.L, -1):
+        with pytest.raises(ValueError, match="^t out of range$"):
+            func(t, 1, w)
 
 
 def test_func_j_examples():
